@@ -38,7 +38,7 @@ class ShapeMismatch(HyporomError):
 
 
 class IoError(HyporomError):
-    """A snapshot/basis/operator file could not be read or written."""
+    """A snapshot file could not be read or written."""
 
 
 class FormatVersionMismatch(IoError):

@@ -59,6 +59,7 @@ class ErrorReport:
     deim_indices: dict = field(default_factory=dict)  # (var, window) -> rows
     n_steps: int = 0
     n_snapshot_cols: int = 0
+    final: dict = field(default_factory=dict)         # var -> final ROM field
 
     @property
     def speedup(self) -> float:
@@ -105,14 +106,11 @@ def _recorded_steps(result) -> np.ndarray:
     return np.searchsorted(result.times, times)
 
 
-def _initial_fields(config: ExperimentConfig, state) -> dict:
+def _state_fields(config: ExperimentConfig, state) -> dict:
+    """Conserved fields of a FOM state, keyed by variable id."""
     if config.system in ("transport", "burgers"):
         return {"w": np.asarray(state, dtype=float)}
     return {"h": state.h, "q": state.q}
-
-
-def _final_fields(config: ExperimentConfig, state) -> dict:
-    return _initial_fields(config, state)
 
 
 def _stage(label, fn, *args, **kwargs):
@@ -181,10 +179,10 @@ def run_experiment(config: ExperimentConfig,
 
     recorded_steps = _recorded_steps(recorded)
     out = _stage("online", run_rom, setup,
-                 _initial_fields(config, state0), recorded.dts,
+                 _state_fields(config, state0), recorded.dts,
                  recorded_steps=recorded_steps)
 
-    fom_final = _final_fields(config, recorded.final_state)
+    fom_final = _state_fields(config, recorded.final_state)
     report = ErrorReport(
         case=config.preset,
         l1={v: l1_error(out.final[v], fom_final[v], grid.dx)
@@ -198,10 +196,11 @@ def run_experiment(config: ExperimentConfig,
         deim_indices=_deim_index_map(setup),
         n_steps=recorded.n_steps,
         n_snapshot_cols=len(recorded_steps),
+        final=out.final,
     )
     if write_outputs:
         _stage("report", write_report, config, report,
-               grid=grid, initial=_initial_fields(config, state0),
+               grid=grid, initial=_state_fields(config, state0),
                fom=fom_final, rom=out.final)
     return report
 
@@ -241,10 +240,10 @@ def run_prediction(config: ExperimentConfig,
     setup = _stage("offline", _build, config, grid, [merged], reference_model)
     offline_seconds = time.perf_counter() - t0
 
-    out = _stage("online", run_rom, setup, _initial_fields(config, state0),
+    out = _stage("online", run_rom, setup, _state_fields(config, state0),
                  runs[0].dts, recorded_steps=_recorded_steps(runs[0]))
 
-    fom_final = _final_fields(config, reference.final_state)
+    fom_final = _state_fields(config, reference.final_state)
     report = ErrorReport(
         case=f"{config.preset}:predict:{config.target_param}",
         l1={v: l1_error(out.final[v], fom_final[v], grid.dx)
@@ -258,10 +257,11 @@ def run_prediction(config: ExperimentConfig,
         deim_indices=_deim_index_map(setup),
         n_steps=runs[0].n_steps,
         n_snapshot_cols=merged[next(iter(merged))].n_cols,
+        final=out.final,
     )
     if write_outputs:
         _stage("report", write_report, config, report, grid=grid,
-               initial=_initial_fields(config, state0), fom=fom_final,
+               initial=_state_fields(config, state0), fom=fom_final,
                rom=out.final)
     return report
 
@@ -277,7 +277,7 @@ def sweep_modes_windows(config: ExperimentConfig, m_list, nv_list,
     state0 = initial_state(config, grid)
     recorded = _stage("fom", run_fom, model, state0, config.t_final,
                       config.cfl, snapshot_stride=config.snapshot_stride)
-    fom_final = _final_fields(config, recorded.final_state)
+    fom_final = _state_fields(config, recorded.final_state)
 
     rows = []
     for n_windows in nv_list:
@@ -288,7 +288,7 @@ def sweep_modes_windows(config: ExperimentConfig, m_list, nv_list,
             setup = _stage("offline", _build, cfg, grid,
                            [recorded.snapshots], model)
             out = _stage("online", run_rom, setup,
-                         _initial_fields(cfg, state0), recorded.dts,
+                         _state_fields(cfg, state0), recorded.dts,
                          recorded_steps=_recorded_steps(recorded))
             row = {"mode_cap": cap, "n_windows": n_windows,
                    "selected_m": max(out.modes_per_window),

@@ -5,27 +5,15 @@ conditioned than eigendecomposing the Gram matrix the criterion is
 usually stated with; the left singular vectors coincide).  Mode signs are
 normalized so each mode's largest-magnitude entry is positive, making
 bases deterministic across runs and platforms.
-
-Basis container file ("HYPBASE1", little-endian, CRC32 trailer):
-
-    magic 8s | u32 version | u32 n_rows | u32 m | i32 window_index
-    u8 id_len | 31s variable id | f64 eps_pod            (64-byte header)
-    f64 modes row-major | u32 n_sigma | f64 sigma[n_sigma]
-    f64 energy_captured | u32 crc32
 """
 
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AllZeroSpectrum, BreakdownInEigensolve, ChecksumMismatch,
-                     EmptySlice, FormatVersionMismatch, IoError, ShapeMismatch)
+from .errors import (AllZeroSpectrum, BreakdownInEigensolve, EmptySlice,
+                     ShapeMismatch)
 
-BASIS_MAGIC = b"HYPBASE1"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<8sIIi iB31s d")
 # Numerical-rank rule: sigma_i below this multiple of sigma_1 counts as zero.
 RANK_RTOL = 1e-13
 _ORTHO_TOL = 1e-12
@@ -161,54 +149,3 @@ def window_transfer(coeffs: np.ndarray, basis_from: PodBasis,
         raise ShapeMismatch("coefficient length does not match source basis")
     return basis_to.modes.T @ (basis_from.modes @ coeffs)
 
-
-def save_basis(basis: PodBasis, path) -> None:
-    ident = basis.variable_id.encode("utf-8")
-    if len(ident) > 31:
-        raise IoError("variable id longer than 31 bytes")
-    payload = _HEADER.pack(BASIS_MAGIC, FORMAT_VERSION, basis.n_rows, basis.m,
-                           basis.window_index, len(ident),
-                           ident.ljust(31, b"\0"),
-                           basis.eps_pod if np.isfinite(basis.eps_pod) else np.nan)
-    payload += basis.modes.astype("<f8").tobytes(order="C")
-    payload += struct.pack("<I", len(basis.singular_values))
-    payload += basis.singular_values.astype("<f8").tobytes()
-    payload += struct.pack("<d", basis.energy_captured)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-            fh.write(struct.pack("<I", crc))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
-def load_basis(path) -> PodBasis:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    if len(blob) < _HEADER.size + 4:
-        raise ChecksumMismatch("file too short")
-    body, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumMismatch("CRC32 mismatch (truncated or corrupt file)")
-    magic, version, n_rows, m, window_index, id_len, ident, eps = \
-        _HEADER.unpack_from(body, 0)
-    if magic != BASIS_MAGIC:
-        raise IoError("not a basis file")
-    if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"unsupported version {version}")
-    off = _HEADER.size
-    modes = np.frombuffer(body, "<f8", n_rows * m, off).reshape(n_rows, m)
-    off += 8 * n_rows * m
-    (n_sigma,) = struct.unpack_from("<I", body, off)
-    off += 4
-    sigma = np.frombuffer(body, "<f8", n_sigma, off)
-    off += 8 * n_sigma
-    (energy,) = struct.unpack_from("<d", body, off)
-    return PodBasis(variable_id=ident[:id_len].decode("utf-8"),
-                    modes=modes.copy(), singular_values=sigma.copy(),
-                    window_index=window_index, energy_captured=energy,
-                    eps_pod=eps)

@@ -221,22 +221,12 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
 
 
 @dataclass
-class RomState:
-    """Reduced coefficients of the conserved variables at one time."""
-
-    coefficients: dict
-    window_index: int
-    time: float
-
-
-@dataclass
 class RomResult:
     final: dict                       # lifted fields at t_final
     last_two: list                    # lifted fields at the last two times
     modes_per_window: list
     n_steps: int
     online_seconds: float
-    coeff_history: list | None = None  # RomState per recorded time
     history: dict | None = None       # var -> n_rows x n_times lifted
 
 
@@ -251,8 +241,7 @@ def _lift_state(window: RomWindow, coeffs: dict) -> dict:
 
 def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
             recorded_steps: np.ndarray | None = None,
-            keep_history: bool = False,
-            keep_coeffs: bool = False) -> RomResult:
+            keep_history: bool = False) -> RomResult:
     """Replay the recorded dt sequence in the reduced coordinates."""
     dts = np.asarray(dts, dtype=float)
     names = conserved_variables(setup.system)
@@ -285,7 +274,6 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
     current = 0
     window = setup.windows[0]
     coeffs = _project_state(window, initial_fields, names)
-    coeff_log = [RomState(coeffs, 0, 0.0)] if keep_coeffs else None
     history = [(window, coeffs)] if keep_history else None
     prev = None
     t = 0.0
@@ -311,8 +299,6 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
             raise type(exc)(
                 f"{exc} (step from t={t:.6g}, window {v})") from exc
         t += dt
-        if keep_coeffs:
-            coeff_log.append(RomState(coeffs, v, t))
         if keep_history:
             history.append((window, coeffs))
     online = time.perf_counter() - t0
@@ -328,4 +314,4 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
     return RomResult(final=last_lifted, last_two=last_two,
                      modes_per_window=list(setup.modes_per_window),
                      n_steps=len(dts), online_seconds=online,
-                     coeff_history=coeff_log, history=history)
+                     history=history)

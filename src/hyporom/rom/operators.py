@@ -1,28 +1,16 @@
-"""Reduced-operator containers, window time averages, and persistence.
+"""Reduced-operator containers and window time averages.
 
 Every assembled operator is dt-free: viscosity terms carry nu factored
 out and wave-speed data enters through snapshots, so one assembly serves
 the whole replayed time-step sequence (and any Manning coefficient,
 which multiplies the friction operators online as g*n_b^2).
-
-Operator container file ("HYPROMO1"): 64-byte header (magic, version,
-entry count, window index, m, system id), then one record per named
-array (u8 name_len | name | u8 ndim | u32 dims | f64 data), CRC32
-trailer, little-endian.
 """
 
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (ChecksumMismatch, EmptySlice, FormatVersionMismatch,
-                      IoError, ShapeMismatch)
-
-OPERATOR_MAGIC = b"HYPROMO1"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<8sIIiIB27s")
+from ..errors import EmptySlice, ShapeMismatch
 
 
 def time_average(window_data: np.ndarray) -> np.ndarray:
@@ -41,9 +29,6 @@ class TimeAverages:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.fields[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.fields
 
 
 @dataclass
@@ -88,90 +73,3 @@ def contract_quadratic(tensor: np.ndarray, left: np.ndarray,
     """(T a b)_p = sum_{l,k} T_{plk} a_l b_k via two BLAS products."""
     return (tensor @ right) @ left
 
-
-def save_operators(ops: RomOperators, path) -> None:
-    sysid = ops.system.encode("utf-8")
-    if len(sysid) > 27:
-        raise IoError("system id longer than 27 bytes")
-    entries = []
-    for kind, table in (("M", ops.matrices), ("V", ops.vectors),
-                        ("T", ops.tensors3), ("S", ops.scalars)):
-        for name, value in sorted(table.items()):
-            arr = np.atleast_1d(np.asarray(value, dtype=float))
-            entries.append((f"{kind}:{name}".encode("utf-8"), arr))
-    meta = []
-    for label in ("linearization", "coeff_mode"):
-        value = getattr(ops, label)
-        if value is not None:
-            meta.append((f"L:{label}={value}".encode("utf-8"),
-                         np.zeros(0)))
-    entries.extend(meta)
-
-    payload = _HEADER.pack(OPERATOR_MAGIC, FORMAT_VERSION, len(entries),
-                           ops.window_index, ops.m, len(sysid),
-                           sysid.ljust(27, b"\0"))
-    for name, arr in entries:
-        payload += struct.pack("<B", len(name)) + name
-        payload += struct.pack("<B", arr.ndim)
-        payload += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        payload += arr.astype("<f8").tobytes(order="C")
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-            fh.write(struct.pack("<I", crc))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
-def load_operators(path) -> RomOperators:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    if len(blob) < _HEADER.size + 4:
-        raise ChecksumMismatch("file too short")
-    body, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumMismatch("CRC32 mismatch (truncated or corrupt file)")
-    magic, version, n_entries, window_index, m, sys_len, sysid = \
-        _HEADER.unpack_from(body, 0)
-    if magic != OPERATOR_MAGIC:
-        raise IoError("not an operator file")
-    if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"unsupported version {version}")
-    off = _HEADER.size
-    matrices, vectors, tensors, scalars = {}, {}, {}, {}
-    linearization = coeff_mode = None
-    for _ in range(n_entries):
-        (name_len,) = struct.unpack_from("<B", body, off)
-        off += 1
-        name = body[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", body, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(body, "<f8", count, off).reshape(shape).copy()
-        off += 8 * count
-        kind, _, label = name.partition(":")
-        if kind == "M":
-            matrices[label] = arr
-        elif kind == "V":
-            vectors[label] = arr
-        elif kind == "T":
-            tensors[label] = arr
-        elif kind == "S":
-            scalars[label] = float(arr[0])
-        elif kind == "L":
-            key, _, value = label.partition("=")
-            if key == "linearization":
-                linearization = value
-            else:
-                coeff_mode = value
-    return RomOperators(system=sysid[:sys_len].decode("utf-8"),
-                        window_index=window_index, m=m, matrices=matrices,
-                        vectors=vectors, tensors3=tensors, scalars=scalars,
-                        linearization=linearization, coeff_mode=coeff_mode)

@@ -107,14 +107,9 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
         tensors["D"] = _momentum_flux(phiq, bases["u"].modes)
 
     if params.n_b > 0.0:
-        for kind, table in _friction_ops(linearization, phiq, bases,
-                                         averages).items():
-            if kind == "matrices":
-                matrices.update(table)
-            elif kind == "vectors":
-                vectors.update(table)
-            else:
-                tensors.update(table)
+        table, name, value = _friction_ops(linearization, phiq, bases, averages)
+        {"matrices": matrices, "vectors": vectors,
+         "tensors3": tensors}[table][name] = value
 
     return RomOperators(system="swe_hll", window_index=window_index,
                         m=bases["h"].m, matrices=matrices, vectors=vectors,

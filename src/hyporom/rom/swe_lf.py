@@ -59,17 +59,18 @@ def _momentum_flux_tav(phiq, u_bar):
 
 
 def _friction_ops(linearization, phiq, bases, averages):
+    """Friction operator H as one (table, name, array) entry: a vector,
+    matrix or tensor depending on the linearization."""
     if linearization == LIN_TAV:
         kern = np.abs(averages["u"]) * averages["u"] / averages["h"] ** (1.0 / 3.0)
-        return {"vectors": {"H": phiq.T @ kern}}
+        return "vectors", "H", phiq.T @ kern
     if linearization == LIN_DEIM_U_TAV_F:
         kern = np.abs(averages["u"]) / averages["h"] ** (4.0 / 3.0)
-        return {"matrices": {"H": phiq.T @ (kern[:, None] * phiq)}}
+        return "matrices", "H", phiq.T @ (kern[:, None] * phiq)
     if "f" not in bases:
         raise MissingAuxBasis("deim_u_deim_f needs an f basis")
     phif = bases["f"].modes
-    h_t = np.einsum("ip,il,ik->plk", phiq, phiq, phif)
-    return {"tensors3": {"H": h_t}}
+    return "tensors3", "H", np.einsum("ip,il,ik->plk", phiq, phiq, phif)
 
 
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
@@ -97,14 +98,9 @@ def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
         tensors["D"] = _momentum_flux(phiq, bases["u"].modes)
 
     if params.n_b > 0.0:
-        for kind, table in _friction_ops(linearization, phiq, bases,
-                                         averages).items():
-            if kind == "matrices":
-                matrices.update(table)
-            elif kind == "vectors":
-                vectors.update(table)
-            else:
-                tensors.update(table)
+        table, name, value = _friction_ops(linearization, phiq, bases, averages)
+        {"matrices": matrices, "vectors": vectors,
+         "tensors3": tensors}[table][name] = value
 
     return RomOperators(system="swe_lf", window_index=window_index,
                         m=bases["h"].m, matrices=matrices, vectors=vectors,

@@ -107,12 +107,6 @@ class WindowPartition:
     n_windows: int
     ranges: tuple = field(default_factory=tuple)  # ((start, stop), ...)
 
-    def window_of_column(self, col: int) -> int:
-        for v, (start, stop) in enumerate(self.ranges):
-            if start <= col < stop:
-                return v
-        raise IndexError(f"column {col} outside partition")
-
 
 def partition_uniform(n_cols: int, n_windows: int) -> WindowPartition:
     """Uniform split; the remainder goes one column per window from the first."""

@@ -4,8 +4,7 @@ from scipy.linalg import subspace_angles
 
 from hyporom.errors import AllZeroSpectrum, EmptySlice, ShapeMismatch
 from hyporom.pod import (PodBasis, compute_basis, fallback_basis, lift,
-                         load_basis, project, save_basis, select_modes,
-                         window_transfer)
+                         project, select_modes, window_transfer)
 
 from oracles import random_orthonormal, svd_via_gram
 
@@ -173,18 +172,3 @@ class TestWindowTransfer:
         dense = b.modes.T @ a.modes @ coeffs
         np.testing.assert_allclose(window_transfer(coeffs, a, b), dense,
                                    atol=1e-13)
-
-
-def test_basis_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    basis = compute_basis(rng.standard_normal((30, 8)), 1e-6,
-                          variable_id="h", window_index=3)
-    path = tmp_path / "basis.hyp"
-    save_basis(basis, path)
-    back = load_basis(path)
-    assert back.variable_id == "h"
-    assert back.window_index == 3
-    assert back.eps_pod == pytest.approx(1e-6)
-    np.testing.assert_array_equal(back.modes, basis.modes)
-    np.testing.assert_array_equal(back.singular_values, basis.singular_values)
-    assert back.energy_captured == pytest.approx(basis.energy_captured)

@@ -9,7 +9,7 @@ from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          lake_at_rest, run_fom, transport_stationary)
 from hyporom.grid import Grid1D
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F, LIN_TAV,
-                         build_rom, load_operators, run_rom, save_operators)
+                         build_rom, run_rom)
 
 
 def _transport_run(n=100, t_final=2.0, perturbed=False):
@@ -149,56 +149,14 @@ def test_steady_state_recovery_after_perturbation_exits():
     assert drift <= 1e-12
 
 
-def test_history_and_coeff_log():
+def test_history_and_last_two():
     grid, params, w0, res = _transport_run(n=40, t_final=0.3, perturbed=True)
     setup = build_rom("transport", [res.snapshots], params, grid,
                       n_windows=2, eps_pod=1e-8)
-    out = run_rom(setup, {"w": w0}, res.dts, keep_history=True,
-                  keep_coeffs=True)
+    out = run_rom(setup, {"w": w0}, res.dts, keep_history=True)
     assert out.history["w"].shape == (40, res.n_steps + 1)
-    assert len(out.coeff_history) == res.n_steps + 1
-    first, last = out.coeff_history[0], out.coeff_history[-1]
-    assert first.window_index == 0 and first.time == 0.0
-    assert last.time == pytest.approx(0.3, abs=1e-12)
-    assert last.window_index == setup.partition.n_windows - 1
-    assert set(last.coefficients) == {"w"}
     np.testing.assert_allclose(out.history["w"][:, -1], out.final["w"])
     assert len(out.last_two) == 2
-
-
-def test_operator_round_trip(tmp_path):
-    grid, params, w0, res = _transport_run(n=30, t_final=0.2)
-    setup = build_rom("transport", [res.snapshots], params, grid,
-                      n_windows=1, eps_pod=1e-8)
-    ops = setup.windows[0].ops
-    path = tmp_path / "ops.hyp"
-    save_operators(ops, path)
-    back = load_operators(path)
-    assert back.system == "transport"
-    assert back.m == ops.m
-    for name, mat in ops.matrices.items():
-        np.testing.assert_array_equal(back.matrices[name], mat)
-    assert back.scalars == pytest.approx(ops.scalars)
-
-
-def test_operator_round_trip_with_tensors(tmp_path):
-    grid, params, state, res = _swe_wb_run(FluxChoice.HLL, n=40)
-    setup = build_rom("swe_hll", [res.snapshots], params, grid, n_windows=1,
-                      eps_pod=1e-10, linearization=LIN_DEIM_U_DEIM_F,
-                      coeff_mode=COEFF_DEIM)
-    ops = setup.windows[0].ops
-    path = tmp_path / "hll_ops.hyp"
-    save_operators(ops, path)
-    back = load_operators(path)
-    assert back.system == "swe_hll"
-    assert back.linearization == LIN_DEIM_U_DEIM_F
-    assert back.coeff_mode == COEFF_DEIM
-    for table, other in ((ops.matrices, back.matrices),
-                         (ops.vectors, back.vectors),
-                         (ops.tensors3, back.tensors3)):
-        assert set(table) == set(other)
-        for name, arr in table.items():
-            np.testing.assert_array_equal(other[name], arr)
 
 
 def test_parametric_pooling_shapes():
