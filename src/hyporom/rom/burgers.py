@@ -1,5 +1,9 @@
 """Galerkin reduction of the Burgers scheme: quadratic terms become
 M x M x M tensors contracted with the coefficient vector twice per step.
+
+Each tensor is one ``project_outer`` call (a GEMM over bounded row
+blocks); the three-point advection stencil is applied to the test
+functions with ``stencil_weights``.
 """
 
 import numpy as np
@@ -7,7 +11,8 @@ import numpy as np
 from ..fom.burgers import BurgersParams, ghost_factors
 from ..grid import Grid1D
 from ..pod import PodBasis
-from .operators import RomOperators, contract_quadratic, pad_rows
+from .operators import (RomOperators, contract_quadratic, pad_rows,
+                        project_outer, stencil_weights)
 
 
 def assemble_burgers_rom(basis: PodBasis, params: BurgersParams,
@@ -24,10 +29,9 @@ def assemble_burgers_rom(basis: PodBasis, params: BurgersParams,
 
     # Quadratic products of padded modes; the ghost rows already carry the
     # stationary-extension scaling, so squares inherit it squared.
-    prod = np.einsum("il,ik->ilk", phig, phig)
-    adv3 = prod[2:] * big_em + prod[1:-1] * (big_ep - big_em) - prod[:-2] * big_ep
-    a_t = np.einsum("ip,ilk->plk", phi, adv3)
-    c_t = (big_ep - big_em) * np.einsum("ip,il,ik->plk", phi, phi, phi)
+    adv = stencil_weights(phi, {2: big_em, 1: big_ep - big_em, 0: -big_ep})
+    a_t = project_outer(adv, phig, phig)
+    c_t = (big_ep - big_em) * project_outer(phi, phi, phi)
     vis = phig[2:] * em - phig[1:-1] * (ep + em) + phig[:-2] * ep
     b_mat = phi.T @ vis
 

@@ -1,9 +1,15 @@
-"""Reduced-operator containers and window time averages.
+"""Reduced-operator containers, window time averages and the tensor
+assembly kernel.
 
 Every assembled operator is dt-free: viscosity terms carry nu factored
 out and wave-speed data enters through snapshots, so one assembly serves
 the whole replayed time-step sequence (and any Manning coefficient,
 which multiplies the friction operators online as g*n_b^2).
+
+Every M x M x M tensor is one ``project_outer`` call: a GEMM of the test
+functions against the row-wise outer products of two mode sets, taken
+over row blocks of bounded size.  Finite-difference stencils act on the
+test functions (``stencil_weights``), never on the n x M x M products.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptySlice, ShapeMismatch
+
+# Bytes of one row block's outer-product intermediate in project_outer.
+_BLOCK_BYTES = 4 * 2**20
 
 
 def time_average(window_data: np.ndarray) -> np.ndarray:
@@ -73,3 +82,35 @@ def contract_quadratic(tensor: np.ndarray, left: np.ndarray,
     """(T a b)_p = sum_{l,k} T_{plk} a_l b_k via two BLAS products."""
     return (tensor @ right) @ left
 
+
+def stencil_weights(phi: np.ndarray, coefs: dict) -> np.ndarray:
+    """Rows w[j] = sum_s c_s phi[j - s] for j = 0 .. n - 1 + max(s), with
+    phi taken as zero outside its n rows (shifts s >= 0).
+
+    sum_i phi[i] (sum_s c_s x[i + s]) equals w.T @ x for any x with
+    n + max(s) rows, so a stencil over padded rows moves onto the modes.
+    """
+    n = phi.shape[0]
+    out = np.zeros((n + max(coefs), phi.shape[1]))
+    for shift, coef in coefs.items():
+        out[shift:shift + n] += coef * phi
+    return out
+
+
+def project_outer(weights: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+    """T_plk = sum_i weights[i,p] left[i,l] right[i,k] as blocked GEMMs.
+
+    Rows are taken in blocks whose outer-product intermediate holds about
+    _BLOCK_BYTES, so memory stays bounded for any n while each block is
+    one BLAS product of shape (p, rows) x (rows, l*k).
+    """
+    n, p = weights.shape
+    l, k = left.shape[1], right.shape[1]
+    rows = max(1, _BLOCK_BYTES // (8 * l * k))
+    out = np.zeros((p, l * k))
+    for s in range(0, n, rows):
+        e = s + rows
+        outer = left[s:e, :, None] * right[s:e, None, :]
+        out += weights[s:e].T @ outer.reshape(-1, l * k)
+    return out.reshape(p, l, k)

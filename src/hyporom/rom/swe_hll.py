@@ -5,7 +5,9 @@ the fan-coefficient viscosity; the q-equation reuses D, E, G and adds
 U_4..U_7.  Interface Roe means (u_tilde, h_tilde) are always window
 averages; the fan coefficients alpha0/alpha1 are either window averages
 baked into U matrices (coeff_mode "tav") or DEIM-updated coefficients
-contracted against U tensors (coeff_mode "deim").
+contracted against U tensors (coeff_mode "deim").  Each U tensor is one
+``project_outer`` call with the interface difference moved onto the test
+functions.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from ..fom.swe import SweParams
 from ..grid import Grid1D
 from .context import (COEFF_DEIM, COEFF_TAV, LIN_TAV, LINEARIZATIONS,
                       SweRomContext, refresh_alphas, refresh_u)
-from .operators import RomOperators, TimeAverages, contract_quadratic, pad_rows
+from .operators import (RomOperators, TimeAverages, contract_quadratic,
+                        pad_rows, project_outer, stencil_weights)
 from .swe_lf import (_h_equation, _momentum_flux, _momentum_flux_tav,
                      _friction_ops, _q_equation, friction_term)
 
@@ -38,9 +41,10 @@ def _fan_vector(phi_out, coef, dz):
 
 
 def _fan_tensor(phi_out, coef_modes, jumps):
-    """DEIM variant: coefficient basis columns replace the averaged field."""
-    prod = np.einsum("jl,jk->jlk", coef_modes, jumps)
-    return np.einsum("ip,ilk->plk", phi_out, prod[1:] - prod[:-1])
+    """DEIM variant: coefficient basis columns replace the averaged field;
+    the interface difference x[i+1] - x[i] moves onto phi_out."""
+    return project_outer(stencil_weights(phi_out, {1: 1, 0: -1}),
+                         coef_modes, jumps)
 
 
 def _fan_tensor_vec(phi_out, coef_modes, dz):

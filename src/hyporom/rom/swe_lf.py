@@ -11,6 +11,10 @@ the u-weighted flux come in three flavours:
                     D tensor + friction matrix H
     deim_u_deim_f   u and f = |q|/h^(7/3) both updated by DEIM;
                     D tensor + friction tensor H
+
+The tensors E, D and H are each one ``project_outer`` call (a GEMM over
+bounded row blocks, see operators.py); for E and D the central
+difference of the padded products is moved onto the q test functions.
 """
 
 import numpy as np
@@ -20,7 +24,11 @@ from ..fom.swe import SweParams
 from ..grid import Grid1D
 from .context import (LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
                       SweRomContext, refresh_f, refresh_u)
-from .operators import RomOperators, TimeAverages, contract_quadratic, pad_rows
+from .operators import (RomOperators, TimeAverages, contract_quadratic,
+                        pad_rows, project_outer, stencil_weights)
+
+# Central difference over padded rows, x[i+2] - x[i], moved onto the modes.
+_CENTRAL = {2: 1, 0: -1}
 
 
 def _h_equation(phih, phiq, z, zg):
@@ -35,8 +43,7 @@ def _h_equation(phih, phiq, z, zg):
 def _q_equation(phih, phiq, z, zg):
     phihg = pad_rows(phih)
     phiqg = pad_rows(phiq)
-    prod_h = np.einsum("il,ik->ilk", phihg, phihg)
-    e_t = np.einsum("ip,ilk->plk", phiq, prod_h[2:] - prod_h[:-2])
+    e_t = project_outer(stencil_weights(phiq, _CENTRAL), phihg, phihg)
     f_mat = phiq.T @ (phiqg[2:] - 2.0 * phiq + phiqg[:-2])
     dz_r = (zg[2:] - z)[:, None]
     dz_l = (z - zg[:-2])[:, None]
@@ -46,10 +53,8 @@ def _q_equation(phih, phiq, z, zg):
 
 def _momentum_flux(phiq, phiu):
     """D tensor: central difference of the reconstructed u*q product."""
-    phiqg = pad_rows(phiq)
-    phiug = pad_rows(phiu)
-    prod = np.einsum("il,ik->ilk", phiug, phiqg)
-    return np.einsum("ip,ilk->plk", phiq, prod[2:] - prod[:-2])
+    return project_outer(stencil_weights(phiq, _CENTRAL), pad_rows(phiu),
+                         pad_rows(phiq))
 
 
 def _momentum_flux_tav(phiq, u_bar):
@@ -70,7 +75,7 @@ def _friction_ops(linearization, phiq, bases, averages):
     if "f" not in bases:
         raise MissingAuxBasis("deim_u_deim_f needs an f basis")
     phif = bases["f"].modes
-    return "tensors3", "H", np.einsum("ip,il,ik->plk", phiq, phiq, phif)
+    return "tensors3", "H", project_outer(phiq, phiq, phif)
 
 
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,

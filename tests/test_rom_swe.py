@@ -184,10 +184,10 @@ class TestHllAssembly:
                                      avg["utilde"], avg["htilde"], params.g)
         for name in ("U1", "U2", "U4", "U5", "U6"):
             np.testing.assert_allclose(ops.matrices[name], ref[name],
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=1e-13)
         for name in ("U3", "U7"):
             np.testing.assert_allclose(ops.vectors[name], ref[name],
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=1e-13)
 
     def test_deim_matches_triple_loop_oracle(self):
         n, m = 10, 3
@@ -205,10 +205,32 @@ class TestHllAssembly:
                                       avg["utilde"], avg["htilde"], params.g)
         for name in ("U1", "U2", "U4", "U5", "U6"):
             np.testing.assert_allclose(ops.tensors3[name], ref[name],
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=1e-13)
         for name in ("U3", "U7"):
             np.testing.assert_allclose(ops.matrices[name], ref[name],
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=1e-13)
+
+    def test_shared_blocks_match_lf_oracles(self):
+        n, m = 10, 3
+        grid = Grid1D(0.0, 2.0, n)
+        rng = np.random.default_rng(41)
+        zv = 0.1 * rng.random(n)
+        params = _params(z=lambda x: np.interp(np.asarray(x), grid.centers, zv))
+        bases = {**_bases(n, m), **_interface_bases(n, m)}
+        avg = _averages(n, with_hll=True)
+        ops = assemble_swe_hll_rom(bases, params, grid, LIN_DEIM_U_DEIM_F,
+                                   COEFF_DEIM, avg)
+        ref = swe_lf_ops_oracle(bases["h"].modes, bases["q"].modes, zv,
+                                phiu=bases["u"].modes)
+        for name in ("A", "G"):
+            np.testing.assert_allclose(ops.matrices[name], ref[name],
+                                       rtol=0, atol=1e-13)
+        for name in ("D", "E"):
+            np.testing.assert_allclose(ops.tensors3[name], ref[name],
+                                       rtol=0, atol=1e-13)
+        h_ref = friction_ops_oracle(bases["q"].modes, avg["u"], avg["h"],
+                                    phif=bases["f"].modes, variant="deim")
+        np.testing.assert_allclose(ops.tensors3["H"], h_ref, rtol=0, atol=1e-13)
 
     def test_missing_interface_bases_raise(self):
         n, m = 8, 2
