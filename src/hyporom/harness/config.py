@@ -3,11 +3,10 @@
 from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
+from ..rom.context import COEFF_MODES, LINEARIZATIONS
 from .presets import get_preset
 
 _FLUXES = ("mlf", "rusanov", "lf", "hll")
-_LINEARIZATIONS = ("tav", "deim_u_tav_f", "deim_u_deim_f")
-_COEFF_MODES = ("tav", "deim")
 
 
 @dataclass
@@ -40,7 +39,6 @@ class ExperimentConfig:
     sweep_modes: tuple = ()
     sweep_windows: tuple = ()
     outdir: str = "out"
-    seed: int = 0                     # randomized property tests only
 
     def __post_init__(self):
         preset = get_preset(self.preset)
@@ -66,9 +64,9 @@ class ExperimentConfig:
             # Plain Lax-Friedrichs is the nu = 1 member of the modified
             # family; pin nu so the reduced viscosity operators match.
             self.nu = 1.0
-        if self.linearization not in _LINEARIZATIONS:
+        if self.linearization not in LINEARIZATIONS:
             raise ConfigError(f"unknown linearization {self.linearization!r}")
-        if self.coeff_mode not in _COEFF_MODES:
+        if self.coeff_mode not in COEFF_MODES:
             raise ConfigError(f"unknown coeff_mode {self.coeff_mode!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
@@ -121,8 +119,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         if f.name in ("training_set", "sweep_modes", "sweep_windows"):
             kinds[f.name] = "tuple"
-        elif f.name in ("n_cells", "n_windows", "mode_cap", "snapshot_stride",
-                        "seed"):
+        elif f.name in ("n_cells", "n_windows", "mode_cap", "snapshot_stride"):
             kinds[f.name] = int
         elif f.name in ("preset", "system", "flux", "linearization",
                         "coeff_mode", "outdir"):

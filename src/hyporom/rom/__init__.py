@@ -10,7 +10,7 @@ from .driver import (RomResult, RomSetup, RomWindow, build_rom,
 from .operators import (RomOperators, TimeAverages, contract_quadratic,
                         pad_rows, time_average)
 from .swe_hll import assemble_swe_hll_rom, rom_swe_hll_step
-from .swe_lf import assemble_swe_lf_rom, friction_term, rom_swe_lf_step
+from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step
 from .transport import assemble_transport_rom, rom_transport_step
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "RomWindow", "SweRomContext", "TimeAverages", "assemble_burgers_rom",
     "assemble_swe_hll_rom", "assemble_swe_lf_rom", "assemble_transport_rom",
     "build_rom", "build_swe_context", "conserved_variables",
-    "contract_quadratic", "friction_term", "pad_rows", "refresh_alphas",
-    "refresh_f", "refresh_u", "rom_burgers_step", "rom_swe_hll_step",
-    "rom_swe_lf_step", "rom_transport_step", "run_rom", "time_average",
+    "contract_quadratic", "pad_rows", "refresh_alphas", "refresh_f",
+    "refresh_u", "rom_burgers_step", "rom_swe_hll_step", "rom_swe_lf_step",
+    "rom_transport_step", "run_rom", "time_average",
 ]

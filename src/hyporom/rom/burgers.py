@@ -41,14 +41,12 @@ def assemble_burgers_rom(basis: PodBasis, params: BurgersParams,
                         scalars={"dx": dx, "alpha": alpha, "nu": params.nu})
 
 
-def rom_burgers_step(w_hat: np.ndarray, ops: RomOperators, dt: float,
-                     nu: float | None = None) -> np.ndarray:
+def rom_burgers_step(w_hat: np.ndarray, ops: RomOperators,
+                     dt: float) -> np.ndarray:
     s = ops.scalars
     lam = dt / s["dx"]
-    if nu is None:
-        nu = s["nu"]
     quad_a = contract_quadratic(ops.tensors3["A"], w_hat, w_hat)
     quad_c = contract_quadratic(ops.tensors3["C"], w_hat, w_hat)
     return (w_hat - 0.25 * lam * quad_a
-            + 0.5 * nu * (ops.matrices["B"] @ w_hat)
+            + 0.5 * s["nu"] * (ops.matrices["B"] @ w_hat)
             + 0.5 * lam * quad_c)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..deim import DeimInterpolant, deim_online_values
-from ..errors import DegenerateWaveFan, EvaluationError, MissingAuxBasis
+from ..errors import (DegenerateWaveFan, EvaluationError, MissingAuxBasis,
+                      UnsupportedSystem)
 
 LIN_TAV = "tav"
 LIN_DEIM_U_TAV_F = "deim_u_tav_f"
@@ -20,6 +21,7 @@ LIN_DEIM_U_DEIM_F = "deim_u_deim_f"
 LINEARIZATIONS = (LIN_TAV, LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F)
 COEFF_TAV = "tav"
 COEFF_DEIM = "deim"
+COEFF_MODES = (COEFF_TAV, COEFF_DEIM)
 
 
 @dataclass
@@ -33,26 +35,21 @@ class PointSamples:
 
 @dataclass
 class InterfaceSamples:
-    """Mode rows of h and q at the cells flanking interface points."""
+    """A fan-coefficient interpolant; the mode rows flanking its interface
+    points are stacked for both fan interpolants on the context."""
 
     interp: DeimInterpolant
-    h_left: np.ndarray
-    h_right: np.ndarray
-    q_left: np.ndarray
-    q_right: np.ndarray
 
 
 @dataclass
 class SweRomContext:
-    linearization: str
-    coeff_mode: str | None = None
     g: float = 9.81
     u_samples: PointSamples | None = None
     f_samples: PointSamples | None = None
     a0_samples: InterfaceSamples | None = None
     a1_samples: InterfaceSamples | None = None
-    # Stacked flank rows of both fan interpolants, so one online refresh
-    # evaluates the wave fans of every interpolation interface at once.
+    # Flank rows of the alpha0 then the alpha1 interpolation interfaces,
+    # so one online refresh evaluates the wave fans of all of them at once.
     fan_h_left: np.ndarray | None = None
     fan_h_right: np.ndarray | None = None
     fan_q_left: np.ndarray | None = None
@@ -65,23 +62,13 @@ def _cell_samples(interp, h_modes, q_modes) -> PointSamples:
                         q_rows=q_modes[idx, :])
 
 
-def _interface_samples(interp, h_modes, q_modes) -> InterfaceSamples:
-    n_cells = h_modes.shape[0]
-    j = interp.indices
-    left = np.clip(j - 1, 0, n_cells - 1)
-    right = np.clip(j, 0, n_cells - 1)
-    return InterfaceSamples(interp=interp,
-                            h_left=h_modes[left, :], h_right=h_modes[right, :],
-                            q_left=q_modes[left, :], q_right=q_modes[right, :])
-
-
 def build_swe_context(bases: dict, interpolants: dict, linearization: str,
                       coeff_mode: str | None, g: float) -> SweRomContext:
     if linearization not in LINEARIZATIONS:
-        raise ValueError(f"unknown linearization {linearization!r}")
+        raise UnsupportedSystem(f"unknown linearization {linearization!r}")
     h_modes = bases["h"].modes
     q_modes = bases["q"].modes
-    ctx = SweRomContext(linearization=linearization, coeff_mode=coeff_mode, g=g)
+    ctx = SweRomContext(g=g)
     if linearization in (LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
         if "u" not in interpolants:
             raise MissingAuxBasis("DEIM treatment of u needs a u basis")
@@ -94,13 +81,15 @@ def build_swe_context(bases: dict, interpolants: dict, linearization: str,
         for name in ("alpha0", "alpha1"):
             if name not in interpolants:
                 raise MissingAuxBasis(f"DEIM fan coefficients need an {name} basis")
-        ctx.a0_samples = _interface_samples(interpolants["alpha0"], h_modes, q_modes)
-        ctx.a1_samples = _interface_samples(interpolants["alpha1"], h_modes, q_modes)
-        a0, a1 = ctx.a0_samples, ctx.a1_samples
-        ctx.fan_h_left = np.vstack([a0.h_left, a1.h_left])
-        ctx.fan_h_right = np.vstack([a0.h_right, a1.h_right])
-        ctx.fan_q_left = np.vstack([a0.q_left, a1.q_left])
-        ctx.fan_q_right = np.vstack([a0.q_right, a1.q_right])
+        a0, a1 = interpolants["alpha0"], interpolants["alpha1"]
+        ctx.a0_samples = InterfaceSamples(interp=a0)
+        ctx.a1_samples = InterfaceSamples(interp=a1)
+        # Interface j lies between cells j-1 and j; edges clamp like ghosts.
+        j = np.concatenate([a0.indices, a1.indices])
+        left = np.clip(j - 1, 0, h_modes.shape[0] - 1)
+        right = np.clip(j, 0, h_modes.shape[0] - 1)
+        ctx.fan_h_left, ctx.fan_h_right = h_modes[left], h_modes[right]
+        ctx.fan_q_left, ctx.fan_q_right = q_modes[left], q_modes[right]
     return ctx
 
 

@@ -24,8 +24,9 @@ from ..pod import (PodBasis, fallback_basis, numerical_rank, select_modes,
                    thin_svd, window_transfer)
 from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
-from .context import (COEFF_DEIM, LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F,
-                      LIN_TAV, build_swe_context)
+from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_DEIM_F,
+                      LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
+                      build_swe_context)
 from .operators import TimeAverages, time_average
 from .swe_hll import assemble_swe_hll_rom, rom_swe_hll_step
 from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step
@@ -166,6 +167,10 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
     """
     if system not in SYSTEMS:
         raise UnsupportedSystem(f"unknown reduced system {system!r}")
+    if system in ("swe_lf", "swe_hll") and linearization not in LINEARIZATIONS:
+        raise UnsupportedSystem(f"unknown linearization {linearization!r}")
+    if system == "swe_hll" and coeff_mode not in COEFF_MODES:
+        raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     variables = basis_variables(system, linearization, coeff_mode)
     avg_vars = average_variables(system, linearization, coeff_mode)
     for g in groups:

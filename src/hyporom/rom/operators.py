@@ -49,8 +49,6 @@ class RomOperators:
     vectors: dict = field(default_factory=dict)
     tensors3: dict = field(default_factory=dict)
     scalars: dict = field(default_factory=dict)
-    linearization: str | None = None
-    coeff_mode: str | None = None
 
     def __post_init__(self):
         m = self.m

@@ -1,10 +1,12 @@
 """Reduced SWE model for the HLL flux.
 
-The h-equation reuses A from the PVM-0 assembly and adds U_1..U_3 for
-the fan-coefficient viscosity; the q-equation reuses D, E, G and adds
-U_4..U_7.  Interface Roe means (u_tilde, h_tilde) are always window
-averages; the fan coefficients alpha0/alpha1 are either window averages
-baked into U matrices (coeff_mode "tav") or DEIM-updated coefficients
+The HLL scheme shares the PVM-0 model core (A, E, G, momentum flux and
+friction; ``assemble_swe``/``step_swe`` in swe_lf.py) and differs only
+in its viscosity: per-interface fan coefficients alpha0/alpha1 instead
+of a constant nu.  They enter through U_1..U_3 on h and U_4..U_7 on q,
+scaled by dt/dx.  Interface Roe means (u_tilde, h_tilde) are always
+window averages; the fan coefficients are either window averages baked
+into U matrices (coeff_mode "tav") or DEIM-updated coefficients
 contracted against U tensors (coeff_mode "deim").  Each U tensor is one
 ``project_outer`` call with the interface difference moved onto the test
 functions.
@@ -12,15 +14,15 @@ functions.
 
 import numpy as np
 
-from ..errors import MissingAuxBasis
+from ..errors import MissingAuxBasis, UnsupportedSystem
 from ..fom.swe import SweParams
 from ..grid import Grid1D
-from .context import (COEFF_DEIM, COEFF_TAV, LIN_TAV, LINEARIZATIONS,
-                      SweRomContext, refresh_alphas, refresh_u)
+from .context import COEFF_MODES, COEFF_TAV, SweRomContext, refresh_alphas
+# Not called here; kept because the benchmark tracer wraps it by this name.
+from .context import refresh_u  # noqa: F401
 from .operators import (RomOperators, TimeAverages, contract_quadratic,
                         pad_rows, project_outer, stencil_weights)
-from .swe_lf import (_h_equation, _momentum_flux, _momentum_flux_tav,
-                     _friction_ops, _q_equation, friction_term)
+from .swe_lf import assemble_swe, bed_rows, step_swe
 
 
 def _jumps(phi):
@@ -56,19 +58,12 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                          linearization: str, coeff_mode: str,
                          averages: TimeAverages,
                          window_index: int = 0) -> RomOperators:
-    if linearization not in LINEARIZATIONS:
-        raise ValueError(f"unknown linearization {linearization!r}")
-    if coeff_mode not in (COEFF_TAV, COEFF_DEIM):
-        raise ValueError(f"unknown coeff_mode {coeff_mode!r}")
+    if coeff_mode not in COEFF_MODES:
+        raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     phih = bases["h"].modes
     phiq = bases["q"].modes
-    z = np.asarray(params.bathymetry(grid.centers), dtype=float)
-    zg = pad_rows(z)
+    zg = bed_rows(params, grid)
     dz = zg[1:] - zg[:-1]
-
-    a_mat, _, _ = _h_equation(phih, phiq, z, zg)
-    e_t, _, g_mat = _q_equation(phih, phiq, z, zg)
-
     dh = _jumps(phih)
     dq = _jumps(phiq)
     # Momentum weight of the degree-1 fan term, from window-mean Roe data.
@@ -76,10 +71,7 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
     h_t = averages["htilde"]
     wgt = -u_t * u_t + params.g * h_t
 
-    matrices = {"A": a_mat, "G": g_mat}
-    vectors = {}
-    tensors = {"E": e_t}
-
+    matrices, vectors, tensors = {}, {}, {}
     if coeff_mode == COEFF_TAV:
         a0 = averages["alpha0"]
         a1 = averages["alpha1"]
@@ -103,34 +95,16 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
         tensors["U6"] = _fan_tensor(phiq, 2.0 * ca1 * u_t[:, None], dq)
         matrices["U7"] = _fan_tensor_vec(phiq, ca1 * wgt[:, None], dz)
 
-    if linearization == LIN_TAV:
-        matrices["Dbar"] = _momentum_flux_tav(phiq, averages["u"])
-    else:
-        if "u" not in bases:
-            raise MissingAuxBasis(f"{linearization} needs a u basis")
-        tensors["D"] = _momentum_flux(phiq, bases["u"].modes)
-
-    if params.n_b > 0.0:
-        table, name, value = _friction_ops(linearization, phiq, bases, averages)
-        {"matrices": matrices, "vectors": vectors,
-         "tensors3": tensors}[table][name] = value
-
-    return RomOperators(system="swe_hll", window_index=window_index,
-                        m=bases["h"].m, matrices=matrices, vectors=vectors,
-                        tensors3=tensors,
-                        scalars={"dx": grid.dx, "g": params.g,
-                                 "n_b": params.n_b, "nu": params.nu},
-                        linearization=linearization, coeff_mode=coeff_mode)
+    return assemble_swe("swe_hll", bases, params, grid, linearization,
+                        averages, window_index, matrices, vectors, tensors)
 
 
 def rom_swe_hll_step(h_hat: np.ndarray, q_hat: np.ndarray, ops: RomOperators,
                      ctx: SweRomContext, dt: float):
-    s = ops.scalars
-    lam = dt / s["dx"]
-    g = s["g"]
+    lam = dt / ops.scalars["dx"]
     mats, vecs, tens = ops.matrices, ops.vectors, ops.tensors3
 
-    if ops.coeff_mode == COEFF_TAV:
+    if "U1" in mats:
         m1 = mats["U1"] @ h_hat
         m2 = mats["U2"] @ q_hat
         m3 = vecs["U3"]
@@ -148,18 +122,5 @@ def rom_swe_hll_step(h_hat: np.ndarray, q_hat: np.ndarray, ops: RomOperators,
         m6 = contract_quadratic(tens["U6"], a1_hat, q_hat)
         m7 = mats["U7"] @ a1_hat
 
-    h_new = (h_hat - 0.5 * lam * (mats["A"] @ q_hat)
-             + 0.5 * lam * (m1 + m2 + m3))
-
-    if ops.linearization == LIN_TAV:
-        flux_u = mats["Dbar"] @ q_hat
-    else:
-        u_hat = refresh_u(ctx, h_hat, q_hat)
-        flux_u = contract_quadratic(tens["D"], u_hat, q_hat)
-
-    q_new = (q_hat - 0.5 * lam * flux_u
-             - 0.25 * g * lam * contract_quadratic(tens["E"], h_hat, h_hat)
-             + 0.5 * lam * (m4 + m5 + m6 + m7)
-             - 0.25 * g * lam * (mats["G"] @ h_hat)
-             - dt * friction_term(ops, ctx, h_hat, q_hat))
-    return h_new, q_new
+    return step_swe(h_hat, q_hat, ops, ctx, dt, 0.5 * lam * (m1 + m2 + m3),
+                    0.5 * lam * (m4 + m5 + m6 + m7))

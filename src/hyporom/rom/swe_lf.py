@@ -1,9 +1,11 @@
-"""Reduced SWE model for the PVM-0 (modified Lax-Friedrichs) scheme.
+"""Reduced SWE model: the core both fluxes share, and the PVM-0
+(modified Lax-Friedrichs) viscosity.
 
-Operators (per window): A, B and the bathymetry vector C drive the
-h-equation; D (momentum flux), E (pressure), F (viscosity), G (bed
-slope) and a friction operator drive the q-equation.  The friction and
-the u-weighted flux come in three flavours:
+The PVM-0 and HLL schemes differ only in their numerical viscosity, so
+one core serves both (``assemble_swe``, ``step_swe``).  Per window it
+holds A (mass flux) for the h-equation and, for the q-equation, E
+(pressure), G (bed slope), the momentum flux and a friction operator H.
+The momentum flux and H come in three flavours:
 
     tav             u and the friction kernel replaced by window means;
                     Dbar matrix + friction vector H
@@ -12,6 +14,10 @@ the u-weighted flux come in three flavours:
     deim_u_deim_f   u and f = |q|/h^(7/3) both updated by DEIM;
                     D tensor + friction tensor H
 
+The step reads the flavour off the operators the window holds.  PVM-0
+adds its constant-coefficient viscosity, scaled by nu: B and the
+bathymetry vector C on h, F on q; the HLL fan terms are in swe_hll.py.
+
 The tensors E, D and H are each one ``project_outer`` call (a GEMM over
 bounded row blocks, see operators.py); for E and D the central
 difference of the padded products is moved onto the q test functions.
@@ -19,7 +25,7 @@ difference of the padded products is moved onto the q test functions.
 
 import numpy as np
 
-from ..errors import MissingAuxBasis
+from ..errors import MissingAuxBasis, UnsupportedSystem
 from ..fom.swe import SweParams
 from ..grid import Grid1D
 from .context import (LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
@@ -31,130 +37,118 @@ from .operators import (RomOperators, TimeAverages, contract_quadratic,
 _CENTRAL = {2: 1, 0: -1}
 
 
-def _h_equation(phih, phiq, z, zg):
-    phihg = pad_rows(phih)
-    phiqg = pad_rows(phiq)
-    a_mat = phih.T @ (phiqg[2:] - phiqg[:-2])
-    b_mat = phih.T @ (phihg[2:] - 2.0 * phih + phihg[:-2])
-    c_vec = phih.T @ (zg[2:] - 2.0 * z + zg[:-2])
-    return a_mat, b_mat, c_vec
+def bed_rows(params: SweParams, grid: Grid1D) -> np.ndarray:
+    """Bathymetry at the cell centres with replicated ghost rows."""
+    return pad_rows(np.asarray(params.bathymetry(grid.centers), dtype=float))
 
 
-def _q_equation(phih, phiq, z, zg):
-    phihg = pad_rows(phih)
-    phiqg = pad_rows(phiq)
-    e_t = project_outer(stencil_weights(phiq, _CENTRAL), phihg, phihg)
-    f_mat = phiq.T @ (phiqg[2:] - 2.0 * phiq + phiqg[:-2])
-    dz_r = (zg[2:] - z)[:, None]
-    dz_l = (z - zg[:-2])[:, None]
-    g_mat = phiq.T @ ((phihg[2:] + phih) * dz_r + (phih + phihg[:-2]) * dz_l)
-    return e_t, f_mat, g_mat
-
-
-def _momentum_flux(phiq, phiu):
-    """D tensor: central difference of the reconstructed u*q product."""
-    return project_outer(stencil_weights(phiq, _CENTRAL), pad_rows(phiu),
-                         pad_rows(phiq))
-
-
-def _momentum_flux_tav(phiq, u_bar):
-    phiqg = pad_rows(phiq)
-    weighted = pad_rows(u_bar)[:, None] * phiqg
-    return phiq.T @ (weighted[2:] - weighted[:-2])
-
-
-def _friction_ops(linearization, phiq, bases, averages):
-    """Friction operator H as one (table, name, array) entry: a vector,
-    matrix or tensor depending on the linearization."""
-    if linearization == LIN_TAV:
-        kern = np.abs(averages["u"]) * averages["u"] / averages["h"] ** (1.0 / 3.0)
-        return "vectors", "H", phiq.T @ kern
-    if linearization == LIN_DEIM_U_TAV_F:
-        kern = np.abs(averages["u"]) / averages["h"] ** (4.0 / 3.0)
-        return "matrices", "H", phiq.T @ (kern[:, None] * phiq)
-    if "f" not in bases:
-        raise MissingAuxBasis("deim_u_deim_f needs an f basis")
-    phif = bases["f"].modes
-    return "tensors3", "H", project_outer(phiq, phiq, phif)
-
-
-def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
-                        linearization: str, averages: TimeAverages,
-                        window_index: int = 0) -> RomOperators:
+def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
+                 linearization: str, averages: TimeAverages, window_index: int,
+                 matrices: dict, vectors: dict, tensors: dict) -> RomOperators:
+    """Window operators: the flux's own viscosity blocks (the three dicts)
+    plus A, E, G, the momentum flux and friction H, which every flux
+    shares."""
     if linearization not in LINEARIZATIONS:
-        raise ValueError(f"unknown linearization {linearization!r}")
+        raise UnsupportedSystem(f"unknown linearization {linearization!r}")
     phih = bases["h"].modes
     phiq = bases["q"].modes
-    z = np.asarray(params.bathymetry(grid.centers), dtype=float)
-    zg = pad_rows(z)
+    phihg = pad_rows(phih)
+    phiqg = pad_rows(phiq)
+    zg = bed_rows(params, grid)
+    z = zg[1:-1]
+    central = stencil_weights(phiq, _CENTRAL)
 
-    a_mat, b_mat, c_vec = _h_equation(phih, phiq, z, zg)
-    e_t, f_mat, g_mat = _q_equation(phih, phiq, z, zg)
-
-    matrices = {"A": a_mat, "B": b_mat, "F": f_mat, "G": g_mat}
-    vectors = {"C": c_vec}
-    tensors = {"E": e_t}
+    matrices["A"] = phih.T @ (phiqg[2:] - phiqg[:-2])
+    tensors["E"] = project_outer(central, phihg, phihg)
+    dz_r = (zg[2:] - z)[:, None]
+    dz_l = (z - zg[:-2])[:, None]
+    matrices["G"] = phiq.T @ ((phihg[2:] + phih) * dz_r
+                              + (phih + phihg[:-2]) * dz_l)
 
     if linearization == LIN_TAV:
-        matrices["Dbar"] = _momentum_flux_tav(phiq, averages["u"])
+        weighted = pad_rows(averages["u"])[:, None] * phiqg
+        matrices["Dbar"] = phiq.T @ (weighted[2:] - weighted[:-2])
     else:
         if "u" not in bases:
             raise MissingAuxBasis(f"{linearization} needs a u basis")
-        tensors["D"] = _momentum_flux(phiq, bases["u"].modes)
+        tensors["D"] = project_outer(central, pad_rows(bases["u"].modes),
+                                     phiqg)
 
     if params.n_b > 0.0:
-        table, name, value = _friction_ops(linearization, phiq, bases, averages)
-        {"matrices": matrices, "vectors": vectors,
-         "tensors3": tensors}[table][name] = value
+        if linearization == LIN_TAV:
+            u_bar = averages["u"]
+            vectors["H"] = phiq.T @ (np.abs(u_bar) * u_bar
+                                     / averages["h"] ** (1.0 / 3.0))
+        elif linearization == LIN_DEIM_U_TAV_F:
+            kern = np.abs(averages["u"]) / averages["h"] ** (4.0 / 3.0)
+            matrices["H"] = phiq.T @ (kern[:, None] * phiq)
+        else:
+            if "f" not in bases:
+                raise MissingAuxBasis("deim_u_deim_f needs an f basis")
+            tensors["H"] = project_outer(phiq, phiq, bases["f"].modes)
 
-    return RomOperators(system="swe_lf", window_index=window_index,
+    return RomOperators(system=system, window_index=window_index,
                         m=bases["h"].m, matrices=matrices, vectors=vectors,
                         tensors3=tensors,
                         scalars={"dx": grid.dx, "g": params.g,
-                                 "n_b": params.n_b, "nu": params.nu},
-                        linearization=linearization)
+                                 "n_b": params.n_b, "nu": params.nu})
 
 
-def friction_term(ops: RomOperators, ctx: SweRomContext, h_hat, q_hat,
-                  f_hat=None):
-    """g n_b^2 times the reduced friction for the active linearization."""
-    s = ops.scalars
-    if s["n_b"] == 0.0:
-        return 0.0
-    gnb2 = s["g"] * s["n_b"] ** 2
-    lin = ops.linearization
-    if lin == LIN_TAV:
-        return gnb2 * ops.vectors["H"]
-    if lin == LIN_DEIM_U_TAV_F:
-        return gnb2 * (ops.matrices["H"] @ q_hat)
-    if f_hat is None:
-        f_hat = refresh_f(ctx, h_hat, q_hat)
-    return gnb2 * contract_quadratic(ops.tensors3["H"], q_hat, f_hat)
-
-
-def rom_swe_lf_step(h_hat: np.ndarray, q_hat: np.ndarray, ops: RomOperators,
-                    ctx: SweRomContext, dt: float,
-                    nu: float | None = None):
+def step_swe(h_hat: np.ndarray, q_hat: np.ndarray, ops: RomOperators,
+             ctx: SweRomContext, dt: float, visc_h, visc_q):
+    """One reduced step: the shared fluxes, bed slope and friction plus the
+    flux's viscosity increments ``visc_h`` and ``visc_q``."""
     s = ops.scalars
     lam = dt / s["dx"]
     g = s["g"]
-    if nu is None:
-        nu = s["nu"]
     mats, vecs, tens = ops.matrices, ops.vectors, ops.tensors3
 
-    h_new = (h_hat - 0.5 * lam * (mats["A"] @ q_hat)
-             + 0.5 * nu * (mats["B"] @ h_hat)
-             + 0.5 * nu * vecs["C"])
+    h_new = h_hat - 0.5 * lam * (mats["A"] @ q_hat) + visc_h
 
-    if ops.linearization == LIN_TAV:
+    if "Dbar" in mats:
         flux_u = mats["Dbar"] @ q_hat
     else:
         u_hat = refresh_u(ctx, h_hat, q_hat)
         flux_u = contract_quadratic(tens["D"], u_hat, q_hat)
 
+    gnb2 = g * s["n_b"] ** 2
+    if "H" in vecs:
+        friction = gnb2 * vecs["H"]
+    elif "H" in mats:
+        friction = gnb2 * (mats["H"] @ q_hat)
+    elif "H" in tens:
+        f_hat = refresh_f(ctx, h_hat, q_hat)
+        friction = gnb2 * contract_quadratic(tens["H"], q_hat, f_hat)
+    else:
+        friction = 0.0
+
     q_new = (q_hat - 0.5 * lam * flux_u
              - 0.25 * g * lam * contract_quadratic(tens["E"], h_hat, h_hat)
-             + 0.5 * nu * (mats["F"] @ q_hat)
+             + visc_q
              - 0.25 * g * lam * (mats["G"] @ h_hat)
-             - dt * friction_term(ops, ctx, h_hat, q_hat))
+             - dt * friction)
     return h_new, q_new
+
+
+def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
+                        linearization: str, averages: TimeAverages,
+                        window_index: int = 0) -> RomOperators:
+    phih = bases["h"].modes
+    phiq = bases["q"].modes
+    phihg = pad_rows(phih)
+    phiqg = pad_rows(phiq)
+    zg = bed_rows(params, grid)
+    return assemble_swe(
+        "swe_lf", bases, params, grid, linearization, averages, window_index,
+        matrices={"B": phih.T @ (phihg[2:] - 2.0 * phih + phihg[:-2]),
+                  "F": phiq.T @ (phiqg[2:] - 2.0 * phiq + phiqg[:-2])},
+        vectors={"C": phih.T @ (zg[2:] - 2.0 * zg[1:-1] + zg[:-2])},
+        tensors={})
+
+
+def rom_swe_lf_step(h_hat: np.ndarray, q_hat: np.ndarray, ops: RomOperators,
+                    ctx: SweRomContext, dt: float):
+    half_nu = 0.5 * ops.scalars["nu"]
+    return step_swe(h_hat, q_hat, ops, ctx, dt,
+                    half_nu * (ops.matrices["B"] @ h_hat + ops.vectors["C"]),
+                    half_nu * (ops.matrices["F"] @ q_hat))

@@ -36,14 +36,12 @@ def assemble_transport_rom(basis: PodBasis, params: TransportParams,
                                  "nu": params.nu})
 
 
-def rom_transport_step(w_hat: np.ndarray, ops: RomOperators, dt: float,
-                       nu: float | None = None) -> np.ndarray:
+def rom_transport_step(w_hat: np.ndarray, ops: RomOperators,
+                       dt: float) -> np.ndarray:
     s = ops.scalars
     lam = dt / s["dx"]
     c = s["c"]
-    if nu is None:
-        nu = s["nu"]
     mats = ops.matrices
     return (w_hat - 0.5 * c * lam * (mats["A"] @ w_hat)
-            + 0.5 * nu * (mats["B"] @ w_hat)
+            + 0.5 * s["nu"] * (mats["B"] @ w_hat)
             + c * lam * (mats["C"] @ w_hat))

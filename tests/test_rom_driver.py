@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hyporom.errors import UnsupportedSystem
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          TransportModel, TransportParams, burgers_stationary,
@@ -104,6 +105,25 @@ def test_swe_wb_pipeline(flux, system, lin, coeff):
     # The projected stationary state is a fixed point for every n.
     assert np.max(np.abs(out.history["h"] - state.h[:, None])) <= 1e-12 * scale
     assert np.max(np.abs(out.history["q"])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("system,lin,coeff", [
+    ("swe_lf", None, None),
+    ("swe_lf", "upwind", None),
+    ("swe_hll", None, COEFF_DEIM),
+    ("swe_hll", LIN_TAV, None),
+    ("swe_hll", LIN_TAV, "exact"),
+])
+def test_bad_swe_options_raise_before_svd(monkeypatch, system, lin, coeff):
+    grid, params, _, res = _swe_wb_run(FluxChoice.HLL, n=20)
+
+    def no_svd(*args):
+        raise AssertionError("options must be checked before the SVDs")
+
+    monkeypatch.setattr("hyporom.rom.driver.thin_svd", no_svd)
+    with pytest.raises(UnsupportedSystem):
+        build_rom(system, [res.snapshots], params, grid, n_windows=1,
+                  linearization=lin, coeff_mode=coeff)
 
 
 def test_swe_dam_break_deim_close_to_fom():

@@ -9,7 +9,8 @@ from hyporom.fom import SweParams
 from hyporom.grid import Grid1D
 from hyporom.pod import PodBasis
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
-                         LIN_DEIM_U_TAV_F, LIN_TAV, TimeAverages,
+                         LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
+                         TimeAverages,
                          assemble_swe_hll_rom, assemble_swe_lf_rom,
                          build_swe_context, rom_swe_lf_step, time_average)
 
@@ -241,6 +242,10 @@ class TestHllAssembly:
                                  _averages(n, with_hll=True))
 
 
+_OTHER_LINEARIZATIONS = tuple(
+    lin for lin in LINEARIZATIONS if lin != LIN_DEIM_U_DEIM_F)
+
+
 class TestFullBasisEquivalence:
     """With complete bases and single-instant window data, one reduced
     step must equal the projection of the full-order step exactly: the
@@ -273,6 +278,23 @@ class TestFullBasisEquivalence:
         return bases
 
     def test_lf_step_matches_projected_fom_step(self):
+        self._check_lf_step(LIN_DEIM_U_DEIM_F)
+
+    @pytest.mark.parametrize("lin", _OTHER_LINEARIZATIONS)
+    def test_lf_step_matches_projected_fom_step_other_lin(self, lin):
+        self._check_lf_step(lin)
+
+    @pytest.mark.parametrize("coeff_mode", [COEFF_TAV, COEFF_DEIM])
+    def test_hll_step_matches_projected_fom_step(self, coeff_mode):
+        self._check_hll_step(LIN_DEIM_U_DEIM_F, coeff_mode)
+
+    @pytest.mark.parametrize("coeff_mode", [COEFF_TAV, COEFF_DEIM])
+    @pytest.mark.parametrize("lin", _OTHER_LINEARIZATIONS)
+    def test_hll_step_matches_projected_fom_step_other_lin(self, lin,
+                                                           coeff_mode):
+        self._check_hll_step(lin, coeff_mode)
+
+    def _check_lf_step(self, lin):
         from hyporom.fluxes import FluxChoice
         from hyporom.fom import SweState, swe_lf_step
 
@@ -280,11 +302,9 @@ class TestFullBasisEquivalence:
         n = grid.n_cells
         bases = self._full_bases(n)
         averages = TimeAverages(fields={"u": q / h, "h": h})
-        ops = assemble_swe_lf_rom(bases, params, grid, LIN_DEIM_U_DEIM_F,
-                                  averages)
+        ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
-        ctx = build_swe_context(bases, interpolants, LIN_DEIM_U_DEIM_F,
-                                None, params.g)
+        ctx = build_swe_context(bases, interpolants, lin, None, params.g)
         dt = 0.02
         h_new, q_new = rom_swe_lf_step(h.copy(), q.copy(), ops, ctx, dt)
         ref = swe_lf_step(SweState(h=h, q=q), params, grid, dt,
@@ -292,8 +312,7 @@ class TestFullBasisEquivalence:
         np.testing.assert_allclose(h_new, ref.h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q_new, ref.q, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("coeff_mode", [COEFF_TAV, COEFF_DEIM])
-    def test_hll_step_matches_projected_fom_step(self, coeff_mode):
+    def _check_hll_step(self, lin, coeff_mode):
         from hyporom.fom import (SweState, hll_interface_coeffs,
                                  interface_roe, swe_hll_step)
         from hyporom.rom import assemble_swe_hll_rom, rom_swe_hll_step
@@ -307,13 +326,13 @@ class TestFullBasisEquivalence:
         averages = TimeAverages(fields={
             "u": q / h, "h": h, "alpha0": a0, "alpha1": a1,
             "utilde": u_t, "htilde": h_t})
-        ops = assemble_swe_hll_rom(bases, params, grid, LIN_DEIM_U_DEIM_F,
-                                   coeff_mode, averages)
+        ops = assemble_swe_hll_rom(bases, params, grid, lin, coeff_mode,
+                                   averages)
         names = ("u", "f") if coeff_mode == COEFF_TAV \
             else ("u", "f", "alpha0", "alpha1")
         interpolants = {v: deim_offline(bases[v].modes) for v in names}
-        ctx = build_swe_context(bases, interpolants, LIN_DEIM_U_DEIM_F,
-                                coeff_mode, params.g)
+        ctx = build_swe_context(bases, interpolants, lin, coeff_mode,
+                                params.g)
         dt = 0.02
         h_new, q_new = rom_swe_hll_step(h.copy(), q.copy(), ops, ctx, dt)
         ref = swe_hll_step(state, params, grid, dt)
