@@ -19,7 +19,7 @@ _PIVOT_RTOL = 1e-14
 
 @dataclass
 class DeimInterpolant:
-    basis: np.ndarray            # n_rows x m
+    basis: np.ndarray            # n_rows x m, the caller's modes (not copied)
     indices: np.ndarray          # m distinct row indices
     solve_matrix: np.ndarray     # inverse of basis[indices]
     condition_estimate: float = float("nan")
@@ -71,7 +71,7 @@ def deim_offline(modes: np.ndarray) -> DeimInterpolant:
     small = modes[idx, :]
     inverse = _factor(small)
     cond = float(np.linalg.norm(small, 1) * np.linalg.norm(inverse, 1))
-    return DeimInterpolant(basis=modes.copy(), indices=idx,
+    return DeimInterpolant(basis=modes, indices=idx,
                            solve_matrix=inverse, condition_estimate=cond)
 
 

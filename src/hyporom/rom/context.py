@@ -1,10 +1,13 @@
 """Online context for the SWE reduced models.
 
 DEIM-updated auxiliary variables need pointwise values of the lifted
-state at the interpolation points only; the context pre-samples the h/q
-mode rows there so each refresh costs O(M^2).  Interface evaluations
-(fan coefficients) sample the two cells flanking each interface, with
-edge clamping matching the ghost replication of the full-order scheme.
+state at the interpolation points only.  The context stacks the h and q
+mode rows of every sampled cell into one array, so a single batched
+product per step samples the state for all refreshes; each refresh then
+reads its own slice of the samples, at O(M) cost per point.  Interface
+evaluations (fan coefficients) sample the two cells flanking each
+interface, with edge clamping matching the ghost replication of the
+full-order scheme.
 """
 
 from dataclasses import dataclass
@@ -26,17 +29,18 @@ COEFF_MODES = (COEFF_TAV, COEFF_DEIM)
 
 @dataclass
 class PointSamples:
-    """Mode rows of h and q sampled at one interpolant's point set."""
+    """A cell interpolant and the slice of the context's sampled points
+    that holds its interpolation points."""
 
     interp: DeimInterpolant
-    h_rows: np.ndarray
-    q_rows: np.ndarray
+    at: slice
 
 
 @dataclass
 class InterfaceSamples:
-    """A fan-coefficient interpolant; the mode rows flanking its interface
-    points are stacked for both fan interpolants on the context."""
+    """A fan-coefficient interpolant; the cells flanking its interface
+    points are sampled for both fan interpolants at once (``fan_left``,
+    ``fan_right`` on the context)."""
 
     interp: DeimInterpolant
 
@@ -44,22 +48,16 @@ class InterfaceSamples:
 @dataclass
 class SweRomContext:
     g: float = 9.81
+    # h mode rows then q mode rows (2 x points x M) at every sampled cell:
+    # the u points, the f points, then the cells left and right of the
+    # alpha0 and the alpha1 interpolation interfaces.
+    rows: np.ndarray | None = None
     u_samples: PointSamples | None = None
     f_samples: PointSamples | None = None
     a0_samples: InterfaceSamples | None = None
     a1_samples: InterfaceSamples | None = None
-    # Flank rows of the alpha0 then the alpha1 interpolation interfaces,
-    # so one online refresh evaluates the wave fans of all of them at once.
-    fan_h_left: np.ndarray | None = None
-    fan_h_right: np.ndarray | None = None
-    fan_q_left: np.ndarray | None = None
-    fan_q_right: np.ndarray | None = None
-
-
-def _cell_samples(interp, h_modes, q_modes) -> PointSamples:
-    idx = interp.indices
-    return PointSamples(interp=interp, h_rows=h_modes[idx, :],
-                        q_rows=q_modes[idx, :])
+    fan_left: slice | None = None
+    fan_right: slice | None = None
 
 
 def build_swe_context(bases: dict, interpolants: dict, linearization: str,
@@ -69,14 +67,23 @@ def build_swe_context(bases: dict, interpolants: dict, linearization: str,
     h_modes = bases["h"].modes
     q_modes = bases["q"].modes
     ctx = SweRomContext(g=g)
+    cells = []
+
+    def take(idx) -> slice:
+        start = sum(len(c) for c in cells)
+        cells.append(idx)
+        return slice(start, start + len(idx))
+
     if linearization in (LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
         if "u" not in interpolants:
             raise MissingAuxBasis("DEIM treatment of u needs a u basis")
-        ctx.u_samples = _cell_samples(interpolants["u"], h_modes, q_modes)
+        u = interpolants["u"]
+        ctx.u_samples = PointSamples(interp=u, at=take(u.indices))
     if linearization == LIN_DEIM_U_DEIM_F:
         if "f" not in interpolants:
             raise MissingAuxBasis("DEIM friction needs an f basis")
-        ctx.f_samples = _cell_samples(interpolants["f"], h_modes, q_modes)
+        f = interpolants["f"]
+        ctx.f_samples = PointSamples(interp=f, at=take(f.indices))
     if coeff_mode == COEFF_DEIM:
         for name in ("alpha0", "alpha1"):
             if name not in interpolants:
@@ -86,40 +93,42 @@ def build_swe_context(bases: dict, interpolants: dict, linearization: str,
         ctx.a1_samples = InterfaceSamples(interp=a1)
         # Interface j lies between cells j-1 and j; edges clamp like ghosts.
         j = np.concatenate([a0.indices, a1.indices])
-        left = np.clip(j - 1, 0, h_modes.shape[0] - 1)
-        right = np.clip(j, 0, h_modes.shape[0] - 1)
-        ctx.fan_h_left, ctx.fan_h_right = h_modes[left], h_modes[right]
-        ctx.fan_q_left, ctx.fan_q_right = q_modes[left], q_modes[right]
+        last = h_modes.shape[0] - 1
+        ctx.fan_left = take(np.clip(j - 1, 0, last))
+        ctx.fan_right = take(np.clip(j, 0, last))
+    idx = np.concatenate(cells) if cells else np.zeros(0, dtype=int)
+    ctx.rows = np.stack([h_modes[idx], q_modes[idx]])
     return ctx
 
 
-def _lift_points(samples: PointSamples, h_hat, q_hat):
-    h_pts = samples.h_rows @ h_hat
-    q_pts = samples.q_rows @ q_hat
+def refresh_u(ctx: SweRomContext, pts: np.ndarray) -> np.ndarray:
+    """DEIM coefficients of u = q/h from the sampled points ``pts``."""
+    at = ctx.u_samples.at
+    h_pts = pts[0, at, 0]
     if h_pts.min() <= 0.0:
         raise EvaluationError("non-positive depth at a DEIM point")
-    return h_pts, q_pts
+    return deim_online_values(ctx.u_samples.interp, pts[1, at, 0] / h_pts)
 
 
-def refresh_u(ctx: SweRomContext, h_hat, q_hat) -> np.ndarray:
-    h_pts, q_pts = _lift_points(ctx.u_samples, h_hat, q_hat)
-    return deim_online_values(ctx.u_samples.interp, q_pts / h_pts)
-
-
-def refresh_f(ctx: SweRomContext, h_hat, q_hat) -> np.ndarray:
-    h_pts, q_pts = _lift_points(ctx.f_samples, h_hat, q_hat)
+def refresh_f(ctx: SweRomContext, pts: np.ndarray) -> np.ndarray:
+    """DEIM coefficients of f = |q|/h^(7/3) from the sampled points."""
+    at = ctx.f_samples.at
+    h_pts = pts[0, at, 0]
+    if h_pts.min() <= 0.0:
+        raise EvaluationError("non-positive depth at a DEIM point")
     return deim_online_values(ctx.f_samples.interp,
-                              np.abs(q_pts) / h_pts ** (7.0 / 3.0))
+                              np.abs(pts[1, at, 0]) / h_pts ** (7.0 / 3.0))
 
 
-def refresh_alphas(ctx: SweRomContext, h_hat, q_hat):
-    """Fan coefficients at the stacked interpolation interfaces, one pass."""
-    h_l = ctx.fan_h_left @ h_hat
-    h_r = ctx.fan_h_right @ h_hat
+def refresh_alphas(ctx: SweRomContext, pts: np.ndarray):
+    """Fan coefficients at the stacked interpolation interfaces, one pass,
+    from the sampled flanking cells."""
+    h_l = pts[0, ctx.fan_left, 0]
+    h_r = pts[0, ctx.fan_right, 0]
     if h_l.min() <= 0.0 or h_r.min() <= 0.0:
         raise EvaluationError("non-positive depth at a DEIM interface")
-    u_l = (ctx.fan_q_left @ q_hat) / h_l
-    u_r = (ctx.fan_q_right @ q_hat) / h_r
+    u_l = pts[1, ctx.fan_left, 0] / h_l
+    u_r = pts[1, ctx.fan_right, 0] / h_r
     # Inline Roe + Davis + degree-1 fan coefficients (hot online path);
     # the arithmetic mirrors the full-order fan evaluation exactly.
     sqrt_l = np.sqrt(h_l)

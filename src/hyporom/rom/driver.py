@@ -5,10 +5,14 @@ N_v uniform windows; same-window blocks are pooled across runs, one POD
 basis per (variable, window) is built, the per-system mode count is
 unified, and the window operators/averages/interpolants are assembled.
 
-Online: the reduced state replays the first run's recorded dt sequence;
-entering a new window transfers the conserved coefficients through the
-continuity-of-projection jump condition, and the crossing step already
-uses the incoming window's operators.
+Online: the reduced state replays the first run's recorded dt sequence.
+It stays packed, x = [c_var for each conserved variable], and the replay
+loops over precomputed runs of consecutive steps that share a window.
+Entering a run in a new window transfers the conserved coefficients
+through the continuity-of-projection jump condition, so the crossing
+step already uses the incoming window's operators; each step is one call
+of the system's step function, and the state is checked for NaN/Inf once
+at the end of each run.
 """
 
 import time
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..deim import deim_offline
-from ..errors import HyporomError, ShapeMismatch, UnsupportedSystem
+from ..errors import (HyporomError, NonFiniteState, ShapeMismatch,
+                      UnsupportedSystem)
 from ..grid import Grid1D
 from ..pod import (PodBasis, fallback_basis, numerical_rank, select_modes,
                    thin_svd, window_transfer)
@@ -235,13 +240,30 @@ class RomResult:
     history: dict | None = None       # var -> n_rows x n_times lifted
 
 
-def _project_state(window: RomWindow, fields: dict, names) -> dict:
-    return {var: window.bases[var].modes.T @ np.asarray(fields[var], float)
-            for var in names}
+def _project_state(window: RomWindow, fields: dict, names) -> np.ndarray:
+    """Packed coefficients [c_var for var in names]."""
+    return np.concatenate([window.bases[var].modes.T
+                           @ np.asarray(fields[var], float) for var in names])
 
 
-def _lift_state(window: RomWindow, coeffs: dict) -> dict:
-    return {var: window.bases[var].modes @ c for var, c in coeffs.items()}
+def _lift_state(window: RomWindow, x: np.ndarray, names) -> dict:
+    return {var: window.bases[var].modes @ c
+            for var, c in zip(names, np.split(x, len(names)))}
+
+
+def _transfer(x: np.ndarray, old: RomWindow, new: RomWindow,
+              names) -> np.ndarray:
+    return np.concatenate([window_transfer(c, old.bases[var], new.bases[var])
+                           for var, c in zip(names, np.split(x, len(names)))])
+
+
+def _segments(step_window: np.ndarray) -> list:
+    """(window, first step, stop) for each run of steps in one window."""
+    cuts = (np.flatnonzero(np.diff(step_window)) + 1).tolist()
+    starts = [0] + cuts
+    stops = cuts + [len(step_window)]
+    return [(int(step_window[a]), a, b) for a, b in zip(starts, stops)
+            if b > a]
 
 
 def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
@@ -276,45 +298,42 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
     }[setup.system]
     scalar = setup.system in ("transport", "burgers")
 
-    current = 0
     window = setup.windows[0]
-    coeffs = _project_state(window, initial_fields, names)
-    history = [(window, coeffs)] if keep_history else None
+    x = _project_state(window, initial_fields, names)
+    history = [(window, x)] if keep_history else None
     prev = None
-    t = 0.0
+    steps = dts.tolist()
 
     t0 = time.perf_counter()
-    for n, dt in enumerate(dts):
-        v = step_window[n]
-        if v != current:
+    for v, start, stop in _segments(step_window):
+        if v != window.index:
             nxt = setup.windows[v]
-            coeffs = {var: window_transfer(coeffs[var], window.bases[var],
-                                           nxt.bases[var]) for var in names}
+            x = _transfer(x, window, nxt, names)
             window = nxt
-            current = v
-        prev = (window, coeffs)
+        ops, ctx = window.ops, window.context
         try:
-            if scalar:
-                coeffs = {"w": step_fn(coeffs["w"], window.ops, dt)}
-            else:
-                h_hat, q_hat = step_fn(coeffs["h"], coeffs["q"], window.ops,
-                                       window.context, dt)
-                coeffs = {"h": h_hat, "q": q_hat}
+            for n in range(start, stop):
+                prev = x
+                x = (step_fn(x, ops, steps[n]) if scalar
+                     else step_fn(x, ops, ctx, steps[n]))
+                if history is not None:
+                    history.append((window, x))
         except HyporomError as exc:
-            raise type(exc)(
-                f"{exc} (step from t={t:.6g}, window {v})") from exc
-        t += dt
-        if keep_history:
-            history.append((window, coeffs))
+            raise type(exc)(f"{exc} (step from t={float(dts[:n].sum()):.6g}, "
+                            f"window {v})") from exc
+        if not np.isfinite(x).all():
+            raise NonFiniteState(
+                f"non-finite reduced state after step {stop - 1} "
+                f"(window {v})")
     online = time.perf_counter() - t0
 
-    last_lifted = _lift_state(window, coeffs)
+    last_lifted = _lift_state(window, x, names)
     last_two = [last_lifted]
     if prev is not None:
-        last_two.insert(0, _lift_state(*prev))
+        last_two.insert(0, _lift_state(window, prev, names))
     if history is not None:
-        history = {var: np.column_stack([_lift_state(w, c)[var]
-                                         for w, c in history])
+        lifted = [_lift_state(w, c, names) for w, c in history]
+        history = {var: np.column_stack([f[var] for f in lifted])
                    for var in names}
     return RomResult(final=last_lifted, last_two=last_two,
                      modes_per_window=list(setup.modes_per_window),

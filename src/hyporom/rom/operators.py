@@ -75,10 +75,17 @@ def pad_rows(arr: np.ndarray, left_factor: float = 1.0,
                           axis=0)
 
 
-def contract_quadratic(tensor: np.ndarray, left: np.ndarray,
+def contract_quadratic(operand: np.ndarray, left: np.ndarray,
                        right: np.ndarray) -> np.ndarray:
-    """(T a b)_p = sum_{l,k} T_{plk} a_l b_k via two BLAS products."""
-    return (tensor @ right) @ left
+    """sum_j sum_{l,k} T^j_{plk} left[j,l] right[j,k] in one GEMV.
+
+    ``operand`` holds the tensors T^j side by side (p x K*L*R), and
+    ``left``/``right`` their K input pairs as rows; a single p x L x R
+    tensor with 1-D ``left`` and ``right`` is the case K = 1.  The GEMV
+    runs against the row-wise outer products of the pairs.
+    """
+    outer = left[..., :, None] * right[..., None, :]
+    return operand.reshape(len(operand), -1) @ outer.reshape(-1)
 
 
 def stencil_weights(phi: np.ndarray, coefs: dict) -> np.ndarray:

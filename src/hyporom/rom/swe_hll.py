@@ -4,12 +4,16 @@ The HLL scheme shares the PVM-0 model core (A, E, G, momentum flux and
 friction; ``assemble_swe``/``step_swe`` in swe_lf.py) and differs only
 in its viscosity: per-interface fan coefficients alpha0/alpha1 instead
 of a constant nu.  They enter through U_1..U_3 on h and U_4..U_7 on q,
-scaled by dt/dx.  Interface Roe means (u_tilde, h_tilde) are always
+scaled by dt/(2dx).  Interface Roe means (u_tilde, h_tilde) are always
 window averages; the fan coefficients are either window averages baked
-into U matrices (coeff_mode "tav") or DEIM-updated coefficients
-contracted against U tensors (coeff_mode "deim").  Each U tensor is one
+into U matrices and vectors (coeff_mode "tav") or DEIM-updated
+coefficients contracted against U tensors, with U_3 and U_7 matrices on
+the coefficients (coeff_mode "deim").  Each U tensor is one
 ``project_outer`` call with the interface difference moved onto the test
-functions.
+functions.  The U terms join the compiled step like the shared ones: U
+matrices and vectors as columns of its linear block, U tensors as column
+blocks of the h and q operands, read against the refreshed fan
+coefficients stacked after u and f.
 """
 
 import numpy as np
@@ -18,11 +22,12 @@ from ..errors import MissingAuxBasis, UnsupportedSystem
 from ..fom.swe import SweParams
 from ..grid import Grid1D
 from .context import COEFF_MODES, COEFF_TAV, SweRomContext, refresh_alphas
-# Not called here; kept because the benchmark tracer wraps it by this name.
+# Not called here; kept because the benchmark tracer wraps them by these
+# names.
 from .context import refresh_u  # noqa: F401
-from .operators import (RomOperators, TimeAverages, contract_quadratic,
-                        pad_rows, project_outer, stencil_weights)
-from .swe_lf import assemble_swe, bed_rows, step_swe
+from .operators import contract_quadratic  # noqa: F401
+from .operators import TimeAverages, pad_rows, project_outer, stencil_weights
+from .swe_lf import SweOperators, Term, assemble_swe, bed_rows, step_swe
 
 
 def _jumps(phi):
@@ -57,7 +62,7 @@ def _fan_tensor_vec(phi_out, coef_modes, dz):
 def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                          linearization: str, coeff_mode: str,
                          averages: TimeAverages,
-                         window_index: int = 0) -> RomOperators:
+                         window_index: int = 0) -> SweOperators:
     if coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     phih = bases["h"].modes
@@ -70,57 +75,47 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
     u_t = averages["utilde"]
     h_t = averages["htilde"]
     wgt = -u_t * u_t + params.g * h_t
+    fan = 0.5 / grid.dx
 
-    matrices, vectors, tensors = {}, {}, {}
     if coeff_mode == COEFF_TAV:
         a0 = averages["alpha0"]
         a1 = averages["alpha1"]
-        matrices["U1"] = _fan_matrix(phih, a0, dh)
-        matrices["U2"] = _fan_matrix(phih, a1, dq)
-        vectors["U3"] = _fan_vector(phih, a0, dz)
-        matrices["U4"] = _fan_matrix(phiq, a1 * wgt, dh)
-        matrices["U5"] = _fan_matrix(phiq, a0, dq)
-        matrices["U6"] = _fan_matrix(phiq, 2.0 * a1 * u_t, dq)
-        vectors["U7"] = _fan_vector(phiq, a1 * wgt, dz)
+        terms = {
+            "U1": Term(_fan_matrix(phih, a0, dh), "h", ("h",), 0.0, fan),
+            "U2": Term(_fan_matrix(phih, a1, dq), "h", ("q",), 0.0, fan),
+            "U3": Term(_fan_vector(phih, a0, dz), "h", (), 0.0, fan),
+            "U4": Term(_fan_matrix(phiq, a1 * wgt, dh), "q", ("h",), 0.0, fan),
+            "U5": Term(_fan_matrix(phiq, a0, dq), "q", ("q",), 0.0, fan),
+            "U6": Term(_fan_matrix(phiq, 2.0 * a1 * u_t, dq), "q", ("q",),
+                       0.0, fan),
+            "U7": Term(_fan_vector(phiq, a1 * wgt, dz), "q", (), 0.0, fan)}
+        fan_inputs = ()
     else:
         if "alpha0" not in bases or "alpha1" not in bases:
             raise MissingAuxBasis("coeff_mode 'deim' needs alpha0/alpha1 bases")
         ca0 = bases["alpha0"].modes
         ca1 = bases["alpha1"].modes
-        tensors["U1"] = _fan_tensor(phih, ca0, dh)
-        tensors["U2"] = _fan_tensor(phih, ca1, dq)
-        matrices["U3"] = _fan_tensor_vec(phih, ca0, dz)
-        tensors["U4"] = _fan_tensor(phiq, ca1 * wgt[:, None], dh)
-        tensors["U5"] = _fan_tensor(phiq, ca0, dq)
-        tensors["U6"] = _fan_tensor(phiq, 2.0 * ca1 * u_t[:, None], dq)
-        matrices["U7"] = _fan_tensor_vec(phiq, ca1 * wgt[:, None], dz)
+        terms = {
+            "U1": Term(_fan_tensor(phih, ca0, dh), "h", ("alpha0", "h"),
+                       0.0, fan),
+            "U2": Term(_fan_tensor(phih, ca1, dq), "h", ("alpha1", "q"),
+                       0.0, fan),
+            "U3": Term(_fan_tensor_vec(phih, ca0, dz), "h", ("alpha0",),
+                       0.0, fan),
+            "U4": Term(_fan_tensor(phiq, ca1 * wgt[:, None], dh), "q",
+                       ("alpha1", "h"), 0.0, fan),
+            "U5": Term(_fan_tensor(phiq, ca0, dq), "q", ("alpha0", "q"),
+                       0.0, fan),
+            "U6": Term(_fan_tensor(phiq, 2.0 * ca1 * u_t[:, None], dq), "q",
+                       ("alpha1", "q"), 0.0, fan),
+            "U7": Term(_fan_tensor_vec(phiq, ca1 * wgt[:, None], dz), "q",
+                       ("alpha1",), 0.0, fan)}
+        fan_inputs = ("alpha0", "alpha1")
 
     return assemble_swe("swe_hll", bases, params, grid, linearization,
-                        averages, window_index, matrices, vectors, tensors)
+                        averages, window_index, terms, fan_inputs)
 
 
-def rom_swe_hll_step(h_hat: np.ndarray, q_hat: np.ndarray, ops: RomOperators,
-                     ctx: SweRomContext, dt: float):
-    lam = dt / ops.scalars["dx"]
-    mats, vecs, tens = ops.matrices, ops.vectors, ops.tensors3
-
-    if "U1" in mats:
-        m1 = mats["U1"] @ h_hat
-        m2 = mats["U2"] @ q_hat
-        m3 = vecs["U3"]
-        m4 = mats["U4"] @ h_hat
-        m5 = mats["U5"] @ q_hat
-        m6 = mats["U6"] @ q_hat
-        m7 = vecs["U7"]
-    else:
-        a0_hat, a1_hat = refresh_alphas(ctx, h_hat, q_hat)
-        m1 = contract_quadratic(tens["U1"], a0_hat, h_hat)
-        m2 = contract_quadratic(tens["U2"], a1_hat, q_hat)
-        m3 = mats["U3"] @ a0_hat
-        m4 = contract_quadratic(tens["U4"], a1_hat, h_hat)
-        m5 = contract_quadratic(tens["U5"], a0_hat, q_hat)
-        m6 = contract_quadratic(tens["U6"], a1_hat, q_hat)
-        m7 = mats["U7"] @ a1_hat
-
-    return step_swe(h_hat, q_hat, ops, ctx, dt, 0.5 * lam * (m1 + m2 + m3),
-                    0.5 * lam * (m4 + m5 + m6 + m7))
+def rom_swe_hll_step(x: np.ndarray, ops: SweOperators, ctx: SweRomContext,
+                     dt: float) -> np.ndarray:
+    return step_swe(x, ops, ctx, dt, refresh_alphas)

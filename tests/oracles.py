@@ -415,3 +415,75 @@ def random_orthonormal(n, m, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, m)))
     return q
+
+
+# ---------------------------------------------------------------------------
+# reduced SWE step by operator name
+
+def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, dt):
+    """One reduced SWE step read off the named operators: the momentum
+    flux, friction and viscosity forms are chosen by which names the
+    window holds, tensors are contracted with einsum, and each DEIM
+    coefficient vector solves U_I c = values on the lifted fields."""
+    mats, vecs, tens, s = ops.matrices, ops.vectors, ops.tensors3, ops.scalars
+    lam = dt / s["dx"]
+    g = s["g"]
+    h = bases["h"].modes @ h_hat
+    q = bases["q"].modes @ q_hat
+    n = len(h)
+
+    def coeffs(name, values_at):
+        it = interps[name]
+        return np.linalg.solve(it.basis[it.indices],
+                               [values_at(int(i)) for i in it.indices])
+
+    def quad(tensor, left, right):
+        return np.einsum("plk,l,k->p", tensor, left, right)
+
+    def fan(j, which):
+        hl, hr = h[min(max(j - 1, 0), n - 1)], h[min(j, n - 1)]
+        ql, qr = q[min(max(j - 1, 0), n - 1)], q[min(j, n - 1)]
+        return hll_fan_scalar(hl, hr, ql / hl, qr / hr, g)[which]
+
+    if "Dbar" in mats:
+        flux_u = mats["Dbar"] @ q_hat
+    else:
+        flux_u = quad(tens["D"], coeffs("u", lambda i: q[i] / h[i]), q_hat)
+
+    gnb2 = g * s["n_b"] ** 2
+    if "H" in vecs:
+        friction = gnb2 * vecs["H"]
+    elif "H" in mats:
+        friction = gnb2 * (mats["H"] @ q_hat)
+    elif "H" in tens:
+        f_hat = coeffs("f", lambda i: abs(q[i]) / h[i] ** (7.0 / 3.0))
+        friction = gnb2 * quad(tens["H"], q_hat, f_hat)
+    else:
+        friction = 0.0
+
+    if ops.system == "swe_lf":
+        visc_h = 0.5 * s["nu"] * (mats["B"] @ h_hat + vecs["C"])
+        visc_q = 0.5 * s["nu"] * (mats["F"] @ q_hat)
+    elif "U1" in mats:
+        visc_h = 0.5 * lam * (mats["U1"] @ h_hat + mats["U2"] @ q_hat
+                              + vecs["U3"])
+        visc_q = 0.5 * lam * (mats["U4"] @ h_hat + mats["U5"] @ q_hat
+                              + mats["U6"] @ q_hat + vecs["U7"])
+    else:
+        a0 = coeffs("alpha0", lambda j: fan(j, 0))
+        a1 = coeffs("alpha1", lambda j: fan(j, 1))
+        visc_h = 0.5 * lam * (quad(tens["U1"], a0, h_hat)
+                              + quad(tens["U2"], a1, q_hat)
+                              + mats["U3"] @ a0)
+        visc_q = 0.5 * lam * (quad(tens["U4"], a1, h_hat)
+                              + quad(tens["U5"], a0, q_hat)
+                              + quad(tens["U6"], a1, q_hat)
+                              + mats["U7"] @ a1)
+
+    h_new = h_hat - 0.5 * lam * (mats["A"] @ q_hat) + visc_h
+    q_new = (q_hat - 0.5 * lam * flux_u
+             - 0.25 * g * lam * quad(tens["E"], h_hat, h_hat)
+             + visc_q
+             - 0.25 * g * lam * (mats["G"] @ h_hat)
+             - dt * friction)
+    return h_new, q_new

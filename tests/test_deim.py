@@ -106,3 +106,8 @@ def test_evaluation_error_propagates():
 
     with pytest.raises(EvaluationError):
         deim_online(interp, lambda i: np.nan)
+
+
+def test_basis_is_the_callers_modes():
+    modes = random_orthonormal(30, 4, 17)
+    assert np.shares_memory(deim_offline(modes).basis, modes)

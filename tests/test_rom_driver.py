@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyporom.errors import UnsupportedSystem
+from hyporom.errors import EvaluationError, NonFiniteState, UnsupportedSystem
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          TransportModel, TransportParams, burgers_stationary,
@@ -204,3 +204,40 @@ def test_parametric_pooling_shapes():
     assert setup.windows[0].ops.scalars["n_b"] == pytest.approx(0.035)
     out = run_rom(setup, {"h": h0, "q": np.zeros_like(h0)}, groups[0][1])
     assert out.final["h"].shape == (60,)
+
+
+def _dam_run(n=200, t_final=0.5):
+    grid = Grid1D(0.0, 12.0, n)
+
+    def z(x):
+        return 0.2 * (1.0 - np.asarray(x) / 12.0)
+
+    params = SweParams(g=9.81, n_b=0.1, nu=0.9, bathymetry=z)
+    zc = z(grid.centers)
+    h0 = np.where(grid.centers <= 6.0, 2.0 - zc, 1.0 - zc)
+    from hyporom.fom import SweState
+    state = SweState(h=h0, q=np.zeros_like(h0))
+    model = SweModel(params, grid, FluxChoice.MODIFIED_LAX_FRIEDRICHS)
+    return grid, params, h0, run_fom(model, state, t_final=t_final, cfl=0.9)
+
+
+def test_tav_replay_of_a_non_finite_state_raises():
+    # No DEIM evaluation checks the state on the tav path, so only the
+    # end-of-window check can notice the NaN.
+    grid, params, h0, res = _dam_run()
+    setup = build_rom("swe_lf", [res.snapshots], params, grid, n_windows=3,
+                      eps_pod=1e-10, mode_cap=10, linearization=LIN_TAV)
+    q0 = np.zeros_like(h0)
+    q0[50] = np.nan
+    with pytest.raises(NonFiniteState, match=r"window 0"):
+        run_rom(setup, {"h": h0, "q": q0}, res.dts)
+
+
+def test_step_errors_carry_time_and_window():
+    grid, params, h0, res = _dam_run()
+    setup = build_rom("swe_lf", [res.snapshots], params, grid, n_windows=3,
+                      eps_pod=1e-10, mode_cap=10,
+                      linearization=LIN_DEIM_U_DEIM_F)
+    with pytest.raises(EvaluationError,
+                       match=r"non-positive depth .*t=0, window 0\)"):
+        run_rom(setup, {"h": -h0, "q": np.zeros_like(h0)}, res.dts)

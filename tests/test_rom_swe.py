@@ -12,11 +12,12 @@ from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
                          TimeAverages,
                          assemble_swe_hll_rom, assemble_swe_lf_rom,
-                         build_swe_context, rom_swe_lf_step, time_average)
+                         build_swe_context, rom_swe_hll_step,
+                         rom_swe_lf_step, time_average)
 
 from oracles import (friction_ops_oracle, kahan_sum, random_orthonormal,
                      swe_hll_deim_ops_oracle, swe_hll_tav_ops_oracle,
-                     swe_lf_ops_oracle)
+                     swe_lf_ops_oracle, swe_rom_step_oracle)
 
 
 def _bases(n, m, seeds=(0, 1, 2, 3)):
@@ -306,7 +307,8 @@ class TestFullBasisEquivalence:
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
         ctx = build_swe_context(bases, interpolants, lin, None, params.g)
         dt = 0.02
-        h_new, q_new = rom_swe_lf_step(h.copy(), q.copy(), ops, ctx, dt)
+        h_new, q_new = np.split(
+            rom_swe_lf_step(np.concatenate([h, q]), ops, ctx, dt), 2)
         ref = swe_lf_step(SweState(h=h, q=q), params, grid, dt,
                           FluxChoice.MODIFIED_LAX_FRIEDRICHS)
         np.testing.assert_allclose(h_new, ref.h, rtol=0, atol=1e-12)
@@ -334,10 +336,80 @@ class TestFullBasisEquivalence:
         ctx = build_swe_context(bases, interpolants, lin, coeff_mode,
                                 params.g)
         dt = 0.02
-        h_new, q_new = rom_swe_hll_step(h.copy(), q.copy(), ops, ctx, dt)
+        h_new, q_new = np.split(
+            rom_swe_hll_step(np.concatenate([h, q]), ops, ctx, dt), 2)
         ref = swe_hll_step(state, params, grid, dt)
         np.testing.assert_allclose(h_new, ref.h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q_new, ref.q, rtol=0, atol=1e-12)
+
+
+_FLUXES = [None, COEFF_TAV, COEFF_DEIM]     # PVM-0, HLL tav, HLL deim
+
+
+class TestCompiledStep:
+    """The compiled step against the named-operator oracle on truncated
+    bases (M < n), where DEIM interpolation is not exact."""
+
+    def _check(self, lin, coeff_mode, n_b, n=14, m=4, seed=61):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(0.0, 2.0, n)
+        zv = 0.1 * rng.random(n)
+        params = _params(n_b=n_b, z=lambda x: np.interp(np.asarray(x),
+                                                        grid.centers, zv))
+        h = 0.6 + rng.random(n)
+        q = 0.4 * rng.standard_normal(n)
+
+        def basis(name, rows, first=None):
+            cols = rng.standard_normal((rows, m))
+            if first is not None:
+                cols[:, 0] = first
+            return PodBasis(name, np.linalg.qr(cols)[0], np.ones(m))
+
+        # h and q lie in their bases, so the lifted depth stays positive.
+        bases = {"h": basis("h", n, h), "q": basis("q", n, q),
+                 "u": basis("u", n), "f": basis("f", n)}
+        names = ["u", "f"]
+        averages = _averages(n, with_hll=True)
+        if coeff_mode is None:
+            ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
+            step = rom_swe_lf_step
+        else:
+            if coeff_mode == COEFF_DEIM:
+                bases["alpha0"] = basis("alpha0", n + 1)
+                bases["alpha1"] = basis("alpha1", n + 1)
+                names += ["alpha0", "alpha1"]
+            ops = assemble_swe_hll_rom(bases, params, grid, lin, coeff_mode,
+                                       averages)
+            step = rom_swe_hll_step
+        interps = {v: deim_offline(bases[v].modes) for v in names}
+        ctx = build_swe_context(bases, interps, lin, coeff_mode, params.g)
+        h_hat = bases["h"].modes.T @ h
+        q_hat = bases["q"].modes.T @ q
+        dt = 0.02
+        got = step(np.concatenate([h_hat, q_hat]), ops, ctx, dt)
+        want = swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, dt)
+        np.testing.assert_allclose(got, np.concatenate(want), rtol=0,
+                                   atol=1e-12)
+        return ops
+
+    @pytest.mark.parametrize("coeff_mode", _FLUXES)
+    @pytest.mark.parametrize("lin", LINEARIZATIONS)
+    def test_matches_named_operator_oracle(self, lin, coeff_mode):
+        self._check(lin, coeff_mode, n_b=0.1)
+
+    def test_frictionless_matches_named_operator_oracle(self):
+        self._check(LIN_DEIM_U_DEIM_F, COEFF_DEIM, n_b=0.0)
+
+    @pytest.mark.parametrize("coeff_mode", _FLUXES)
+    def test_named_operators_are_views_of_the_step_arrays(self, coeff_mode):
+        ops = self._check(LIN_DEIM_U_DEIM_F, coeff_mode, n_b=0.1)
+        for arr in (*ops.matrices.values(), *ops.vectors.values()):
+            assert np.shares_memory(arr, ops.lin)
+        operands = [blk[1] for blk in ops.quad]
+        for arr in ops.tensors3.values():
+            assert any(np.shares_memory(arr, op) for op in operands)
+        assert sum(t.nbytes for t in ops.tensors3.values()) \
+            == sum(op.nbytes for op in operands)
 
 
 class TestSteps:
@@ -363,6 +435,7 @@ class TestSteps:
             ctx = build_swe_context(bases, interpolants, lin, None, params.g)
             h_hat = bases["h"].modes.T @ h_field
             q_hat = np.zeros(1)
-            h_new, q_new = rom_swe_lf_step(h_hat, q_hat, ops, ctx, dt=0.01)
+            h_new, q_new = np.split(rom_swe_lf_step(
+                np.concatenate([h_hat, q_hat]), ops, ctx, dt=0.01), 2)
             np.testing.assert_allclose(q_new, 0.0, atol=1e-15)
             np.testing.assert_allclose(h_new, h_hat, atol=1e-15)
