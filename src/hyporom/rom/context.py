@@ -17,6 +17,7 @@ import numpy as np
 from ..deim import DeimInterpolant, deim_online_values
 from ..errors import (DegenerateWaveFan, EvaluationError, MissingAuxBasis,
                       UnsupportedSystem)
+from ..fom.swe import SweParams
 
 LIN_TAV = "tav"
 LIN_DEIM_U_TAV_F = "deim_u_tav_f"
@@ -61,12 +62,13 @@ class SweRomContext:
 
 
 def build_swe_context(bases: dict, interpolants: dict, linearization: str,
-                      coeff_mode: str | None, g: float) -> SweRomContext:
+                      coeff_mode: str | None,
+                      params: SweParams) -> SweRomContext:
     if linearization not in LINEARIZATIONS:
         raise UnsupportedSystem(f"unknown linearization {linearization!r}")
     h_modes = bases["h"].modes
     q_modes = bases["q"].modes
-    ctx = SweRomContext(g=g)
+    ctx = SweRomContext(g=params.g)
     cells = []
 
     def take(idx) -> slice:
@@ -82,8 +84,10 @@ def build_swe_context(bases: dict, interpolants: dict, linearization: str,
     if linearization == LIN_DEIM_U_DEIM_F:
         if "f" not in interpolants:
             raise MissingAuxBasis("DEIM friction needs an f basis")
-        f = interpolants["f"]
-        ctx.f_samples = PointSamples(interp=f, at=take(f.indices))
+        # f feeds only the friction tensor, which n_b = 0 leaves out.
+        if params.n_b > 0.0:
+            f = interpolants["f"]
+            ctx.f_samples = PointSamples(interp=f, at=take(f.indices))
     if coeff_mode == COEFF_DEIM:
         for name in ("alpha0", "alpha1"):
             if name not in interpolants:

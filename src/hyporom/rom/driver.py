@@ -11,8 +11,9 @@ loops over precomputed runs of consecutive steps that share a window.
 Entering a run in a new window transfers the conserved coefficients
 through the continuity-of-projection jump condition, so the crossing
 step already uses the incoming window's operators; each step is one call
-of the system's step function, and the state is checked for NaN/Inf once
-at the end of each run.
+of the system's step function.  A SWE state is checked for NaN/Inf once
+at the end of each run; transport and Burgers replays hand a non-finite
+state back to the caller, which judges the divergence.
 """
 
 import time
@@ -214,7 +215,7 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
                             for var in variables if var not in ("h", "q")}
             context = build_swe_context(bases, interpolants, linearization,
                                         coeff_mode if system == "swe_hll" else None,
-                                        params.g)
+                                        params)
             if system == "swe_lf":
                 ops = assemble_swe_lf_rom(bases, params, grid, linearization,
                                           averages, window_index=v)
@@ -321,7 +322,7 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
         except HyporomError as exc:
             raise type(exc)(f"{exc} (step from t={float(dts[:n].sum()):.6g}, "
                             f"window {v})") from exc
-        if not np.isfinite(x).all():
+        if not scalar and not np.isfinite(x).all():
             raise NonFiniteState(
                 f"non-finite reduced state after step {stop - 1} "
                 f"(window {v})")

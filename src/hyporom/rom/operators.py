@@ -81,10 +81,13 @@ def contract_quadratic(operand: np.ndarray, left: np.ndarray,
 
     ``operand`` holds the tensors T^j side by side (p x K*L*R), and
     ``left``/``right`` their K input pairs as rows; a single p x L x R
-    tensor with 1-D ``left`` and ``right`` is the case K = 1.  The GEMV
-    runs against the row-wise outer products of the pairs.
+    tensor with 1-D ``left`` and ``right`` is the case K = 1, taken as
+    two BLAS products instead.  The GEMV runs against the row-wise outer
+    products of the pairs.
     """
-    outer = left[..., :, None] * right[..., None, :]
+    if left.ndim == 1:
+        return (operand @ right) @ left
+    outer = left[:, :, None] * right[:, None, :]
     return operand.reshape(len(operand), -1) @ outer.reshape(-1)
 
 

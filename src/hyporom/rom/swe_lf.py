@@ -24,21 +24,24 @@ The assembler then compiles the window into one step shape on the packed
 state x = [h_hat; q_hat].  With xa = [x; refreshed DEIM coefficients; 1]:
 
     z     = (scale0 + dt * scale1) * xa[gather]
-    x_new = x + lin @ z[lin_in]
+    x_new = x + lin @ z[:n_lin]
             + contract_quadratic(operand, z[left], xa[right])
               in the rows of each output block (h, q) that holds tensors
 
 ``lin`` holds every matrix and vector term side by side, each in the rows
 of the equation it feeds and zero elsewhere.  ``z`` is every scaled
-input: the inputs of the ``lin`` columns, then the left member of each
-tensor pair.  ``scale0`` carries the dt-free PVM-0 viscosity nu/2 and
-``scale1`` the factors per unit dt (-1/(2dx) for A and D, -g/(4dx) for E
-and G, -g n_b^2 for H, 1/(2dx) for the HLL fans).  Each block's tensors
-are the column blocks of one operand, contracted in one GEMV.  Because
-the factors multiply the inputs, not the operators, the named entries of
-``matrices``, ``vectors`` and ``tensors3`` are views into these arrays,
-bitwise the assembled operators.  Both fluxes step through ``step_swe``;
-which terms a window holds is decided by the assembler alone.
+input: the inputs of the n_lin columns of ``lin``, then the left member
+of each tensor pair.  ``scale0`` carries the dt-free PVM-0 viscosity
+nu/2 and ``scale1`` the factors per unit dt (-1/(2dx) for A and D,
+-g/(4dx) for E and G, -g n_b^2 for H, 1/(2dx) for the HLL fans).  Each
+block's tensors are the column blocks of one operand, contracted in one
+GEMV.  Because the factors multiply the inputs, not the operators, the
+named entries of ``matrices``, ``vectors`` and ``tensors3`` are views
+into these arrays, bitwise the assembled operators.  Both fluxes step
+through ``step_swe``; which terms a window holds is decided by the
+assembler alone.  f is an input only of the friction tensor, so a
+frictionless deim_u_deim_f window neither samples nor refreshes it
+(``build_swe_context``).
 """
 
 from dataclasses import dataclass
@@ -75,7 +78,6 @@ class SweOperators(RomOperators):
     """Window operators and their compiled step (module docstring)."""
 
     lin: np.ndarray | None = None
-    lin_in: slice | None = None     # the entries of z that lin reads
     gather: np.ndarray | None = None
     scale0: np.ndarray | None = None
     scale1: np.ndarray | None = None
@@ -139,7 +141,7 @@ def _compile(terms: dict, inputs: tuple, m: int, **fields) -> SweOperators:
         quad.append((rows[out], operand, left, np.array(right)))
 
     return SweOperators(m=m, matrices=matrices, vectors=vectors,
-                        tensors3=tensors, lin=lin, lin_in=slice(0, n_cols),
+                        tensors3=tensors, lin=lin,
                         gather=np.concatenate(gather),
                         scale0=np.concatenate(scale0),
                         scale1=np.concatenate(scale1), quad=tuple(quad),
@@ -185,10 +187,8 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
         terms["D"] = Term(project_outer(central, pad_rows(bases["u"].modes),
                                         phiqg), "q", ("u", "q"), 0.0, -0.5 / dx)
         inputs += ("u",)
-    if linearization == LIN_DEIM_U_DEIM_F:
-        if "f" not in bases:
-            raise MissingAuxBasis("deim_u_deim_f needs an f basis")
-        inputs += ("f",)
+    if linearization == LIN_DEIM_U_DEIM_F and "f" not in bases:
+        raise MissingAuxBasis("deim_u_deim_f needs an f basis")
 
     if params.n_b > 0.0:
         gnb2 = g * params.n_b ** 2
@@ -204,6 +204,7 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
         else:
             terms["H"] = Term(project_outer(phiq, phiq, bases["f"].modes),
                               "q", ("q", "f"), 0.0, -gnb2)
+            inputs += ("f",)
 
     return _compile(terms, inputs + fan_inputs, bases["h"].m, system=system,
                     window_index=window_index,
@@ -226,7 +227,7 @@ def step_swe(x: np.ndarray, ops: SweOperators, ctx: SweRomContext,
     xa.append(_ONE)
     xa = np.concatenate(xa)
     z = (ops.scale0 + dt * ops.scale1) * xa[ops.gather]
-    incr = ops.lin @ z[ops.lin_in]
+    incr = ops.lin @ z[:ops.lin.shape[1]]
     for rows, operand, left, right in ops.quad:
         incr[rows] += contract_quadratic(operand, z[left], xa[right])
     return x + incr

@@ -233,6 +233,17 @@ def test_tav_replay_of_a_non_finite_state_raises():
         run_rom(setup, {"h": h0, "q": q0}, res.dts)
 
 
+def test_scalar_replay_hands_a_non_finite_state_back():
+    # Transport and Burgers callers judge a diverged replay themselves.
+    grid, params, w0, res = _transport_run(n=60, t_final=0.5)
+    setup = build_rom("transport", [res.snapshots], params, grid,
+                      n_windows=2, eps_pod=1e-10)
+    w_nan = w0.copy()
+    w_nan[10] = np.nan
+    out = run_rom(setup, {"w": w_nan}, res.dts)
+    assert not np.isfinite(out.final["w"]).all()
+
+
 def test_step_errors_carry_time_and_window():
     grid, params, h0, res = _dam_run()
     setup = build_rom("swe_lf", [res.snapshots], params, grid, n_windows=3,

@@ -13,7 +13,7 @@ from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          TimeAverages,
                          assemble_swe_hll_rom, assemble_swe_lf_rom,
                          build_swe_context, rom_swe_hll_step,
-                         rom_swe_lf_step, time_average)
+                         rom_swe_lf_step, swe_lf, time_average)
 
 from oracles import (friction_ops_oracle, kahan_sum, random_orthonormal,
                      swe_hll_deim_ops_oracle, swe_hll_tav_ops_oracle,
@@ -305,7 +305,7 @@ class TestFullBasisEquivalence:
         averages = TimeAverages(fields={"u": q / h, "h": h})
         ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
-        ctx = build_swe_context(bases, interpolants, lin, None, params.g)
+        ctx = build_swe_context(bases, interpolants, lin, None, params)
         dt = 0.02
         h_new, q_new = np.split(
             rom_swe_lf_step(np.concatenate([h, q]), ops, ctx, dt), 2)
@@ -333,8 +333,7 @@ class TestFullBasisEquivalence:
         names = ("u", "f") if coeff_mode == COEFF_TAV \
             else ("u", "f", "alpha0", "alpha1")
         interpolants = {v: deim_offline(bases[v].modes) for v in names}
-        ctx = build_swe_context(bases, interpolants, lin, coeff_mode,
-                                params.g)
+        ctx = build_swe_context(bases, interpolants, lin, coeff_mode, params)
         dt = 0.02
         h_new, q_new = np.split(
             rom_swe_hll_step(np.concatenate([h, q]), ops, ctx, dt), 2)
@@ -382,7 +381,7 @@ class TestCompiledStep:
                                        averages)
             step = rom_swe_hll_step
         interps = {v: deim_offline(bases[v].modes) for v in names}
-        ctx = build_swe_context(bases, interps, lin, coeff_mode, params.g)
+        ctx = build_swe_context(bases, interps, lin, coeff_mode, params)
         h_hat = bases["h"].modes.T @ h
         q_hat = bases["q"].modes.T @ q
         dt = 0.02
@@ -397,8 +396,16 @@ class TestCompiledStep:
     def test_matches_named_operator_oracle(self, lin, coeff_mode):
         self._check(lin, coeff_mode, n_b=0.1)
 
-    def test_frictionless_matches_named_operator_oracle(self):
-        self._check(LIN_DEIM_U_DEIM_F, COEFF_DEIM, n_b=0.0)
+    @pytest.mark.parametrize("coeff_mode", _FLUXES)
+    def test_frictionless_window_skips_the_f_refresh(self, monkeypatch,
+                                                     coeff_mode):
+        # With n_b = 0 no operator reads f, so it is neither sampled nor
+        # refreshed.
+        def refresh_f(ctx, pts):
+            raise AssertionError("f refreshed without a friction tensor")
+
+        monkeypatch.setattr(swe_lf, "refresh_f", refresh_f)
+        self._check(LIN_DEIM_U_DEIM_F, coeff_mode, n_b=0.0)
 
     @pytest.mark.parametrize("coeff_mode", _FLUXES)
     def test_named_operators_are_views_of_the_step_arrays(self, coeff_mode):
@@ -432,7 +439,7 @@ class TestSteps:
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
         for lin in (LIN_TAV, LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
             ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
-            ctx = build_swe_context(bases, interpolants, lin, None, params.g)
+            ctx = build_swe_context(bases, interpolants, lin, None, params)
             h_hat = bases["h"].modes.T @ h_field
             q_hat = np.zeros(1)
             h_new, q_new = np.split(rom_swe_lf_step(
