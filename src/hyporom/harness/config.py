@@ -74,8 +74,12 @@ class ExperimentConfig:
             raise ConfigError("nu must lie in (0, 1]")
         if not 0.0 < self.eps_pod < 1.0:
             raise ConfigError("eps_pod must lie in (0, 1)")
+        if self.n_cells < 1:
+            raise ConfigError("n_cells must be >= 1")
         if self.n_windows < 1:
             raise ConfigError("n_windows must be >= 1")
+        if self.mode_cap is not None and self.mode_cap < 1:
+            raise ConfigError("mode_cap must be >= 1 (empty for no cap)")
         if self.t_final < 0.0:
             raise ConfigError("t_final must be >= 0")
         if self.snapshot_stride < 1:
@@ -94,12 +98,19 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
+def _number(name: str, kind, raw: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{name}: cannot parse {raw!r}") from None
+
+
 def _parse_value(name: str, kind, raw: str):
     raw = raw.strip()
     if kind == "tuple":
         if not raw:
             return ()
-        return tuple(float(v) for v in raw.split(","))
+        return tuple(_number(name, float, v) for v in raw.split(","))
     if raw == "" or raw.lower() == "none":
         return None
     if kind is bool:
@@ -108,10 +119,7 @@ def _parse_value(name: str, kind, raw: str):
         except KeyError:
             raise ConfigError(f"{name}: expected a boolean, got {raw!r}") \
                 from None
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: cannot parse {raw!r}") from None
+    return _number(name, kind, raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -144,10 +152,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "preset" not in values:
         raise ConfigError("config must name a preset")
-    if "sweep_modes" in values:
-        values["sweep_modes"] = tuple(int(v) for v in values["sweep_modes"])
-    if "sweep_windows" in values:
-        values["sweep_windows"] = tuple(int(v) for v in values["sweep_windows"])
+    for key in ("sweep_modes", "sweep_windows"):
+        if key in values:
+            if not all(v.is_integer() for v in values[key]):
+                raise ConfigError(f"{key}: expected integers, got "
+                                  f"{values[key]}")
+            values[key] = tuple(int(v) for v in values[key])
     clean = {k: v for k, v in values.items()
              if v is not None or k == "mode_cap"}
     return ExperimentConfig(**clean)

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..deim import DeimInterpolant, deim_online_values
-from ..errors import (DegenerateWaveFan, EvaluationError, MissingAuxBasis,
-                      UnsupportedSystem)
-from ..fom.swe import SweParams
+from ..errors import DegenerateWaveFan, EvaluationError
 
 LIN_TAV = "tav"
 LIN_DEIM_U_TAV_F = "deim_u_tav_f"
@@ -61,14 +59,15 @@ class SweRomContext:
     fan_right: slice | None = None
 
 
-def build_swe_context(bases: dict, interpolants: dict, linearization: str,
-                      coeff_mode: str | None,
-                      params: SweParams) -> SweRomContext:
-    if linearization not in LINEARIZATIONS:
-        raise UnsupportedSystem(f"unknown linearization {linearization!r}")
+def build_swe_context(bases: dict, interpolants: dict, inputs: tuple,
+                      g: float) -> SweRomContext:
+    """Sample the DEIM blocks among a window's step ``inputs`` (after h
+    and q) in their order, which the assembler fixes as u, f, alpha0,
+    alpha1: u and f at their points, the fan coefficients at the cells
+    flanking their interfaces."""
     h_modes = bases["h"].modes
     q_modes = bases["q"].modes
-    ctx = SweRomContext(g=params.g)
+    ctx = SweRomContext(g=g)
     cells = []
 
     def take(idx) -> slice:
@@ -76,22 +75,13 @@ def build_swe_context(bases: dict, interpolants: dict, linearization: str,
         cells.append(idx)
         return slice(start, start + len(idx))
 
-    if linearization in (LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
-        if "u" not in interpolants:
-            raise MissingAuxBasis("DEIM treatment of u needs a u basis")
+    if "u" in inputs:
         u = interpolants["u"]
         ctx.u_samples = PointSamples(interp=u, at=take(u.indices))
-    if linearization == LIN_DEIM_U_DEIM_F:
-        if "f" not in interpolants:
-            raise MissingAuxBasis("DEIM friction needs an f basis")
-        # f feeds only the friction tensor, which n_b = 0 leaves out.
-        if params.n_b > 0.0:
-            f = interpolants["f"]
-            ctx.f_samples = PointSamples(interp=f, at=take(f.indices))
-    if coeff_mode == COEFF_DEIM:
-        for name in ("alpha0", "alpha1"):
-            if name not in interpolants:
-                raise MissingAuxBasis(f"DEIM fan coefficients need an {name} basis")
+    if "f" in inputs:
+        f = interpolants["f"]
+        ctx.f_samples = PointSamples(interp=f, at=take(f.indices))
+    if "alpha0" in inputs:
         a0, a1 = interpolants["alpha0"], interpolants["alpha1"]
         ctx.a0_samples = InterfaceSamples(interp=a0)
         ctx.a1_samples = InterfaceSamples(interp=a1)

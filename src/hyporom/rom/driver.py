@@ -3,7 +3,9 @@
 Offline: the snapshot columns of each training run are partitioned into
 N_v uniform windows; same-window blocks are pooled across runs, one POD
 basis per (variable, window) is built, the per-system mode count is
-unified, and the window operators/averages/interpolants are assembled.
+unified, and the window averages and compiled operators are assembled;
+a SWE window then gets DEIM interpolants for exactly the inputs its
+operators read (``ops.inputs``).
 
 Online: the reduced state replays the first run's recorded dt sequence.
 It stays packed, x = [c_var for each conserved variable], and the replay
@@ -11,7 +13,8 @@ loops over precomputed runs of consecutive steps that share a window.
 Entering a run in a new window transfers the conserved coefficients
 through the continuity-of-projection jump condition, so the crossing
 step already uses the incoming window's operators; each step is one call
-of the system's step function.  A SWE state is checked for NaN/Inf once
+``step(x, ops, ctx, dt)`` of the system's step function (ctx is None for
+transport and Burgers).  A SWE state is checked for NaN/Inf once
 at the end of each run; transport and Burgers replays hand a non-finite
 state back to the caller, which judges the divergence.
 """
@@ -52,14 +55,15 @@ def conserved_variables(system: str) -> tuple[str, ...]:
 
 
 def basis_variables(system: str, linearization: str | None,
-                    coeff_mode: str | None) -> tuple[str, ...]:
-    """Variables that need a POD basis for the given configuration."""
+                    coeff_mode: str | None, n_b: float) -> tuple[str, ...]:
+    """Variables that need a POD basis for the given configuration; f
+    feeds only the friction tensor, which n_b = 0 leaves out."""
     if system in ("transport", "burgers"):
         return ("w",)
     names = ["h", "q"]
     if linearization in (LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
         names.append("u")
-    if linearization == LIN_DEIM_U_DEIM_F:
+    if linearization == LIN_DEIM_U_DEIM_F and n_b > 0.0:
         names.append("f")
     if system == "swe_hll" and coeff_mode == COEFF_DEIM:
         names += ["alpha0", "alpha1"]
@@ -173,11 +177,13 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
     """
     if system not in SYSTEMS:
         raise UnsupportedSystem(f"unknown reduced system {system!r}")
-    if system in ("swe_lf", "swe_hll") and linearization not in LINEARIZATIONS:
+    swe = system in ("swe_lf", "swe_hll")
+    if swe and linearization not in LINEARIZATIONS:
         raise UnsupportedSystem(f"unknown linearization {linearization!r}")
     if system == "swe_hll" and coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
-    variables = basis_variables(system, linearization, coeff_mode)
+    variables = basis_variables(system, linearization, coeff_mode,
+                                params.n_b if swe else 0.0)
     avg_vars = average_variables(system, linearization, coeff_mode)
     for g in groups:
         missing = [v for v in set(variables) | set(avg_vars) if v not in g]
@@ -211,11 +217,6 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
             ops = assemble_burgers_rom(bases["w"], params, grid,
                                        window_index=v)
         else:
-            interpolants = {var: deim_offline(bases[var].modes)
-                            for var in variables if var not in ("h", "q")}
-            context = build_swe_context(bases, interpolants, linearization,
-                                        coeff_mode if system == "swe_hll" else None,
-                                        params)
             if system == "swe_lf":
                 ops = assemble_swe_lf_rom(bases, params, grid, linearization,
                                           averages, window_index=v)
@@ -223,6 +224,10 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
                 ops = assemble_swe_hll_rom(bases, params, grid, linearization,
                                            coeff_mode, averages,
                                            window_index=v)
+            interpolants = {var: deim_offline(bases[var].modes)
+                            for var in ops.inputs[2:]}
+            context = build_swe_context(bases, interpolants, ops.inputs,
+                                        params.g)
         windows.append(RomWindow(index=v, bases=bases, ops=ops,
                                  context=context, averages=averages))
 
@@ -297,7 +302,7 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
         "swe_lf": rom_swe_lf_step,
         "swe_hll": rom_swe_hll_step,
     }[setup.system]
-    scalar = setup.system in ("transport", "burgers")
+    swe = setup.system in ("swe_lf", "swe_hll")
 
     window = setup.windows[0]
     x = _project_state(window, initial_fields, names)
@@ -315,14 +320,13 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
         try:
             for n in range(start, stop):
                 prev = x
-                x = (step_fn(x, ops, steps[n]) if scalar
-                     else step_fn(x, ops, ctx, steps[n]))
+                x = step_fn(x, ops, ctx, steps[n])
                 if history is not None:
                     history.append((window, x))
         except HyporomError as exc:
             raise type(exc)(f"{exc} (step from t={float(dts[:n].sum()):.6g}, "
                             f"window {v})") from exc
-        if not scalar and not np.isfinite(x).all():
+        if swe and not np.isfinite(x).all():
             raise NonFiniteState(
                 f"non-finite reduced state after step {stop - 1} "
                 f"(window {v})")

@@ -10,10 +10,8 @@ into U matrices and vectors (coeff_mode "tav") or DEIM-updated
 coefficients contracted against U tensors, with U_3 and U_7 matrices on
 the coefficients (coeff_mode "deim").  Each U tensor is one
 ``project_outer`` call with the interface difference moved onto the test
-functions.  The U terms join the compiled step like the shared ones: U
-matrices and vectors as columns of its linear block, U tensors as column
-blocks of the h and q operands, read against the refreshed fan
-coefficients stacked after u and f.
+functions.  The U terms are compiled with the shared ones; the fan
+coefficients are the step's last inputs, after u and f.
 """
 
 import numpy as np
@@ -26,8 +24,9 @@ from .context import COEFF_MODES, COEFF_TAV, SweRomContext, refresh_alphas
 # names.
 from .context import refresh_u  # noqa: F401
 from .operators import contract_quadratic  # noqa: F401
-from .operators import TimeAverages, pad_rows, project_outer, stencil_weights
-from .swe_lf import SweOperators, Term, assemble_swe, bed_rows, step_swe
+from .operators import (RomOperators, Term, TimeAverages, pad_rows,
+                        project_outer, stencil_weights)
+from .swe_lf import assemble_swe, bed_rows, step_swe
 
 
 def _jumps(phi):
@@ -62,7 +61,7 @@ def _fan_tensor_vec(phi_out, coef_modes, dz):
 def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                          linearization: str, coeff_mode: str,
                          averages: TimeAverages,
-                         window_index: int = 0) -> SweOperators:
+                         window_index: int = 0) -> RomOperators:
     if coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     phih = bases["h"].modes
@@ -116,6 +115,6 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                         averages, window_index, terms, fan_inputs)
 
 
-def rom_swe_hll_step(x: np.ndarray, ops: SweOperators, ctx: SweRomContext,
+def rom_swe_hll_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
                      dt: float) -> np.ndarray:
     return step_swe(x, ops, ctx, dt, refresh_alphas)

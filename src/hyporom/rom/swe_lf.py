@@ -20,42 +20,27 @@ The tensors E, D and H are each one ``project_outer`` call (a GEMM over
 bounded row blocks, see operators.py); for E and D the central
 difference of the padded products is moved onto the q test functions.
 
-The assembler then compiles the window into one step shape on the packed
-state x = [h_hat; q_hat].  With xa = [x; refreshed DEIM coefficients; 1]:
-
-    z     = (scale0 + dt * scale1) * xa[gather]
-    x_new = x + lin @ z[:n_lin]
-            + contract_quadratic(operand, z[left], xa[right])
-              in the rows of each output block (h, q) that holds tensors
-
-``lin`` holds every matrix and vector term side by side, each in the rows
-of the equation it feeds and zero elsewhere.  ``z`` is every scaled
-input: the inputs of the n_lin columns of ``lin``, then the left member
-of each tensor pair.  ``scale0`` carries the dt-free PVM-0 viscosity
-nu/2 and ``scale1`` the factors per unit dt (-1/(2dx) for A and D,
--g/(4dx) for E and G, -g n_b^2 for H, 1/(2dx) for the HLL fans).  Each
-block's tensors are the column blocks of one operand, contracted in one
-GEMV.  Because the factors multiply the inputs, not the operators, the
-named entries of ``matrices``, ``vectors`` and ``tensors3`` are views
-into these arrays, bitwise the assembled operators.  Both fluxes step
-through ``step_swe``; which terms a window holds is decided by the
-assembler alone.  f is an input only of the friction tensor, so a
-frictionless deim_u_deim_f window neither samples nor refreshes it
-(``build_swe_context``).
+The assembler then compiles the window into the step shape of
+operators.py on x = [h_hat; q_hat].  The inputs are h and q, then the
+DEIM-refreshed coefficients each term reads, in the order u, f, alpha0,
+alpha1; this order is ``ops.inputs``, and ``build_swe_context`` samples
+exactly those blocks.  The per-dt factors are -1/(2dx) for A and D,
+-g/(4dx) for E and G, -g n_b^2 for H and 1/(2dx) for the HLL fans; the
+PVM-0 terms carry nu/2 as their fixed factor.  f is an input only of
+the friction tensor, so a frictionless deim_u_deim_f window has no f
+input, and its setup no f basis.
 """
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import MissingAuxBasis, UnsupportedSystem
 from ..fom.swe import SweParams
 from ..grid import Grid1D
-from .context import (LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F, LIN_TAV,
-                      LINEARIZATIONS, SweRomContext, refresh_f, refresh_u)
-from .operators import (RomOperators, TimeAverages, contract_quadratic,
-                        pad_rows, project_outer, stencil_weights)
+from .context import (LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
+                      SweRomContext, refresh_f, refresh_u)
+from .operators import (RomOperators, Term, TimeAverages, advance,
+                        compile_terms, contract_quadratic, pad_rows,
+                        project_outer, stencil_weights)
 
 # Central difference over padded rows, x[i+2] - x[i], moved onto the modes.
 _CENTRAL = {2: 1, 0: -1}
@@ -63,94 +48,14 @@ _CENTRAL = {2: 1, 0: -1}
 _ONE = np.ones(1)
 
 
-class Term(NamedTuple):
-    """One window operator and where it enters the step."""
-
-    array: np.ndarray
-    out: str            # the equation it feeds: "h" or "q"
-    inputs: tuple       # () vector, (a,) matrix on a, (a, b) tensor on a x b
-    fixed: float        # factor per step (the PVM-0 viscosity nu/2)
-    per_dt: float       # factor per unit dt
-
-
-@dataclass
-class SweOperators(RomOperators):
-    """Window operators and their compiled step (module docstring)."""
-
-    lin: np.ndarray | None = None
-    gather: np.ndarray | None = None
-    scale0: np.ndarray | None = None
-    scale1: np.ndarray | None = None
-    quad: tuple = ()                # (rows, operand, left, right) per block
-
-
 def bed_rows(params: SweParams, grid: Grid1D) -> np.ndarray:
     """Bathymetry at the cell centres with replicated ghost rows."""
     return pad_rows(np.asarray(params.bathymetry(grid.centers), dtype=float))
 
 
-def _compile(terms: dict, inputs: tuple, m: int, **fields) -> SweOperators:
-    """Pack the terms into the step arrays.  ``inputs`` names the M-blocks
-    of xa in order; terms are popped as they are copied, so no operator
-    is held twice."""
-    start = {name: i * m for i, name in enumerate(inputs)}
-    one = len(inputs) * m
-    rows = {"h": slice(0, m), "q": slice(m, 2 * m)}
-    linear = [name for name, t in terms.items() if len(t.inputs) < 2]
-    n_cols = sum(m if terms[name].inputs else 1 for name in linear)
-    lin = np.zeros((2 * m, n_cols))
-    matrices, vectors, tensors = {}, {}, {}
-    gather, scale0, scale1 = [], [], []
-    col = 0
-    for name in linear:
-        t = terms.pop(name)
-        width = m if t.inputs else 1
-        block = lin[rows[t.out], col:col + width]
-        block[:] = t.array.reshape(m, width)
-        if t.inputs:
-            matrices[name] = block
-            gather.append(start[t.inputs[0]] + np.arange(m))
-        else:
-            vectors[name] = block[:, 0]
-            gather.append([one])
-        scale0.append(np.full(width, t.fixed))
-        scale1.append(np.full(width, t.per_dt))
-        col += width
-
-    # The left member of each tensor pair is gathered and scaled with the
-    # linear inputs, after them; the right member is read from xa as is.
-    quad = []
-    first = n_cols
-    for out in ("h", "q"):
-        names = [name for name, t in terms.items() if t.out == out]
-        if not names:
-            continue
-        operand = np.empty((m, len(names) * m * m))
-        right = []
-        for j, name in enumerate(names):
-            t = terms.pop(name)
-            block = operand[:, j * m * m:(j + 1) * m * m]
-            block[:] = t.array.reshape(m, m * m)
-            tensors[name] = block.reshape(m, m, m)
-            gather.append(start[t.inputs[0]] + np.arange(m))
-            right.append(start[t.inputs[1]] + np.arange(m))
-            scale0.append(np.zeros(m))
-            scale1.append(np.full(m, t.per_dt))
-        left = first + np.arange(len(names) * m).reshape(len(names), m)
-        first += len(names) * m
-        quad.append((rows[out], operand, left, np.array(right)))
-
-    return SweOperators(m=m, matrices=matrices, vectors=vectors,
-                        tensors3=tensors, lin=lin,
-                        gather=np.concatenate(gather),
-                        scale0=np.concatenate(scale0),
-                        scale1=np.concatenate(scale1), quad=tuple(quad),
-                        **fields)
-
-
 def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
                  linearization: str, averages: TimeAverages, window_index: int,
-                 terms: dict, fan_inputs: tuple = ()) -> SweOperators:
+                 terms: dict, fan_inputs: tuple = ()) -> RomOperators:
     """Window operators, compiled: the flux's own viscosity ``terms`` plus
     A, E, G, the momentum flux and friction H, which every flux shares.
     ``fan_inputs`` names the fan coefficients the flux's terms read, which
@@ -187,8 +92,6 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
         terms["D"] = Term(project_outer(central, pad_rows(bases["u"].modes),
                                         phiqg), "q", ("u", "q"), 0.0, -0.5 / dx)
         inputs += ("u",)
-    if linearization == LIN_DEIM_U_DEIM_F and "f" not in bases:
-        raise MissingAuxBasis("deim_u_deim_f needs an f basis")
 
     if params.n_b > 0.0:
         gnb2 = g * params.n_b ** 2
@@ -202,17 +105,18 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
             terms["H"] = Term(phiq.T @ (kern[:, None] * phiq), "q", ("q",),
                               0.0, -gnb2)
         else:
+            if "f" not in bases:
+                raise MissingAuxBasis("deim_u_deim_f with friction needs "
+                                      "an f basis")
             terms["H"] = Term(project_outer(phiq, phiq, bases["f"].modes),
                               "q", ("q", "f"), 0.0, -gnb2)
             inputs += ("f",)
 
-    return _compile(terms, inputs + fan_inputs, bases["h"].m, system=system,
-                    window_index=window_index,
-                    scalars={"dx": dx, "g": g, "n_b": params.n_b,
-                             "nu": params.nu})
+    return compile_terms(terms, inputs + fan_inputs, ("h", "q"), bases["h"].m,
+                         system=system, window_index=window_index)
 
 
-def step_swe(x: np.ndarray, ops: SweOperators, ctx: SweRomContext,
+def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
              dt: float, refresh_fans) -> np.ndarray:
     """One reduced step of the packed state x = [h_hat; q_hat].  The fan
     refresh is passed by the HLL entry point, which owns its name."""
@@ -225,17 +129,12 @@ def step_swe(x: np.ndarray, ops: SweOperators, ctx: SweRomContext,
     if ctx.a0_samples is not None:
         xa.extend(refresh_fans(ctx, pts))
     xa.append(_ONE)
-    xa = np.concatenate(xa)
-    z = (ops.scale0 + dt * ops.scale1) * xa[ops.gather]
-    incr = ops.lin @ z[:ops.lin.shape[1]]
-    for rows, operand, left, right in ops.quad:
-        incr[rows] += contract_quadratic(operand, z[left], xa[right])
-    return x + incr
+    return advance(x, np.concatenate(xa), ops, dt, contract_quadratic)
 
 
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
                         linearization: str, averages: TimeAverages,
-                        window_index: int = 0) -> SweOperators:
+                        window_index: int = 0) -> RomOperators:
     phih = bases["h"].modes
     phiq = bases["q"].modes
     phihg = pad_rows(phih)
@@ -253,6 +152,6 @@ def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
                       ("q",), half_nu, 0.0)})
 
 
-def rom_swe_lf_step(x: np.ndarray, ops: SweOperators, ctx: SweRomContext,
+def rom_swe_lf_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
                     dt: float) -> np.ndarray:
     return step_swe(x, ops, ctx, dt, None)

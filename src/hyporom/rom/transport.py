@@ -1,8 +1,10 @@
 """Galerkin reduction of the transport scheme: three M x M operators.
 
-A carries the advective stencil, B the viscous one (nu factored out),
-C the source weights; ghosts use the same stationary-extension factors
-as the full-order step, so the reduced update is its exact projection.
+A carries the advective stencil (factor -c/(2dx) per unit dt), B the
+viscous one (nu factored out, factor nu/2 per step), C the source
+weights (c/dx per unit dt); ghosts use the same stationary-extension
+factors as the full-order step, so the reduced update is its exact
+projection.  The step is the compiled linear block of operators.py.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import numpy as np
 from ..fom.transport import TransportParams, ghost_factors
 from ..grid import Grid1D
 from ..pod import PodBasis
-from .operators import RomOperators, pad_rows
+from .operators import RomOperators, Term, advance, compile_terms, pad_rows
 
 
 def assemble_transport_rom(basis: PodBasis, params: TransportParams,
@@ -25,23 +27,14 @@ def assemble_transport_rom(basis: PodBasis, params: TransportParams,
 
     adv = phig[2:] * em + phig[1:-1] * (ep - em) - phig[:-2] * ep
     vis = phig[2:] * em - phig[1:-1] * (ep + em) + phig[:-2] * ep
-    a_mat = phi.T @ adv
-    b_mat = phi.T @ vis
-    c_mat = (ep - em) * (phi.T @ phi)
-
-    return RomOperators(system="transport", window_index=window_index,
-                        m=basis.m,
-                        matrices={"A": a_mat, "B": b_mat, "C": c_mat},
-                        scalars={"dx": dx, "c": c, "alpha": alpha,
-                                 "nu": params.nu})
+    terms = {
+        "A": Term(phi.T @ adv, "w", ("w",), 0.0, -0.5 * c / dx),
+        "B": Term(phi.T @ vis, "w", ("w",), 0.5 * params.nu, 0.0),
+        "C": Term((ep - em) * (phi.T @ phi), "w", ("w",), 0.0, c / dx)}
+    return compile_terms(terms, ("w",), ("w",), basis.m, system="transport",
+                         window_index=window_index)
 
 
-def rom_transport_step(w_hat: np.ndarray, ops: RomOperators,
+def rom_transport_step(x: np.ndarray, ops: RomOperators, ctx: None,
                        dt: float) -> np.ndarray:
-    s = ops.scalars
-    lam = dt / s["dx"]
-    c = s["c"]
-    mats = ops.matrices
-    return (w_hat - 0.5 * c * lam * (mats["A"] @ w_hat)
-            + 0.5 * s["nu"] * (mats["B"] @ w_hat)
-            + c * lam * (mats["C"] @ w_hat))
+    return advance(x, x, ops, dt)

@@ -418,16 +418,37 @@ def random_orthonormal(n, m, seed):
 
 
 # ---------------------------------------------------------------------------
-# reduced SWE step by operator name
+# reduced steps by operator name
 
-def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, dt):
+def transport_rom_step_oracle(w_hat, ops, params, dx, dt):
+    """One reduced transport step read off the named operators."""
+    lam = dt / dx
+    c = params.c
+    mats = ops.matrices
+    return (w_hat - 0.5 * c * lam * (mats["A"] @ w_hat)
+            + 0.5 * params.nu * (mats["B"] @ w_hat)
+            + c * lam * (mats["C"] @ w_hat))
+
+
+def burgers_rom_step_oracle(w_hat, ops, params, dx, dt):
+    """One reduced Burgers step read off the named operators, each tensor
+    contracted on its own."""
+    lam = dt / dx
+    quad_a = (ops.tensors3["A"] @ w_hat) @ w_hat
+    quad_c = (ops.tensors3["C"] @ w_hat) @ w_hat
+    return (w_hat - 0.25 * lam * quad_a
+            + 0.5 * params.nu * (ops.matrices["B"] @ w_hat)
+            + 0.5 * lam * quad_c)
+
+
+def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params, dx, dt):
     """One reduced SWE step read off the named operators: the momentum
     flux, friction and viscosity forms are chosen by which names the
     window holds, tensors are contracted with einsum, and each DEIM
     coefficient vector solves U_I c = values on the lifted fields."""
-    mats, vecs, tens, s = ops.matrices, ops.vectors, ops.tensors3, ops.scalars
-    lam = dt / s["dx"]
-    g = s["g"]
+    mats, vecs, tens = ops.matrices, ops.vectors, ops.tensors3
+    lam = dt / dx
+    g = params.g
     h = bases["h"].modes @ h_hat
     q = bases["q"].modes @ q_hat
     n = len(h)
@@ -450,7 +471,7 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, dt):
     else:
         flux_u = quad(tens["D"], coeffs("u", lambda i: q[i] / h[i]), q_hat)
 
-    gnb2 = g * s["n_b"] ** 2
+    gnb2 = g * params.n_b ** 2
     if "H" in vecs:
         friction = gnb2 * vecs["H"]
     elif "H" in mats:
@@ -462,8 +483,8 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, dt):
         friction = 0.0
 
     if ops.system == "swe_lf":
-        visc_h = 0.5 * s["nu"] * (mats["B"] @ h_hat + vecs["C"])
-        visc_q = 0.5 * s["nu"] * (mats["F"] @ q_hat)
+        visc_h = 0.5 * params.nu * (mats["B"] @ h_hat + vecs["C"])
+        visc_q = 0.5 * params.nu * (mats["F"] @ q_hat)
     elif "U1" in mats:
         visc_h = 0.5 * lam * (mats["U1"] @ h_hat + mats["U2"] @ q_hat
                               + vecs["U3"])

@@ -422,7 +422,7 @@ def test_criterion_7_oracle_suite():
         w_fom = w.copy()
         for _ in range(100):
             w_fom = transport_step(w_fom, params, grid, dt)
-            w_hat = rom_transport_step(w_hat, ops, dt)
+            w_hat = rom_transport_step(w_hat, ops, None, dt)
         assert np.max(np.abs(lift(full, w_hat) - w_fom)) <= 1e-11
 
         # Every FOM step against its scalar transcription oracle.

@@ -91,6 +91,24 @@ class TestConfig:
         cfg = parse_config(text + "allow_target_in_training = true\n")
         assert cfg.target_param == 0.03
 
+    @pytest.mark.parametrize("line", [
+        "training_set = 0.1, x",
+        "training_set = 0.1,",
+        "sweep_modes = 5, 10.7",
+        "sweep_windows = 2, inf",
+        "n_cells = 0",
+        "mode_cap = 0",
+    ])
+    def test_bad_value_raises_config_error(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(f"preset = swe_dam_break\n{line}\n")
+
+    def test_integral_sweep_entries_and_empty_mode_cap(self):
+        cfg = parse_config("preset = swe_dam_break\nsweep_modes = 5, 10.0\n"
+                           "mode_cap =\n")
+        assert cfg.sweep_modes == (5, 10)
+        assert cfg.mode_cap is None
+
     def test_plain_lf_pins_nu(self):
         cfg = parse_config("preset = swe_dam_break\nflux = lf\nnu = 0.7\n")
         assert cfg.nu == 1.0
@@ -239,6 +257,13 @@ class TestCli:
         cfg.write_text("preset = no_such_preset\n")
         proc = self._run("rom", "run", str(cfg), cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
+
+    def test_bad_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("preset = swe_dam_break\ntraining_set = 0.1, x\n")
+        proc = self._run("rom", "run", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # Running the dam break with the viscosity far below the stability

@@ -45,7 +45,7 @@ def test_single_window_equals_manual_stepping():
     basis = setup.windows[0].bases["w"]
     w_hat = project(basis, w0)
     for dt in res.dts:
-        w_hat = rom_transport_step(w_hat, setup.windows[0].ops, dt)
+        w_hat = rom_transport_step(w_hat, setup.windows[0].ops, None, dt)
     np.testing.assert_allclose(out.final["w"], lift(basis, w_hat), atol=1e-13)
 
 
@@ -200,25 +200,41 @@ def test_parametric_pooling_shapes():
         setup = build_rom("swe_lf", [g for g, _ in groups], target, grid,
                           n_windows=5, eps_pod=1e-10,
                           linearization=LIN_DEIM_U_DEIM_F)
-    # Online n_b is the target value baked into the step scalars.
-    assert setup.windows[0].ops.scalars["n_b"] == pytest.approx(0.035)
+    # Online n_b is the target value baked into the friction factor.
+    assert np.isclose(setup.windows[0].ops.scale1, -9.81 * 0.035 ** 2,
+                      rtol=1e-12, atol=0).any()
     out = run_rom(setup, {"h": h0, "q": np.zeros_like(h0)}, groups[0][1])
     assert out.final["h"].shape == (60,)
 
 
-def _dam_run(n=200, t_final=0.5):
+def _dam_run(n=200, t_final=0.5, n_b=0.1):
     grid = Grid1D(0.0, 12.0, n)
 
     def z(x):
         return 0.2 * (1.0 - np.asarray(x) / 12.0)
 
-    params = SweParams(g=9.81, n_b=0.1, nu=0.9, bathymetry=z)
+    params = SweParams(g=9.81, n_b=n_b, nu=0.9, bathymetry=z)
     zc = z(grid.centers)
     h0 = np.where(grid.centers <= 6.0, 2.0 - zc, 1.0 - zc)
     from hyporom.fom import SweState
     state = SweState(h=h0, q=np.zeros_like(h0))
     model = SweModel(params, grid, FluxChoice.MODIFIED_LAX_FRIEDRICHS)
     return grid, params, h0, run_fom(model, state, t_final=t_final, cfl=0.9)
+
+
+def test_frictionless_build_has_no_f_basis():
+    # f feeds only the friction tensor, so n_b = 0 needs no f basis.
+    grid, params, h0, res = _dam_run(n=100, n_b=0.0)
+    setup = build_rom("swe_lf", [res.snapshots], params, grid, n_windows=3,
+                      eps_pod=1e-10, mode_cap=5,
+                      linearization=LIN_DEIM_U_DEIM_F)
+    assert not any(var == "f" for var, _ in setup.spectra)
+    for w in setup.windows:
+        assert "f" not in w.bases
+        assert w.ops.inputs == ("h", "q", "u")
+        assert w.context.f_samples is None
+    out = run_rom(setup, {"h": h0, "q": np.zeros_like(h0)}, res.dts)
+    assert np.isfinite(out.final["h"]).all()
 
 
 def test_tav_replay_of_a_non_finite_state_raises():

@@ -10,7 +10,9 @@ from hyporom.pod import PodBasis, compute_basis, project, lift
 from hyporom.rom import (assemble_burgers_rom, assemble_transport_rom,
                          rom_burgers_step, rom_transport_step)
 
-from oracles import burgers_ops_oracle, random_orthonormal, transport_ops_oracle
+from oracles import (burgers_ops_oracle, burgers_rom_step_oracle,
+                     random_orthonormal, transport_ops_oracle,
+                     transport_rom_step_oracle)
 
 
 def _orth_basis(n, m, seed):
@@ -52,7 +54,7 @@ class TestTransportStep:
         assert basis.m == 1
         ops = assemble_transport_rom(basis, params, grid)
         w_hat = project(basis, w_star)
-        out = rom_transport_step(w_hat, ops, dt=0.9 * grid.dx)
+        out = rom_transport_step(w_hat, ops, None, dt=0.9 * grid.dx)
         lifted = lift(basis, out)
         assert np.max(np.abs(lifted - w_star)) <= 1e-13 * np.max(np.abs(w_star))
 
@@ -61,7 +63,7 @@ class TestTransportStep:
         params = TransportParams(c=1.0, alpha=0.4)
         basis = _orth_basis(20, 4, seed=2)
         ops = assemble_transport_rom(basis, params, grid)
-        out = rom_transport_step(np.zeros(4), ops, dt=0.01)
+        out = rom_transport_step(np.zeros(4), ops, None, dt=0.01)
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_full_basis_reproduces_fom_over_100_steps(self):
@@ -78,7 +80,7 @@ class TestTransportStep:
         w_fom = w.copy()
         for _ in range(100):
             w_fom = transport_step(w_fom, params, grid, dt)
-            w_hat = rom_transport_step(w_hat, ops, dt)
+            w_hat = rom_transport_step(w_hat, ops, None, dt)
         np.testing.assert_allclose(lift(basis, w_hat), w_fom, rtol=0,
                                    atol=1e-11)
 
@@ -119,7 +121,7 @@ class TestBurgersStep:
         ops = assemble_burgers_rom(basis, params, grid)
         w_hat = project(basis, w_star)
         dt = 0.9 * grid.dx / np.max(np.abs(w_star))
-        out = rom_burgers_step(w_hat, ops, dt)
+        out = rom_burgers_step(w_hat, ops, None, dt)
         lifted = lift(basis, out)
         assert np.max(np.abs(lifted - w_star)) <= 1e-13 * np.max(np.abs(w_star))
 
@@ -127,7 +129,7 @@ class TestBurgersStep:
         grid = Grid1D(0.0, 1.0, 10)
         basis = _orth_basis(10, 2, seed=4)
         ops = assemble_burgers_rom(basis, BurgersParams(alpha=0.5), grid)
-        out = rom_burgers_step(np.zeros(2), ops, 0.01)
+        out = rom_burgers_step(np.zeros(2), ops, None, 0.01)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_full_basis_reproduces_fom_over_50_steps(self):
@@ -144,6 +146,43 @@ class TestBurgersStep:
         for _ in range(50):
             dt = 0.9 * grid.dx / np.max(np.abs(w_fom))
             w_fom = burgers_step(w_fom, params, grid, dt)
-            w_hat = rom_burgers_step(w_hat, ops, dt)
+            w_hat = rom_burgers_step(w_hat, ops, None, dt)
         np.testing.assert_allclose(lift(basis, w_hat), w_fom, rtol=0,
                                    atol=1e-10)
+
+
+class TestCompiledStep:
+    """The compiled steps against the named-operator oracles on truncated
+    bases (M < n), and their named operators as views of the step arrays."""
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_transport_matches_named_operator_oracle(self, seed):
+        n, m = 30, 6
+        grid = Grid1D(0.0, 2.0, n)
+        params = TransportParams(c=1.3, alpha=0.7, nu=0.8)
+        ops = assemble_transport_rom(_orth_basis(n, m, seed), params, grid)
+        w_hat = np.random.default_rng(seed).standard_normal(m)
+        dt = 0.9 * grid.dx / params.c
+        np.testing.assert_allclose(
+            rom_transport_step(w_hat, ops, None, dt),
+            transport_rom_step_oracle(w_hat, ops, params, grid.dx, dt),
+            rtol=0, atol=1e-13)
+        for arr in ops.matrices.values():
+            assert np.shares_memory(arr, ops.lin)
+
+    @pytest.mark.parametrize("seed", [33, 34])
+    def test_burgers_matches_named_operator_oracle(self, seed):
+        n, m = 30, 6
+        grid = Grid1D(0.0, 2.0, n)
+        params = BurgersParams(alpha=0.9, nu=0.85)
+        ops = assemble_burgers_rom(_orth_basis(n, m, seed), params, grid)
+        w_hat = 1.0 + np.random.default_rng(seed).random(m)
+        dt = 0.9 * grid.dx / np.max(np.abs(w_hat))
+        np.testing.assert_allclose(
+            rom_burgers_step(w_hat, ops, None, dt),
+            burgers_rom_step_oracle(w_hat, ops, params, grid.dx, dt),
+            rtol=0, atol=1e-13)
+        assert np.shares_memory(ops.matrices["B"], ops.lin)
+        (_, operand, _, _), = ops.quad
+        for arr in ops.tensors3.values():
+            assert np.shares_memory(arr, operand)

@@ -305,7 +305,7 @@ class TestFullBasisEquivalence:
         averages = TimeAverages(fields={"u": q / h, "h": h})
         ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
-        ctx = build_swe_context(bases, interpolants, lin, None, params)
+        ctx = build_swe_context(bases, interpolants, ops.inputs, params.g)
         dt = 0.02
         h_new, q_new = np.split(
             rom_swe_lf_step(np.concatenate([h, q]), ops, ctx, dt), 2)
@@ -333,7 +333,7 @@ class TestFullBasisEquivalence:
         names = ("u", "f") if coeff_mode == COEFF_TAV \
             else ("u", "f", "alpha0", "alpha1")
         interpolants = {v: deim_offline(bases[v].modes) for v in names}
-        ctx = build_swe_context(bases, interpolants, lin, coeff_mode, params)
+        ctx = build_swe_context(bases, interpolants, ops.inputs, params.g)
         dt = 0.02
         h_new, q_new = np.split(
             rom_swe_hll_step(np.concatenate([h, q]), ops, ctx, dt), 2)
@@ -381,12 +381,13 @@ class TestCompiledStep:
                                        averages)
             step = rom_swe_hll_step
         interps = {v: deim_offline(bases[v].modes) for v in names}
-        ctx = build_swe_context(bases, interps, lin, coeff_mode, params)
+        ctx = build_swe_context(bases, interps, ops.inputs, params.g)
         h_hat = bases["h"].modes.T @ h
         q_hat = bases["q"].modes.T @ q
         dt = 0.02
         got = step(np.concatenate([h_hat, q_hat]), ops, ctx, dt)
-        want = swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, dt)
+        want = swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params,
+                                   grid.dx, dt)
         np.testing.assert_allclose(got, np.concatenate(want), rtol=0,
                                    atol=1e-12)
         return ops
@@ -439,7 +440,8 @@ class TestSteps:
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
         for lin in (LIN_TAV, LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
             ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
-            ctx = build_swe_context(bases, interpolants, lin, None, params)
+            ctx = build_swe_context(bases, interpolants, ops.inputs,
+                                    params.g)
             h_hat = bases["h"].modes.T @ h_field
             q_hat = np.zeros(1)
             h_new, q_new = np.split(rom_swe_lf_step(
