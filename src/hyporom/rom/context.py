@@ -47,9 +47,10 @@ class InterfaceSamples:
 @dataclass
 class SweRomContext:
     g: float = 9.81
-    # h mode rows then q mode rows (2 x points x M) at every sampled cell:
-    # the u points, the f points, then the cells left and right of the
-    # alpha0 and the alpha1 interpolation interfaces.
+    # h mode rows then q mode rows (2 x points x M) at every sampled cell,
+    # block by block in the order of the step inputs: the u points, the f
+    # points, then the cells left and right of the alpha0 and the alpha1
+    # interpolation interfaces.
     rows: np.ndarray | None = None
     u_samples: PointSamples | None = None
     f_samples: PointSamples | None = None
@@ -62,9 +63,8 @@ class SweRomContext:
 def build_swe_context(bases: dict, interpolants: dict, inputs: tuple,
                       g: float) -> SweRomContext:
     """Sample the DEIM blocks among a window's step ``inputs`` (after h
-    and q) in their order, which the assembler fixes as u, f, alpha0,
-    alpha1: u and f at their points, the fan coefficients at the cells
-    flanking their interfaces."""
+    and q), in their order: u and f at their points, the fan
+    coefficients at the cells flanking their interfaces."""
     h_modes = bases["h"].modes
     q_modes = bases["q"].modes
     ctx = SweRomContext(g=g)
@@ -75,21 +75,22 @@ def build_swe_context(bases: dict, interpolants: dict, inputs: tuple,
         cells.append(idx)
         return slice(start, start + len(idx))
 
-    if "u" in inputs:
-        u = interpolants["u"]
-        ctx.u_samples = PointSamples(interp=u, at=take(u.indices))
-    if "f" in inputs:
-        f = interpolants["f"]
-        ctx.f_samples = PointSamples(interp=f, at=take(f.indices))
-    if "alpha0" in inputs:
-        a0, a1 = interpolants["alpha0"], interpolants["alpha1"]
-        ctx.a0_samples = InterfaceSamples(interp=a0)
-        ctx.a1_samples = InterfaceSamples(interp=a1)
-        # Interface j lies between cells j-1 and j; edges clamp like ghosts.
-        j = np.concatenate([a0.indices, a1.indices])
-        last = h_modes.shape[0] - 1
-        ctx.fan_left = take(np.clip(j - 1, 0, last))
-        ctx.fan_right = take(np.clip(j, 0, last))
+    for name in inputs[2:]:
+        interp = interpolants[name]
+        if name == "u":
+            ctx.u_samples = PointSamples(interp=interp, at=take(interp.indices))
+        elif name == "f":
+            ctx.f_samples = PointSamples(interp=interp, at=take(interp.indices))
+        elif name == "alpha0":
+            a0, a1 = interp, interpolants["alpha1"]
+            ctx.a0_samples = InterfaceSamples(interp=a0)
+            ctx.a1_samples = InterfaceSamples(interp=a1)
+            # Interface j lies between cells j-1 and j; edges clamp like
+            # ghosts.
+            j = np.concatenate([a0.indices, a1.indices])
+            last = h_modes.shape[0] - 1
+            ctx.fan_left = take(np.clip(j - 1, 0, last))
+            ctx.fan_right = take(np.clip(j, 0, last))
     idx = np.concatenate(cells) if cells else np.zeros(0, dtype=int)
     ctx.rows = np.stack([h_modes[idx], q_modes[idx]])
     return ctx

@@ -33,12 +33,11 @@ from ..pod import (PodBasis, fallback_basis, numerical_rank, select_modes,
                    thin_svd, window_transfer)
 from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
-from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_DEIM_F,
-                      LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
-                      build_swe_context)
+from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_TAV_F, LIN_TAV,
+                      LINEARIZATIONS, build_swe_context)
 from .operators import TimeAverages, time_average
 from .swe_hll import assemble_swe_hll_rom, rom_swe_hll_step
-from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step
+from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step, swe_inputs
 from .transport import assemble_transport_rom, rom_transport_step
 
 # A variable whose window slice never exceeds this fraction of the
@@ -56,18 +55,12 @@ def conserved_variables(system: str) -> tuple[str, ...]:
 
 def basis_variables(system: str, linearization: str | None,
                     coeff_mode: str | None, n_b: float) -> tuple[str, ...]:
-    """Variables that need a POD basis for the given configuration; f
-    feeds only the friction tensor, which n_b = 0 leaves out."""
+    """Variables that need a POD basis for the given configuration: the
+    inputs of a SWE window's step (``swe_inputs``)."""
     if system in ("transport", "burgers"):
         return ("w",)
-    names = ["h", "q"]
-    if linearization in (LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
-        names.append("u")
-    if linearization == LIN_DEIM_U_DEIM_F and n_b > 0.0:
-        names.append("f")
-    if system == "swe_hll" and coeff_mode == COEFF_DEIM:
-        names += ["alpha0", "alpha1"]
-    return tuple(names)
+    return swe_inputs(linearization,
+                      coeff_mode if system == "swe_hll" else None, n_b)
 
 
 def average_variables(system: str, linearization: str | None,

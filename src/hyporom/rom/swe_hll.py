@@ -88,7 +88,6 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
             "U6": Term(_fan_matrix(phiq, 2.0 * a1 * u_t, dq), "q", ("q",),
                        0.0, fan),
             "U7": Term(_fan_vector(phiq, a1 * wgt, dz), "q", (), 0.0, fan)}
-        fan_inputs = ()
     else:
         if "alpha0" not in bases or "alpha1" not in bases:
             raise MissingAuxBasis("coeff_mode 'deim' needs alpha0/alpha1 bases")
@@ -109,10 +108,9 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                        ("alpha1", "q"), 0.0, fan),
             "U7": Term(_fan_tensor_vec(phiq, ca1 * wgt[:, None], dz), "q",
                        ("alpha1",), 0.0, fan)}
-        fan_inputs = ("alpha0", "alpha1")
 
     return assemble_swe("swe_hll", bases, params, grid, linearization,
-                        averages, window_index, terms, fan_inputs)
+                        averages, window_index, terms, coeff_mode)
 
 
 def rom_swe_hll_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,

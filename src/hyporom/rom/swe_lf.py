@@ -21,14 +21,13 @@ bounded row blocks, see operators.py); for E and D the central
 difference of the padded products is moved onto the q test functions.
 
 The assembler then compiles the window into the step shape of
-operators.py on x = [h_hat; q_hat].  The inputs are h and q, then the
-DEIM-refreshed coefficients each term reads, in the order u, f, alpha0,
-alpha1; this order is ``ops.inputs``, and ``build_swe_context`` samples
-exactly those blocks.  The per-dt factors are -1/(2dx) for A and D,
--g/(4dx) for E and G, -g n_b^2 for H and 1/(2dx) for the HLL fans; the
-PVM-0 terms carry nu/2 as their fixed factor.  f is an input only of
-the friction tensor, so a frictionless deim_u_deim_f window has no f
-input, and its setup no f basis.
+operators.py on x = [h_hat; q_hat].  Its inputs, ``swe_inputs``, are h
+and q, then the DEIM-refreshed coefficients its terms read, in the order
+u, f, alpha0, alpha1.  That tuple, kept as ``ops.inputs``, also names the
+setup's bases, the context's samples and the step's refreshes.  The
+per-dt factors are -1/(2dx) for A and D, -g/(4dx) for E and G, -g n_b^2
+for H and 1/(2dx) for the HLL fans; the PVM-0 terms carry nu/2 as their
+fixed factor.
 """
 
 import numpy as np
@@ -36,8 +35,9 @@ import numpy as np
 from ..errors import MissingAuxBasis, UnsupportedSystem
 from ..fom.swe import SweParams
 from ..grid import Grid1D
-from .context import (LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
-                      SweRomContext, refresh_f, refresh_u)
+from .context import (COEFF_DEIM, LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F,
+                      LIN_TAV, LINEARIZATIONS, SweRomContext, refresh_f,
+                      refresh_u)
 from .operators import (RomOperators, Term, TimeAverages, advance,
                         compile_terms, contract_quadratic, pad_rows,
                         project_outer, stencil_weights)
@@ -53,15 +53,34 @@ def bed_rows(params: SweParams, grid: Grid1D) -> np.ndarray:
     return pad_rows(np.asarray(params.bathymetry(grid.centers), dtype=float))
 
 
+def swe_inputs(linearization: str, coeff_mode: str | None,
+               n_b: float) -> tuple:
+    """The M-blocks of a SWE window's step inputs, in order: h, q, u
+    unless u is window-averaged, f for DEIM friction with n_b > 0 (f
+    feeds only the friction tensor), and the DEIM fan coefficients."""
+    inputs = ("h", "q")
+    if linearization != LIN_TAV:
+        inputs += ("u",)
+    if linearization == LIN_DEIM_U_DEIM_F and n_b > 0.0:
+        inputs += ("f",)
+    if coeff_mode == COEFF_DEIM:
+        inputs += ("alpha0", "alpha1")
+    return inputs
+
+
 def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
                  linearization: str, averages: TimeAverages, window_index: int,
-                 terms: dict, fan_inputs: tuple = ()) -> RomOperators:
+                 terms: dict, coeff_mode: str | None = None) -> RomOperators:
     """Window operators, compiled: the flux's own viscosity ``terms`` plus
     A, E, G, the momentum flux and friction H, which every flux shares.
-    ``fan_inputs`` names the fan coefficients the flux's terms read, which
-    the step stacks after the u and f coefficients."""
+    ``coeff_mode`` is the HLL fan coefficients' mode (None for PVM-0)."""
     if linearization not in LINEARIZATIONS:
         raise UnsupportedSystem(f"unknown linearization {linearization!r}")
+    inputs = swe_inputs(linearization, coeff_mode, params.n_b)
+    missing = [name for name in inputs if name not in bases]
+    if missing:
+        raise MissingAuxBasis(f"{linearization} with coeff_mode "
+                              f"{coeff_mode!r} needs bases {missing}")
     phih = bases["h"].modes
     phiq = bases["q"].modes
     phihg = pad_rows(phih)
@@ -81,17 +100,13 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
                                 + (phih + phihg[:-2]) * dz_l),
                       "q", ("h",), 0.0, -0.25 * g / dx)
 
-    inputs = ("h", "q")
     if linearization == LIN_TAV:
         weighted = pad_rows(averages["u"])[:, None] * phiqg
         terms["Dbar"] = Term(phiq.T @ (weighted[2:] - weighted[:-2]), "q",
                              ("q",), 0.0, -0.5 / dx)
     else:
-        if "u" not in bases:
-            raise MissingAuxBasis(f"{linearization} needs a u basis")
         terms["D"] = Term(project_outer(central, pad_rows(bases["u"].modes),
                                         phiqg), "q", ("u", "q"), 0.0, -0.5 / dx)
-        inputs += ("u",)
 
     if params.n_b > 0.0:
         gnb2 = g * params.n_b ** 2
@@ -105,29 +120,28 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
             terms["H"] = Term(phiq.T @ (kern[:, None] * phiq), "q", ("q",),
                               0.0, -gnb2)
         else:
-            if "f" not in bases:
-                raise MissingAuxBasis("deim_u_deim_f with friction needs "
-                                      "an f basis")
             terms["H"] = Term(project_outer(phiq, phiq, bases["f"].modes),
                               "q", ("q", "f"), 0.0, -gnb2)
-            inputs += ("f",)
 
-    return compile_terms(terms, inputs + fan_inputs, ("h", "q"), bases["h"].m,
+    return compile_terms(terms, inputs, ("h", "q"), bases["h"].m,
                          system=system, window_index=window_index)
 
 
 def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
              dt: float, refresh_fans) -> np.ndarray:
-    """One reduced step of the packed state x = [h_hat; q_hat].  The fan
-    refresh is passed by the HLL entry point, which owns its name."""
+    """One reduced step of the packed state x = [h_hat; q_hat].  The
+    refreshed coefficients are stacked in the order of ``ops.inputs``;
+    the fan refresh, which yields alpha0 and alpha1 at once, is passed by
+    the HLL entry point, which owns its name."""
     pts = ctx.rows @ x.reshape(2, -1, 1)
     xa = [x]
-    if ctx.u_samples is not None:
-        xa.append(refresh_u(ctx, pts))
-    if ctx.f_samples is not None:
-        xa.append(refresh_f(ctx, pts))
-    if ctx.a0_samples is not None:
-        xa.extend(refresh_fans(ctx, pts))
+    for name in ops.inputs[2:]:
+        if name == "u":
+            xa.append(refresh_u(ctx, pts))
+        elif name == "f":
+            xa.append(refresh_f(ctx, pts))
+        elif name == "alpha0":
+            xa.extend(refresh_fans(ctx, pts))
     xa.append(_ONE)
     return advance(x, np.concatenate(xa), ops, dt, contract_quadratic)
 

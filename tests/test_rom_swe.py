@@ -14,6 +14,7 @@ from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          assemble_swe_hll_rom, assemble_swe_lf_rom,
                          build_swe_context, rom_swe_hll_step,
                          rom_swe_lf_step, swe_lf, time_average)
+from hyporom.rom.driver import basis_variables
 
 from oracles import (friction_ops_oracle, kahan_sum, random_orthonormal,
                      swe_hll_deim_ops_oracle, swe_hll_tav_ops_oracle,
@@ -407,6 +408,15 @@ class TestCompiledStep:
 
         monkeypatch.setattr(swe_lf, "refresh_f", refresh_f)
         self._check(LIN_DEIM_U_DEIM_F, coeff_mode, n_b=0.0)
+
+    @pytest.mark.parametrize("n_b", [0.0, 0.1])
+    @pytest.mark.parametrize("coeff_mode", _FLUXES)
+    @pytest.mark.parametrize("lin", LINEARIZATIONS)
+    def test_setup_bases_are_the_step_inputs(self, lin, coeff_mode, n_b):
+        # build_rom decomposes exactly the variables the step reads.
+        ops = self._check(lin, coeff_mode, n_b)
+        system = "swe_lf" if coeff_mode is None else "swe_hll"
+        assert basis_variables(system, lin, coeff_mode, n_b) == ops.inputs
 
     @pytest.mark.parametrize("coeff_mode", _FLUXES)
     def test_named_operators_are_views_of_the_step_arrays(self, coeff_mode):
