@@ -2,14 +2,23 @@
 
 The decomposition is a thin SVD of the slice itself (numerically better
 conditioned than eigendecomposing the Gram matrix the criterion is
-usually stated with; the left singular vectors coincide).  Mode signs are
-normalized so each mode's largest-magnitude entry is positive, making
-bases deterministic across runs and platforms.
+usually stated with; the left singular vectors coincide).  It runs the
+route LAPACK's ``dgesdd`` takes for a tall slice: a Householder QR of
+the slice (``dgeqrf``), an SVD of the small triangular factor R, then Q
+applied to the leading left singular vectors of R (``dormqr``).  Unlike
+``dgesdd``, which forms Q explicitly and multiplies it into every column
+of R's singular vectors, only the k columns a build can keep are formed;
+every singular value is still computed, so rank and energy tests see the
+whole spectrum.  Mode signs are normalized so each mode's
+largest-magnitude entry is positive, making bases deterministic across
+runs and platforms.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (AllZeroSpectrum, BreakdownInEigensolve, EmptySlice,
                      ShapeMismatch)
@@ -74,31 +83,68 @@ def select_modes(singular_values, eps_pod: float, m_max: int | None = None) -> i
     return max(m, 1)
 
 
-def thin_svd(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors (signs fixed) and singular values of a slice."""
+def thin_svd(data: np.ndarray, k: int | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k left singular vectors (signs fixed) and all singular
+    values of a slice; k = None, or k beyond min(rows, cols), forms all
+    min(rows, cols) vectors."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.size == 0:
         raise EmptySlice("snapshot slice is empty")
+    if not np.isfinite(data).all():
+        raise BreakdownInEigensolve("snapshot slice holds NaN or Inf")
+    n, c = data.shape
+    p = min(n, c)
+    k = p if k is None else min(int(k), p)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    work, _ = lapack.dgeqrf_lwork(n, c)
+    qr, tau, _, info = lapack.dgeqrf(data, lwork=int(work))
+    _check_info("dgeqrf", info)
     try:
-        u, s, _ = np.linalg.svd(data, full_matrices=False)
+        u_r, s, _ = scipy.linalg.svd(np.triu(qr[:p]), full_matrices=False,
+                                     check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise BreakdownInEigensolve(str(exc)) from exc
+    reflectors = qr[:, :p]
+    lead = np.zeros((n, k), order="F")
+    lead[:p] = u_r[:, :k]
+    _, work, info = lapack.dormqr("L", "N", reflectors, tau, lead, -1)
+    _check_info("dormqr", info)
+    u, _, info = lapack.dormqr("L", "N", reflectors, tau, lead,
+                               int(work[0]), overwrite_c=1)
+    _check_info("dormqr", info)
     return _fix_signs(u), s
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise BreakdownInEigensolve(f"{routine} returned info={info}")
+
+
+def pod_basis(u: np.ndarray, s: np.ndarray, rank: int, m: int, *,
+              variable_id: str = "", window_index: int = 0,
+              eps_pod: float = float("nan")) -> PodBasis:
+    """Basis of the first m columns of u, with the spectrum up to
+    max(rank, m) and the energy fraction those modes capture.  m may
+    exceed rank when a unified mode count pads a rank-deficient slice."""
+    total = float(np.sum(s[:max(rank, 1)] ** 2))
+    captured = float(np.sum(s[:m] ** 2) / total) if total > 0 else 1.0
+    return PodBasis(variable_id=variable_id, modes=u[:, :m],
+                    singular_values=s[:max(rank, m)].copy(),
+                    window_index=window_index,
+                    energy_captured=min(captured, 1.0), eps_pod=eps_pod)
 
 
 def compute_basis(data: np.ndarray, eps_pod: float, *, variable_id: str = "",
                   window_index: int = 0, m_max: int | None = None) -> PodBasis:
     """POD basis of a snapshot slice via thin SVD."""
     data = np.asarray(data, dtype=float)
-    u, s = thin_svd(data)
+    u, s = thin_svd(data, m_max)
+    rank = numerical_rank(s, *data.shape)
     m = select_modes(s, eps_pod, m_max=m_max)
-    r = numerical_rank(s, *data.shape)
-    total = float(np.sum(s[:r] ** 2))
-    captured = float(np.sum(s[:m] ** 2) / total)
-    return PodBasis(variable_id=variable_id, modes=u[:, :m].copy(),
-                    singular_values=s[:max(r, m)].copy(),
-                    window_index=window_index, energy_captured=captured,
-                    eps_pod=eps_pod)
+    return pod_basis(u, s, rank, m, variable_id=variable_id,
+                     window_index=window_index, eps_pod=eps_pod)
 
 
 def fallback_basis(n_rows: int, m: int = 1, *, variable_id: str = "",
@@ -117,12 +163,11 @@ def fallback_basis(n_rows: int, m: int = 1, *, variable_id: str = "",
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
-    out = modes.copy()
-    for k in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, k]))
-        if out[lead, k] < 0.0:
-            out[:, k] = -out[:, k]
-    return out
+    """Flip each column so its largest-magnitude entry is positive."""
+    cols = np.arange(modes.shape[1])
+    lead = modes[np.argmax(np.abs(modes), axis=0), cols]
+    modes *= np.where(lead < 0.0, -1.0, 1.0)
+    return modes
 
 
 def project(basis: PodBasis, fld: np.ndarray) -> np.ndarray:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..deim import deim_offline
-from ..errors import (HyporomError, NonFiniteState, ShapeMismatch,
-                      UnsupportedSystem)
+from ..errors import (BreakdownInEigensolve, HyporomError, NonFiniteState,
+                      ShapeMismatch, UnsupportedSystem)
 from ..grid import Grid1D
-from ..pod import (PodBasis, fallback_basis, numerical_rank, select_modes,
+from ..pod import (fallback_basis, numerical_rank, pod_basis, select_modes,
                    thin_svd, window_transfer)
 from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
@@ -112,17 +112,24 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
     """Per-variable bases for window v with a unified mode count."""
     slices = {var: _pooled_slice(groups, partitions, var, v)
               for var in variables}
-    scale = max(float(np.max(np.abs(s))) for s in slices.values())
-    zero_tol = _ZERO_SLICE_RTOL * max(scale, 1e-300)
+    peaks = {var: float(np.max(np.abs(s))) for var, s in slices.items()}
+    if not np.all(np.isfinite(list(peaks.values()))):
+        # Checked before the zero rule: an Inf scale makes every slice
+        # pass as zero and get a fallback basis.
+        raise BreakdownInEigensolve(f"window {v}: snapshot slice holds "
+                                    "NaN or Inf")
+    zero_tol = _ZERO_SLICE_RTOL * max(max(peaks.values()), 1e-300)
     svds = {}
     for var, data in slices.items():
-        if np.max(np.abs(data)) <= zero_tol:
+        if peaks[var] <= zero_tol:
             svds[var] = None        # zero trajectory up to rounding noise
             continue
-        u, s = thin_svd(data)
+        # No unified M exceeds the cap, so only that many modes are formed.
+        k = None if mode_cap is None else min(mode_cap, *data.shape)
+        u, s = thin_svd(data, k)
         rank = numerical_rank(s, *data.shape)
         m_sel = select_modes(s, eps_pod, m_max=mode_cap)
-        svds[var] = (u, s, rank, m_sel, data.shape)
+        svds[var] = (u, s, rank, m_sel, min(data.shape))
 
     live = {var: t for var, t in svds.items() if t is not None}
     if live:
@@ -131,7 +138,7 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
         # trailing singular vectors as padding: orthonormal, noise-level
         # directions whose coefficients the dynamics leave near zero.
         m = max(t[3] for t in live.values())
-        m = min(m, *(t[0].shape[1] for t in live.values()))
+        m = min(m, *(t[4] for t in live.values()))
         min_rank = min(t[2] for t in live.values())
         if m > min_rank:
             warnings.warn(
@@ -149,13 +156,9 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
             spectra[var] = np.zeros(1)
             continue
         u, s, rank, _, _ = entry
-        total = float(np.sum(s[:max(rank, 1)] ** 2))
-        captured = float(np.sum(s[:m] ** 2) / total) if total > 0 else 1.0
-        bases[var] = PodBasis(variable_id=var, modes=u[:, :m],
-                              singular_values=s[:max(rank, m)].copy(),
-                              window_index=v, energy_captured=min(captured, 1.0),
-                              eps_pod=eps_pod)
-        spectra[var] = s[:max(rank, m)].copy()
+        bases[var] = pod_basis(u, s, rank, m, variable_id=var,
+                               window_index=v, eps_pod=eps_pod)
+        spectra[var] = bases[var].singular_values.copy()
     return bases, spectra, m
 
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from hyporom.errors import AllZeroSpectrum, EmptySlice, ShapeMismatch
+import hyporom.pod as pod
+from hyporom.errors import (AllZeroSpectrum, BreakdownInEigensolve,
+                            EmptySlice, ShapeMismatch)
 from hyporom.pod import (PodBasis, compute_basis, fallback_basis, lift,
-                         project, select_modes, window_transfer)
+                         project, select_modes, thin_svd, window_transfer)
 
 from oracles import random_orthonormal, svd_via_gram
 
@@ -29,6 +34,110 @@ class TestSelectModes:
     def test_all_zero_spectrum(self):
         with pytest.raises(AllZeroSpectrum):
             select_modes(np.zeros(4), 0.1)
+
+
+def _slice(kind):
+    rng = np.random.default_rng(len(kind))
+    if kind == "tall":
+        return rng.standard_normal((60, 25))
+    if kind == "square":
+        return rng.standard_normal((30, 30))
+    if kind == "wide":
+        return rng.standard_normal((20, 45))
+    if kind == "rank_deficient":
+        return rng.standard_normal((50, 6)) @ rng.standard_normal((6, 20))
+    return rng.standard_normal((80, 30)) @ np.diag(np.logspace(0, -12, 30))
+
+
+def _signs_fixed_by_loop(u):
+    out = u.copy()
+    for j in range(out.shape[1]):
+        lead = np.argmax(np.abs(out[:, j]))
+        if out[lead, j] < 0.0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def _check_against_gesdd(data, k):
+    u, s = thin_svd(data, k)
+    u0, s0, _ = np.linalg.svd(data, full_matrices=False)
+    p = min(data.shape)
+    kk = p if k is None else min(k, p)
+    assert u.shape == (data.shape[0], kk)
+    np.testing.assert_allclose(s, s0, rtol=0.0, atol=1e-14 * s0[0])
+    np.testing.assert_allclose(u.T @ u, np.eye(kk), rtol=0.0, atol=1e-13)
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(kk)]
+    assert np.all(lead > 0.0)
+    return u, s0, _signs_fixed_by_loop(u0)
+
+
+class TestThinSvd:
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide",
+                                      "rank_deficient", "graded"])
+    def test_matches_gesdd(self, kind):
+        data = _slice(kind)
+        p = min(data.shape)
+        for k in (1, p // 2, p, p + 3, None):
+            u, s0, u0 = _check_against_gesdd(data, k)
+            # Modes separated from both neighbours by a spectral gap are
+            # determined up to sign, which both sides fix the same way.
+            gaps = np.abs(np.diff(s0)) > 1e-3 * s0[0]
+            for j in range(u.shape[1]):
+                if (j == 0 or gaps[j - 1]) and (j == p - 1 or gaps[j]):
+                    np.testing.assert_allclose(u[:, j], u0[:, j], rtol=0.0,
+                                               atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           k=st.one_of(st.none(), st.integers(1, 14)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_shapes(self, rows, cols, k, seed):
+        data = np.random.default_rng(seed).standard_normal((rows, cols))
+        _check_against_gesdd(data, k)
+
+    def test_sign_fix_matches_column_loop(self):
+        u = np.random.default_rng(11).standard_normal((40, 12))
+        np.testing.assert_array_equal(pod._fix_signs(u.copy()),
+                                      _signs_fixed_by_loop(u))
+
+    @pytest.mark.parametrize("data", [np.zeros((4, 0)), np.zeros((0, 3)),
+                                      np.ones(5)])
+    def test_empty_slice(self, data):
+        with pytest.raises(EmptySlice):
+            thin_svd(data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (7, 2), (29, 9), (3, 9)])
+    def test_non_finite_slice(self, bad, where):
+        data = np.random.default_rng(5).standard_normal((30, 10))
+        data[where] = bad
+        with pytest.raises(BreakdownInEigensolve):
+            thin_svd(data, 4)
+        with pytest.raises(BreakdownInEigensolve):
+            compute_basis(data, 1e-10)
+
+    def test_k_below_one(self):
+        with pytest.raises(ValueError):
+            thin_svd(np.eye(3), 0)
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
+    def test_lapack_info_is_typed(self, monkeypatch, routine):
+        real = getattr(pod.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], -1)
+
+        monkeypatch.setattr(pod.lapack, routine, failing)
+        with pytest.raises(BreakdownInEigensolve, match=routine):
+            thin_svd(np.eye(4))
+
+    def test_small_svd_failure_is_typed(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "svd", failing)
+        with pytest.raises(BreakdownInEigensolve, match="converge"):
+            thin_svd(np.eye(4))
 
 
 class TestComputeBasis:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from hyporom.errors import EvaluationError, NonFiniteState, UnsupportedSystem
+from hyporom.errors import (BreakdownInEigensolve, EvaluationError,
+                            NonFiniteState, UnsupportedSystem)
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          TransportModel, TransportParams, burgers_stationary,
                          lake_at_rest, run_fom, transport_stationary)
 from hyporom.grid import Grid1D
+from hyporom.pod import thin_svd
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F, LIN_TAV,
                          build_rom, run_rom)
 
@@ -124,6 +126,49 @@ def test_bad_swe_options_raise_before_svd(monkeypatch, system, lin, coeff):
     with pytest.raises(UnsupportedSystem):
         build_rom(system, [res.snapshots], params, grid, n_windows=1,
                   linearization=lin, coeff_mode=coeff)
+
+
+def test_capped_build_forms_only_cap_columns(monkeypatch):
+    grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
+    asked = []
+
+    def spy(data, k=None):
+        asked.append((data.shape, k))
+        return thin_svd(data, k)
+
+    monkeypatch.setattr("hyporom.rom.driver.thin_svd", spy)
+    for cap in (2, 10 ** 6):
+        asked.clear()
+        build_rom("transport", [res.snapshots], params, grid, n_windows=2,
+                  eps_pod=1e-12, mode_cap=cap)
+        assert len(asked) == 2
+        assert all(k == min(cap, cols) for (_, cols), k in asked)
+    asked.clear()
+    build_rom("transport", [res.snapshots], params, grid, n_windows=2,
+              eps_pod=1e-12)
+    assert [k for _, k in asked] == [None, None]
+
+
+def test_cap_beyond_window_columns_equals_uncapped():
+    grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
+    capped = build_rom("transport", [res.snapshots], params, grid,
+                       n_windows=2, eps_pod=1e-12, mode_cap=res.n_steps + 2)
+    free = build_rom("transport", [res.snapshots], params, grid,
+                     n_windows=2, eps_pod=1e-12)
+    assert capped.modes_per_window == free.modes_per_window
+    for a, b in zip(capped.windows, free.windows):
+        np.testing.assert_array_equal(a.bases["w"].modes, b.bases["w"].modes)
+        np.testing.assert_array_equal(a.bases["w"].singular_values,
+                                      b.bases["w"].singular_values)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_snapshot_raises_typed(bad):
+    grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
+    res.snapshots["w"].data[3, 2] = bad
+    with pytest.raises(BreakdownInEigensolve, match="window 0"):
+        build_rom("transport", [res.snapshots], params, grid, n_windows=2,
+                  eps_pod=1e-12)
 
 
 def test_swe_dam_break_deim_close_to_fom():
