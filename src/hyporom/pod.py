@@ -86,8 +86,9 @@ def select_modes(singular_values, eps_pod: float, m_max: int | None = None) -> i
 def thin_svd(data: np.ndarray, k: int | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
     """Leading k left singular vectors (signs fixed) and all singular
-    values of a slice; k = None, or k beyond min(rows, cols), forms all
-    min(rows, cols) vectors."""
+    values of a slice.  k is clamped to [1, min(rows, cols)], like the
+    mode count of ``select_modes``; k = None forms all min(rows, cols)
+    vectors."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.size == 0:
         raise EmptySlice("snapshot slice is empty")
@@ -95,9 +96,7 @@ def thin_svd(data: np.ndarray, k: int | None = None
         raise BreakdownInEigensolve("snapshot slice holds NaN or Inf")
     n, c = data.shape
     p = min(n, c)
-    k = p if k is None else min(int(k), p)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = p if k is None else min(max(int(k), 1), p)
     work, _ = lapack.dgeqrf_lwork(n, c)
     qr, tau, _, info = lapack.dgeqrf(data, lwork=int(work))
     _check_info("dgeqrf", info)

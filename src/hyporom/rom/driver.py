@@ -125,8 +125,7 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
             svds[var] = None        # zero trajectory up to rounding noise
             continue
         # No unified M exceeds the cap, so only that many modes are formed.
-        k = None if mode_cap is None else min(mode_cap, *data.shape)
-        u, s = thin_svd(data, k)
+        u, s = thin_svd(data, mode_cap)
         rank = numerical_rank(s, *data.shape)
         m_sel = select_modes(s, eps_pod, m_max=mode_cap)
         svds[var] = (u, s, rank, m_sel, min(data.shape))

@@ -116,9 +116,11 @@ class TestThinSvd:
         with pytest.raises(BreakdownInEigensolve):
             compute_basis(data, 1e-10)
 
-    def test_k_below_one(self):
-        with pytest.raises(ValueError):
-            thin_svd(np.eye(3), 0)
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_forms_one_vector(self, k):
+        u, s = thin_svd(np.diag([3.0, 2.0, 1.0]), k)
+        assert u.shape == (3, 1)
+        np.testing.assert_array_equal(s, [3.0, 2.0, 1.0])
 
     @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
     def test_lapack_info_is_typed(self, monkeypatch, routine):
@@ -205,6 +207,14 @@ class TestComputeBasis:
     def test_empty_slice(self):
         with pytest.raises(EmptySlice):
             compute_basis(np.zeros((4, 0)), 0.1)
+
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_cap_below_one_keeps_one_mode(self, m_max):
+        data = np.random.default_rng(4).standard_normal((12, 6))
+        basis = compute_basis(data, 1e-10, m_max=m_max)
+        assert basis.m == 1
+        np.testing.assert_array_equal(
+            basis.modes, compute_basis(data, 1e-10, m_max=1).modes)
 
     def test_zero_slice_raises_and_fallback_covers(self):
         with pytest.raises(AllZeroSpectrum):

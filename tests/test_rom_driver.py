@@ -133,8 +133,9 @@ def test_capped_build_forms_only_cap_columns(monkeypatch):
     asked = []
 
     def spy(data, k=None):
-        asked.append((data.shape, k))
-        return thin_svd(data, k)
+        u, s = thin_svd(data, k)
+        asked.append((k, u.shape[1], min(data.shape)))
+        return u, s
 
     monkeypatch.setattr("hyporom.rom.driver.thin_svd", spy)
     for cap in (2, 10 ** 6):
@@ -142,11 +143,14 @@ def test_capped_build_forms_only_cap_columns(monkeypatch):
         build_rom("transport", [res.snapshots], params, grid, n_windows=2,
                   eps_pod=1e-12, mode_cap=cap)
         assert len(asked) == 2
-        assert all(k == min(cap, cols) for (_, cols), k in asked)
+        assert [(k, formed) for k, formed, _ in asked] == [
+            (cap, min(cap, p)) for _, _, p in asked]
     asked.clear()
     build_rom("transport", [res.snapshots], params, grid, n_windows=2,
               eps_pod=1e-12)
-    assert [k for _, k in asked] == [None, None]
+    assert len(asked) == 2
+    assert [(k, formed) for k, formed, _ in asked] == [
+        (None, p) for _, _, p in asked]
 
 
 def test_cap_beyond_window_columns_equals_uncapped():
