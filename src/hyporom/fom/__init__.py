@@ -5,17 +5,17 @@ import numpy as np
 from ..errors import UnsupportedSystem
 from .burgers import BurgersParams, burgers_max_speed, burgers_stationary, burgers_step
 from .driver import BurgersModel, FomResult, SweModel, TransportModel, cfl_dt, run_fom
-from .swe import (SweParams, SweState, davis_speeds, flat_bottom, froude_number,
-                  hll_coeffs, hll_interface_coeffs, interface_roe, lake_at_rest,
-                  roe_averages, swe_hll_step, swe_lf_step, swe_max_speed)
+from .swe import (SweParams, SweState, flat_bottom, froude_number, hll_coeffs,
+                  interface_fan, lake_at_rest, roe_averages, swe_hll_step,
+                  swe_lf_step, swe_max_speed)
 from .transport import (TransportParams, transport_max_speed, transport_stationary,
                         transport_step)
 
 __all__ = [
     "BurgersModel", "BurgersParams", "FomResult", "SweModel", "SweParams",
-    "SweState", "TransportModel", "TransportParams", "cfl_dt", "davis_speeds",
-    "flat_bottom", "froude_number", "hll_coeffs", "hll_interface_coeffs",
-    "interface_roe", "lake_at_rest", "roe_averages", "run_fom",
+    "SweState", "TransportModel", "TransportParams", "cfl_dt",
+    "flat_bottom", "froude_number", "hll_coeffs", "interface_fan",
+    "lake_at_rest", "roe_averages", "run_fom",
     "stationary_profile", "swe_hll_step", "swe_lf_step", "swe_max_speed",
     "burgers_max_speed", "burgers_stationary", "burgers_step",
     "transport_max_speed", "transport_stationary", "transport_step",

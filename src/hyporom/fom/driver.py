@@ -69,8 +69,10 @@ class SweModel:
     """SWE model; records u = q/h and f = |q|/h^(7/3) alongside h, q.
 
     With the HLL flux the per-interface fan data (alpha0, alpha1, Roe
-    averages) are recorded too; every auxiliary column is a pure function
-    of the (h, q) column it belongs to.
+    averages) are recorded too, from one ``interface_fan`` evaluation per
+    recorded state: the same expressions the HLL step evaluates, so the
+    recorded fan columns are bitwise the step's.  Every auxiliary column
+    is a pure function of the (h, q) column it belongs to.
     """
 
     system = "swe"
@@ -98,8 +100,8 @@ class SweModel:
             "f": np.abs(q) / h ** (7.0 / 3.0),
         }
         if self.flux is FluxChoice.HLL:
-            a0, a1 = _swe.hll_interface_coeffs(state, self.params, self.grid)
-            h_t, u_t = _swe.interface_roe(state, self.params, self.grid)
+            h_t, u_t, a0, a1 = _swe.interface_fan(state, self.params,
+                                                  self.grid)
             out.update({"alpha0": a0, "alpha1": a1,
                         "htilde": h_t, "utilde": u_t})
         return out

@@ -113,41 +113,37 @@ def hll_coeffs(s_l, s_r):
     return a0, a1
 
 
-def davis_speeds(h_l, h_r, u_l, u_r, g):
-    """Davis-type fan estimates using the one-sided and Roe speeds."""
-    c_l = np.sqrt(g * np.asarray(h_l, dtype=float))
-    c_r = np.sqrt(g * np.asarray(h_r, dtype=float))
-    h_t, u_t = roe_averages(h_l, h_r, u_l, u_r)
-    c_t = np.sqrt(g * h_t)
-    s_l = np.minimum(np.asarray(u_l) - c_l, u_t - c_t)
-    s_r = np.maximum(np.asarray(u_r) + c_r, u_t + c_t)
-    return s_l, s_r
+def _pad(a: np.ndarray) -> np.ndarray:
+    """Cell array extended by one ghost cell per side replicating the edge."""
+    return np.concatenate(([a[0]], a, [a[-1]]))
 
 
 def _padded(state: SweState, params: SweParams, grid: Grid1D):
-    """Ghost-replicated h, q, z and derived u (ghosts replicate the edges)."""
-    hg = np.concatenate(([state.h[0]], state.h, [state.h[-1]]))
-    qg = np.concatenate(([state.q[0]], state.q, [state.q[-1]]))
+    """Ghost-replicated h, q and z."""
     z = np.asarray(params.bathymetry(grid.centers), dtype=float)
-    zg = np.concatenate(([z[0]], z, [z[-1]]))
-    return hg, qg, zg
+    return _pad(state.h), _pad(state.q), _pad(z)
 
 
-def interface_roe(state: SweState, params: SweParams, grid: Grid1D):
-    """(h_tilde, u_tilde) at all n_cells+1 interfaces, ghosts replicated."""
+def _fan(hg, ug, g):
+    """Roe averages and HLL fan coefficients (h_tilde, u_tilde, alpha0,
+    alpha1) at every interface of ghost-padded h and u.  The Davis speed
+    estimates take the one-sided speeds and the Roe speed, so the Roe
+    averages are formed once and serve both."""
+    h_t, u_t = roe_averages(hg[:-1], hg[1:], ug[:-1], ug[1:])
+    c = np.sqrt(g * hg)
+    c_t = np.sqrt(g * h_t)
+    s_l = np.minimum(ug[:-1] - c[:-1], u_t - c_t)
+    s_r = np.maximum(ug[1:] + c[1:], u_t + c_t)
+    a0, a1 = hll_coeffs(s_l, s_r)
+    return h_t, u_t, a0, a1
+
+
+def interface_fan(state: SweState, params: SweParams, grid: Grid1D):
+    """(h_tilde, u_tilde, alpha0, alpha1) at all n_cells+1 interfaces of
+    the state, ghosts replicated: the fan data an HLL step uses."""
     _check_state(state)
-    hg, qg, _ = _padded(state, params, grid)
-    ug = qg / hg
-    return roe_averages(hg[:-1], hg[1:], ug[:-1], ug[1:])
-
-
-def hll_interface_coeffs(state: SweState, params: SweParams, grid: Grid1D):
-    """(alpha0, alpha1) at all n_cells+1 interfaces for the current state."""
-    _check_state(state)
-    hg, qg, _ = _padded(state, params, grid)
-    ug = qg / hg
-    s_l, s_r = davis_speeds(hg[:-1], hg[1:], ug[:-1], ug[1:], params.g)
-    return hll_coeffs(s_l, s_r)
+    hg = _pad(state.h)
+    return _fan(hg, _pad(state.q) / hg, params.g)
 
 
 def _friction(state: SweState, params: SweParams, dt: float) -> np.ndarray:
@@ -217,10 +213,7 @@ def swe_hll_step(state: SweState, params: SweParams, grid: Grid1D,
     etag = hg + zg
     h, q = state.h, state.q
 
-    ug = qg / hg
-    h_t, u_t = roe_averages(hg[:-1], hg[1:], ug[:-1], ug[1:])
-    s_l, s_r = davis_speeds(hg[:-1], hg[1:], ug[:-1], ug[1:], g)
-    a0, a1 = hll_coeffs(s_l, s_r)
+    h_t, u_t, a0, a1 = _fan(hg, qg / hg, g)
     # Momentum weight of the degree-1 term applied to the eta jump.
     wgt = -u_t * u_t + g * h_t
 

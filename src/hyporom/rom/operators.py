@@ -47,8 +47,12 @@ _BLOCK_BYTES = 4 * 2**20
 
 
 def time_average(window_data: np.ndarray) -> np.ndarray:
-    """Arithmetic mean across the columns of a snapshot slice."""
-    window_data = np.asarray(window_data, dtype=float)
+    """Arithmetic mean across the columns of a snapshot slice.
+
+    The mean runs over a row-major copy: numpy sums a contiguous axis
+    pairwise but a strided one column by column, so the same slice in
+    column-major order would average to different last bits."""
+    window_data = np.ascontiguousarray(window_data, dtype=float)
     if window_data.ndim != 2 or window_data.shape[1] == 0:
         raise EmptySlice("cannot average an empty snapshot slice")
     return window_data.mean(axis=1)

@@ -5,6 +5,13 @@ the field at time ``times[n]`` and ``dts[n]`` is the gap to the next
 column.  Cell variables have n_cells rows; interface variables (the HLL
 fan coefficients and Roe averages) have n_cells + 1 rows.
 
+In memory the data is column-major (Fortran order), however it was made:
+recorded, loaded, concatenated or copied.  A column, and so a window's
+column range, is one contiguous block, which is the layout LAPACK reads.
+The recorder writes each column in place into fixed-size column-major
+blocks per variable, and ``finalize`` joins them one variable at a time.
+On disk the payload stays row-major.
+
 Binary container (little-endian, CRC32 trailer), fixed 64-byte header:
 
     magic 8s  | u32 version | u32 n_rows | u32 n_cols
@@ -25,19 +32,25 @@ SNAPSHOT_MAGIC = b"HYPSNAP1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIII B 35s d")
 _ID_MAX = 35
+# Columns per recorder block, chosen on the 1600-cell dam breaks of the
+# benchmark (a block of one field is 3.3 MB).  From 512 columns a block
+# passes the 4 MB from which numpy asks Linux for huge pages, and peak RSS
+# rose by 15-40 MB; at 32-64 columns a variable's freed blocks leave holes
+# too small for its matrix, so recording peaked at two copies again.
+_BLOCK_COLS = 256
 
 
 @dataclass
 class SnapshotMatrix:
     variable_id: str
-    data: np.ndarray          # n_rows x n_cols, column n = field at times[n]
+    data: np.ndarray          # n_rows x n_cols, F order; column n at times[n]
     times: np.ndarray
     dts: np.ndarray
     param_tag: float | None = None
     block_tags: tuple = ()    # provenance of concatenated training blocks
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=float)
+        self.data = np.asfortranarray(self.data, dtype=float)
         self.times = np.asarray(self.times, dtype=float)
         self.dts = np.asarray(self.dts, dtype=float)
         if self.data.ndim != 2:
@@ -61,17 +74,22 @@ class SnapshotMatrix:
         return self.data.shape[1]
 
     def window(self, start: int, stop: int) -> np.ndarray:
-        """Column slice [start, stop) as a plain array."""
+        """Column slice [start, stop): a contiguous view of the data."""
         if stop <= start:
             raise EmptySlice("empty snapshot window")
         return self.data[:, start:stop]
 
 
 class SnapshotRecorder:
-    """Single-writer builder appending one column per recorded time."""
+    """Single-writer builder appending one column per recorded time.
+
+    Each variable's columns go straight into column-major blocks of
+    ``_BLOCK_COLS`` columns; a field is checked when it is recorded, so a
+    bad one fails at its own column, not after the whole run.
+    """
 
     def __init__(self):
-        self._columns: dict[str, list[np.ndarray]] = {}
+        self._blocks: dict[str, list[np.ndarray]] = {}
         self._times: list[float] = []
 
     @property
@@ -79,25 +97,50 @@ class SnapshotRecorder:
         return len(self._times)
 
     def record(self, fields: dict[str, np.ndarray], t: float) -> None:
-        if self._times and t <= self._times[-1]:
+        n = len(self._times)
+        if n and t <= self._times[-1]:
             raise NonMonotoneTime(
                 f"record at t={t} not after previous t={self._times[-1]}")
-        if self._times and set(fields) != set(self._columns):
+        if n and fields.keys() != self._blocks.keys():
             raise ShapeMismatch("recorded variables changed between columns")
+        columns = {}
         for name, values in fields.items():
-            self._columns.setdefault(name, []).append(
-                np.array(values, dtype=float, copy=True))
+            col = np.asarray(values, dtype=float)
+            if col.ndim != 1:
+                raise ShapeMismatch(f"field {name!r} at column {n} has shape "
+                                    f"{col.shape}, not 1-D")
+            if n and col.shape[0] != self._blocks[name][0].shape[0]:
+                raise ShapeMismatch(
+                    f"field {name!r} at column {n} has {col.shape[0]} rows, "
+                    f"earlier columns {self._blocks[name][0].shape[0]}")
+            columns[name] = col
+        j = n % _BLOCK_COLS
+        for name, col in columns.items():
+            blocks = self._blocks.setdefault(name, [])
+            if j == 0:
+                blocks.append(np.empty((col.shape[0], _BLOCK_COLS), order="F"))
+            blocks[-1][:, j] = col
         self._times.append(float(t))
 
     def finalize(self, param_tag: float | None = None) -> dict[str, SnapshotMatrix]:
+        """The recorded matrices; empties the recorder.  Each variable's
+        blocks are freed as they are copied out, so the extra memory is one
+        variable's matrix, not a second copy of every matrix."""
         times = np.array(self._times)
         dts = np.diff(times)
-        return {
-            name: SnapshotMatrix(variable_id=name,
-                                 data=np.column_stack(cols),
-                                 times=times, dts=dts, param_tag=param_tag)
-            for name, cols in self._columns.items()
-        }
+        n = len(times)
+        out = {}
+        for name in list(self._blocks):
+            blocks = self._blocks.pop(name)
+            data = np.empty((blocks[0].shape[0], n), order="F")
+            for start in range(0, n, _BLOCK_COLS):
+                stop = min(start + _BLOCK_COLS, n)
+                data[:, start:stop] = blocks.pop(0)[:, :stop - start]
+            out[name] = SnapshotMatrix(variable_id=name, data=data,
+                                       times=times, dts=dts,
+                                       param_tag=param_tag)
+        self._times = []
+        return out
 
 
 @dataclass(frozen=True)
@@ -140,14 +183,13 @@ def concat_parametric(matrices: list[SnapshotMatrix]) -> SnapshotMatrix:
             raise ShapeMismatch("row counts differ between training blocks")
         if m.variable_id != first.variable_id:
             raise ShapeMismatch("variable ids differ between training blocks")
-    if len(matrices) == 1:
-        return SnapshotMatrix(first.variable_id, first.data.copy(),
-                              first.times.copy(), first.dts.copy(),
-                              param_tag=None,
-                              block_tags=((first.param_tag, first.n_cols),))
-    datas, times, dts, tags = [], [], [], []
+    data = np.empty((first.n_rows, sum(m.n_cols for m in matrices)),
+                    order="F")
+    times, dts, tags = [], [], []
+    col = 0
     for k, m in enumerate(matrices):
-        datas.append(m.data)
+        data[:, col:col + m.n_cols] = m.data
+        col += m.n_cols
         if k == 0:
             times.append(m.times)
             dts.append(m.dts)
@@ -156,7 +198,7 @@ def concat_parametric(matrices: list[SnapshotMatrix]) -> SnapshotMatrix:
             times.append(m.times - m.times[0] + times[-1][-1] + seam)
             dts.append(np.concatenate(([seam], m.dts)))
         tags.append((m.param_tag, m.n_cols))
-    return SnapshotMatrix(first.variable_id, np.hstack(datas),
+    return SnapshotMatrix(first.variable_id, data,
                           np.concatenate(times), np.concatenate(dts),
                           param_tag=None, block_tags=tuple(tags))
 
@@ -173,7 +215,7 @@ def _pack_header(matrix: SnapshotMatrix) -> bytes:
 
 def save_snapshots(matrix: SnapshotMatrix, path) -> None:
     payload = _pack_header(matrix)
-    payload += matrix.data.astype("<f8").tobytes(order="C")
+    payload += matrix.data.astype("<f8", copy=False).tobytes(order="C")
     payload += matrix.times.astype("<f8").tobytes()
     payload += matrix.dts.astype("<f8").tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
@@ -212,7 +254,8 @@ def load_snapshots(path) -> SnapshotMatrix:
     off += 8 * n_cols
     dts = np.frombuffer(body, "<f8", max(n_cols - 1, 0), off)
     return SnapshotMatrix(variable_id=ident[:id_len].decode("utf-8"),
-                          data=data.copy(), times=times.copy(), dts=dts.copy(),
+                          data=data.copy(order="F"), times=times.copy(),
+                          dts=dts.copy(),
                           param_tag=None if np.isnan(tag) else float(tag))
 
 

@@ -5,8 +5,9 @@ from hyporom.errors import (DegenerateWaveFan, NonPositiveDepth,
                             UnsupportedSystem)
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, froude_number,
-                         hll_coeffs, lake_at_rest, roe_averages, swe_hll_step,
-                         swe_lf_step)
+                         hll_coeffs, interface_fan, lake_at_rest, roe_averages,
+                         swe_hll_step, swe_lf_step)
+from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
 from oracles import swe_hll_step_scalar, swe_lf_step_scalar
@@ -49,6 +50,65 @@ def test_hll_coeffs_examples():
 def test_hll_degenerate_fan():
     with pytest.raises(DegenerateWaveFan):
         hll_coeffs(1.0, 1.0)
+
+
+def _frozen_fan(hg, ug, g):
+    """The fan as roe_averages, davis_speeds and hll_coeffs computed it
+    before ``interface_fan``, inlined: the Davis speeds form the Roe
+    averages a second time."""
+    def roe(h_l, h_r, u_l, u_r):
+        sl, sr = np.sqrt(h_l), np.sqrt(h_r)
+        return 0.5 * (h_l + h_r), (sr * u_r + sl * u_l) / (sr + sl)
+
+    h_l, h_r, u_l, u_r = hg[:-1], hg[1:], ug[:-1], ug[1:]
+    h_t, u_t = roe(h_l, h_r, u_l, u_r)
+    c_l = np.sqrt(g * h_l)
+    c_r = np.sqrt(g * h_r)
+    h_d, u_d = roe(h_l, h_r, u_l, u_r)
+    c_t = np.sqrt(g * h_d)
+    s_l = np.minimum(u_l - c_l, u_d - c_t)
+    s_r = np.maximum(u_r + c_r, u_d + c_t)
+    gap = s_r - s_l
+    a0 = (s_r * np.abs(s_l) - s_l * np.abs(s_r)) / gap
+    a1 = (np.abs(s_r) - np.abs(s_l)) / gap
+    return h_t, u_t, a0, a1
+
+
+def _random_state(seed, n):
+    rng = np.random.default_rng(seed)
+    return SweState(h=0.3 + 2.0 * rng.random(n),
+                    q=rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interface_fan_bitwise_frozen_path(seed):
+    grid = Grid1D(-3.0, 3.0, 97)
+    state = _random_state(seed, grid.n_cells)
+    hg = np.concatenate(([state.h[0]], state.h, [state.h[-1]]))
+    qg = np.concatenate(([state.q[0]], state.q, [state.q[-1]]))
+    want = _frozen_fan(hg, qg / hg, BUMP_PARAMS.g)
+    got = interface_fan(state, BUMP_PARAMS, grid)
+    for g_arr, w_arr in zip(got, want):
+        assert g_arr.shape == (grid.n_cells + 1,)
+        assert np.array_equal(g_arr, w_arr)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hll_step_bitwise_with_frozen_fan(seed, monkeypatch):
+    grid = Grid1D(-3.0, 3.0, 97)
+    params = SweParams(g=9.81, n_b=0.03, bathymetry=bump)
+    state = _random_state(seed, grid.n_cells)
+    got = swe_hll_step(state, params, grid, 1e-3)
+    calls = []
+
+    def frozen(*args):
+        calls.append(1)
+        return _frozen_fan(*args)
+
+    monkeypatch.setattr(swe_module, "_fan", frozen)
+    want = swe_hll_step(state, params, grid, 1e-3)
+    assert calls
+    assert np.array_equal(got.h, want.h) and np.array_equal(got.q, want.q)
 
 
 def test_cfl_dt_lake_at_rest():

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from hyporom.errors import (ChecksumMismatch, FormatVersionMismatch, IoError,
                             NonMonotoneTime, ShapeMismatch, TooFewSnapshots)
+from hyporom import snapshots
 from hyporom.snapshots import (SnapshotMatrix, SnapshotRecorder,
                                concat_parametric, export_csv, load_snapshots,
                                partition_uniform, save_snapshots)
+
+BLOCK = snapshots._BLOCK_COLS
 
 
 def _matrix(n_rows=6, n_cols=9, seed=0, variable_id="h", param_tag=None):
@@ -32,6 +35,74 @@ class TestRecorder:
         rec.record({"w": np.zeros(3)}, 0.0)
         with pytest.raises(NonMonotoneTime):
             rec.record({"w": np.zeros(3)}, 0.0)
+
+    @pytest.mark.parametrize("n_cols", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        2 * BLOCK + 1])
+    def test_matrix_is_column_stack_of_fields(self, n_cols):
+        # Cell and interface rows, across every block boundary case; the
+        # recorder copies, so later writes to a recorded array do not leak.
+        rng = np.random.default_rng(n_cols)
+        cols = [{"h": rng.standard_normal(7), "alpha0": rng.standard_normal(8)}
+                for _ in range(n_cols)]
+        rec = SnapshotRecorder()
+        for n, fields in enumerate(cols):
+            live = {var: col.copy() for var, col in fields.items()}
+            rec.record(live, 0.1 * n)
+            for col in live.values():
+                col[:] = np.nan
+        mats = rec.finalize(param_tag=0.5)
+        assert rec.n_recorded == 0
+        for var in ("h", "alpha0"):
+            assert np.array_equal(mats[var].data,
+                                  np.column_stack([c[var] for c in cols]))
+            assert mats[var].data.flags.f_contiguous
+            assert mats[var].param_tag == 0.5
+            np.testing.assert_array_equal(mats[var].times,
+                                          0.1 * np.arange(n_cols))
+
+    def test_strided_run_records_the_fields_it_evaluated(self):
+        from hyporom.fluxes import FluxChoice
+        from hyporom.fom import SweModel, SweParams, SweState, run_fom
+        from hyporom.grid import Grid1D
+
+        seen = []
+
+        class Seen(SweModel):
+            def fields(self, state):
+                out = super().fields(state)
+                seen.append({var: np.array(v) for var, v in out.items()})
+                return out
+
+        grid = Grid1D(0.0, 1.0, 12)
+        h0 = np.where(grid.centers <= 0.5, 2.0, 1.0)
+        model = Seen(SweParams(n_b=0.05), grid, FluxChoice.HLL)
+        res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
+                      t_final=14.0, cfl=0.9, snapshot_stride=3)
+        assert len(seen) > BLOCK + 1
+        for var, mat in res.snapshots.items():
+            assert np.array_equal(mat.data,
+                                  np.column_stack([s[var] for s in seen]))
+        times = res.snapshots["h"].times
+        np.testing.assert_array_equal(times[:-1], res.times[:-1:3])
+        assert times[-1] == res.times[-1]
+
+    def test_row_count_change_rejected_at_its_column(self):
+        rec = SnapshotRecorder()
+        rec.record({"h": np.zeros(4), "q": np.zeros(4)}, 0.0)
+        with pytest.raises(ShapeMismatch, match="'q' at column 1"):
+            rec.record({"h": np.ones(4), "q": np.ones(5)}, 0.1)
+        # The rejected column wrote nothing.
+        assert rec.n_recorded == 1
+        mats = rec.finalize()
+        assert np.array_equal(mats["h"].data, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("bad", [np.zeros((4, 2)), 3.0])
+    def test_field_not_one_dimensional_rejected(self, bad):
+        rec = SnapshotRecorder()
+        with pytest.raises(ShapeMismatch, match="'h' at column 0"):
+            rec.record({"w": np.zeros(4), "h": bad}, 0.0)
+        assert rec.n_recorded == 0
+        assert rec.finalize() == {}
 
     def test_aux_columns_recomputable_from_primaries(self):
         # Recorded f must equal |q|/h^(7/3) of the recorded h, q columns.
@@ -58,8 +129,8 @@ class TestRecorder:
 
     def test_interface_columns_recomputable_from_primaries(self):
         from hyporom.fluxes import FluxChoice
-        from hyporom.fom import (SweModel, SweParams, SweState,
-                                 hll_interface_coeffs, interface_roe, run_fom)
+        from hyporom.fom import (SweModel, SweParams, SweState, interface_fan,
+                                 run_fom)
         from hyporom.grid import Grid1D
 
         grid = Grid1D(0.0, 12.0, 25)
@@ -76,8 +147,7 @@ class TestRecorder:
         for n in range(res.snapshots["h"].n_cols):
             state = SweState(h=res.snapshots["h"].data[:, n],
                              q=res.snapshots["q"].data[:, n])
-            a0, a1 = hll_interface_coeffs(state, params, grid)
-            h_t, u_t = interface_roe(state, params, grid)
+            h_t, u_t, a0, a1 = interface_fan(state, params, grid)
             np.testing.assert_allclose(res.snapshots["alpha0"].data[:, n],
                                        a0, rtol=0, atol=1e-15)
             np.testing.assert_allclose(res.snapshots["alpha1"].data[:, n],
@@ -121,6 +191,8 @@ class TestConcat:
         m = _matrix(param_tag=0.1)
         out = concat_parametric([m])
         np.testing.assert_array_equal(out.data, m.data)
+        assert out.data.flags.f_contiguous
+        assert not np.shares_memory(out.data, m.data)
         assert out.param_tag is None
         assert out.block_tags == ((0.1, m.n_cols),)
 
@@ -129,6 +201,8 @@ class TestConcat:
         b = _matrix(200, 50, seed=2, param_tag=0.04)
         out = concat_parametric([a, b])
         assert out.data.shape == (200, 100)
+        assert np.array_equal(out.data, np.hstack([a.data, b.data]))
+        assert out.data.flags.f_contiguous
         assert out.param_tag is None
         assert [tag for tag, _ in out.block_tags] == [0.03, 0.04]
         assert np.all(np.diff(out.times) > 0)
@@ -152,7 +226,26 @@ class TestConcat:
             concat_parametric([_matrix(6, 5), _matrix(7, 5)])
 
 
+def test_data_is_column_major_and_windows_are_views():
+    m = SnapshotMatrix("h", np.arange(12.0).reshape(3, 4), np.arange(4.0),
+                       np.ones(3))
+    assert m.data.flags.f_contiguous
+    win = m.window(1, 3)
+    assert win.base is m.data
+    assert win.flags.f_contiguous
+    np.testing.assert_array_equal(win, [[1, 2], [5, 6], [9, 10]])
+
+
 class TestBinaryFormat:
+    def test_payload_bytes_independent_of_memory_order(self, tmp_path):
+        m = _matrix(13, 21, seed=4)
+        paths = []
+        for order in ("C", "F"):
+            m.data = np.array(m.data, order=order)
+            paths.append(tmp_path / f"{order}.hyp")
+            save_snapshots(m, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_round_trip_bitwise(self, tmp_path):
         m = _matrix(13, 21, seed=3, variable_id="alpha0", param_tag=0.07)
         path = tmp_path / "snap.hyp"
@@ -230,6 +323,7 @@ class TestBinaryFormat:
             back = load_snapshots(path)
         assert np.array_equal(back.data, m.data)
         assert np.array_equal(back.times, m.times)
+        assert back.data.flags.f_contiguous and back.data.flags.writeable
 
 
 def test_csv_export(tmp_path):
