@@ -112,7 +112,8 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
     """Per-variable bases for window v with a unified mode count."""
     slices = {var: _pooled_slice(groups, partitions, var, v)
               for var in variables}
-    peaks = {var: float(np.max(np.abs(s))) for var, s in slices.items()}
+    # max|s| without an |s| temporary; a NaN makes both reductions NaN.
+    peaks = {var: float(max(s.max(), -s.min())) for var, s in slices.items()}
     if not np.all(np.isfinite(list(peaks.values()))):
         # Checked before the zero rule: an Inf scale makes every slice
         # pass as zero and get a fallback basis.

@@ -10,6 +10,7 @@ from hyporom.errors import (AllZeroSpectrum, BreakdownInEigensolve,
                             EmptySlice, ShapeMismatch)
 from hyporom.pod import (PodBasis, compute_basis, fallback_basis, lift,
                          project, select_modes, thin_svd, window_transfer)
+from hyporom.snapshots import SnapshotMatrix
 
 from oracles import random_orthonormal, svd_via_gram
 
@@ -71,21 +72,58 @@ def _check_against_gesdd(data, k):
     return u, s0, _signs_fixed_by_loop(u0)
 
 
+def _check_modes_against_gesdd(data, ks):
+    p = min(data.shape)
+    for k in ks:
+        u, s0, u0 = _check_against_gesdd(data, k)
+        # Modes separated from both neighbours by a spectral gap are
+        # determined up to sign, which both sides fix the same way.
+        gaps = np.abs(np.diff(s0)) > 1e-3 * s0[0]
+        for j in range(u.shape[1]):
+            if (j == 0 or gaps[j - 1]) and (j == p - 1 or gaps[j]):
+                np.testing.assert_allclose(u[:, j], u0[:, j], rtol=0.0,
+                                           atol=1e-10)
+
+
 class TestThinSvd:
     @pytest.mark.parametrize("kind", ["tall", "square", "wide",
                                       "rank_deficient", "graded"])
     def test_matches_gesdd(self, kind):
         data = _slice(kind)
         p = min(data.shape)
-        for k in (1, p // 2, p, p + 3, None):
-            u, s0, u0 = _check_against_gesdd(data, k)
-            # Modes separated from both neighbours by a spectral gap are
-            # determined up to sign, which both sides fix the same way.
-            gaps = np.abs(np.diff(s0)) > 1e-3 * s0[0]
-            for j in range(u.shape[1]):
-                if (j == 0 or gaps[j - 1]) and (j == p - 1 or gaps[j]):
-                    np.testing.assert_allclose(u[:, j], u0[:, j], rtol=0.0,
-                                               atol=1e-10)
+        _check_modes_against_gesdd(data, (1, p // 2, p, p + 3, None))
+
+    # min(rows, cols) on either side of one and two QR column blocks.
+    @pytest.mark.parametrize("p", [pod._QR_BLOCK - 1, pod._QR_BLOCK,
+                                   pod._QR_BLOCK + 1, 2 * pod._QR_BLOCK,
+                                   2 * pod._QR_BLOCK + 1])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_matches_gesdd_across_qr_blocks(self, p, wide):
+        data = np.random.default_rng(p).standard_normal((2 * p + 7, p))
+        data = data.T if wide else data
+        _check_modes_against_gesdd(data, (1, p // 2, p, None))
+
+    # The shape of a dam-break window slice, with a graded spectrum.
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_matches_gesdd_on_window_sized_slice(self, wide):
+        rng = np.random.default_rng(148)
+        data = (rng.standard_normal((1600, 148))
+                @ np.diag(np.logspace(0, -12, 148)))
+        data = data.T if wide else data
+        _check_modes_against_gesdd(data, (1, 74, 148, None))
+
+    def test_column_major_window_matches_row_major_copy(self):
+        rng = np.random.default_rng(21)
+        times = np.arange(120.0)
+        snap = SnapshotMatrix("h", rng.standard_normal((300, 120)), times,
+                              np.diff(times))
+        view = snap.window(17, 103)
+        assert view.flags.f_contiguous
+        for k in (1, 40, None):
+            u_f, s_f = thin_svd(view, k)
+            u_c, s_c = thin_svd(np.ascontiguousarray(view), k)
+            np.testing.assert_array_equal(u_f, u_c)
+            np.testing.assert_array_equal(s_f, s_c)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
@@ -122,7 +160,7 @@ class TestThinSvd:
         assert u.shape == (3, 1)
         np.testing.assert_array_equal(s, [3.0, 2.0, 1.0])
 
-    @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
+    @pytest.mark.parametrize("routine", ["dgeqrt", "dgemqrt"])
     def test_lapack_info_is_typed(self, monkeypatch, routine):
         real = getattr(pod.lapack, routine)
 

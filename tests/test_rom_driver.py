@@ -166,7 +166,7 @@ def test_cap_beyond_window_columns_equals_uncapped():
                                       b.bases["w"].singular_values)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
 def test_non_finite_snapshot_raises_typed(bad):
     grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
     res.snapshots["w"].data[3, 2] = bad
