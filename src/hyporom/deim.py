@@ -86,19 +86,3 @@ def deim_online_values(interp: DeimInterpolant, values: np.ndarray) -> np.ndarra
         raise EvaluationError("non-finite value at an interpolation point")
     return interp.solve_matrix @ values
 
-
-def deim_online(interp: DeimInterpolant, pointwise_eval) -> np.ndarray:
-    """Coefficients from a pointwise evaluator ``index -> value``."""
-    try:
-        values = np.array([pointwise_eval(int(i)) for i in interp.indices],
-                          dtype=float)
-    except EvaluationError:
-        raise
-    except Exception as exc:
-        raise EvaluationError(str(exc)) from exc
-    return deim_online_values(interp, values)
-
-
-def deim_reconstruct(interp: DeimInterpolant, coeffs: np.ndarray) -> np.ndarray:
-    """Full-field approximation U c (interpolates exactly at the points)."""
-    return interp.basis @ np.asarray(coeffs, dtype=float)

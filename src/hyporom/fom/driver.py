@@ -1,10 +1,10 @@
 """Time integration of the full-order models with snapshot recording.
 
 A model bundles (params, grid, flux) and exposes the common surface the
-driver needs: max wave speed, one explicit step, and the named fields to
-record per snapshot column.  Steps are pure functions of (state, dt); the
-driver is strictly sequential in time and clamps the final step so the
-run lands exactly on t_final.
+driver needs: the state a run starts from, max wave speed, one explicit
+step, and the named fields to record per snapshot column.  Steps are pure
+functions of (state, dt); the driver is strictly sequential in time and
+clamps the final step so the run lands exactly on t_final.
 """
 
 import time
@@ -34,6 +34,9 @@ class TransportModel:
         self.grid = grid
         self.flux = flux
 
+    def initial(self, w):
+        return w
+
     def max_wave_speed(self, w):
         return _transport.transport_max_speed(w, self.params)
 
@@ -55,6 +58,9 @@ class BurgersModel:
         self.grid = grid
         self.flux = flux
 
+    def initial(self, w):
+        return w
+
     def max_wave_speed(self, w):
         return _burgers.burgers_max_speed(w, self.params)
 
@@ -69,10 +75,19 @@ class SweModel:
     """SWE model; records u = q/h and f = |q|/h^(7/3) alongside h, q.
 
     With the HLL flux the per-interface fan data (alpha0, alpha1, Roe
-    averages) are recorded too, from one ``interface_fan`` evaluation per
-    recorded state: the same expressions the HLL step evaluates, so the
-    recorded fan columns are bitwise the step's.  Every auxiliary column
-    is a pure function of the (h, q) column it belongs to.
+    averages) are recorded too: the same expressions the HLL step
+    evaluates, so the recorded fan columns are bitwise the step's.  Every
+    auxiliary column is a pure function of the (h, q) column it belongs
+    to.
+
+    Each state of a run is derived from once.  ``initial`` checks the
+    caller's state and holds it as a read-only copy; every later state is
+    checked by the step that produced it, which makes its arrays read-only
+    too.  The model skips the check of such a checked state, and the HLL
+    fan that ``fields`` forms for it is the one the next ``step`` uses.
+    The padded bed and its bed-slope differences are formed once, here,
+    from the ``params`` and ``grid`` given.  A state the caller built is
+    checked on every call and shares nothing.
     """
 
     system = "swe"
@@ -82,29 +97,57 @@ class SweModel:
         self.params = params
         self.grid = grid
         self.flux = flux
+        self._bed = _swe._bed(params, grid)
+        self._fan = (None, None)          # (checked state, its HLL fan)
+
+    def initial(self, state):
+        _swe._check_state(state)
+        return _swe._checked_output(state.h.copy(), state.q.copy())
 
     def max_wave_speed(self, state):
-        return _swe.swe_max_speed(state, self.params)
+        if not _swe._is_checked(state):
+            _swe._check_state(state)
+        return _swe._max_speed(state, self.params.g)
 
     def step(self, state, dt):
-        if self.flux is FluxChoice.HLL:
-            return _swe.swe_hll_step(state, self.params, self.grid, dt)
-        return _swe.swe_lf_step(state, self.params, self.grid, dt, self.flux)
+        checked = _swe._is_checked(state)
+        if not checked:
+            _swe._check_state(state)
+        if self.flux is not FluxChoice.HLL:
+            return _swe._lf_step(state, self.params, self.grid, dt,
+                                 self.flux, self._bed)
+        fan = self._fan[1] if checked and self._fan[0] is state else None
+        self._fan = (None, None)
+        return _swe._hll_step(state, self.params, self.grid, dt, self._bed,
+                              fan)
 
     def fields(self, state):
         h, q = state.h, state.q
+        fan = self._state_fan(state) if self.flux is FluxChoice.HLL else None
         out = {
             "h": h,
             "q": q,
             "u": q / h,
             "f": np.abs(q) / h ** (7.0 / 3.0),
         }
-        if self.flux is FluxChoice.HLL:
-            h_t, u_t, a0, a1 = _swe.interface_fan(state, self.params,
-                                                  self.grid)
+        if fan is not None:
+            h_t, u_t, a0, a1 = fan
             out.update({"alpha0": a0, "alpha1": a1,
                         "htilde": h_t, "utilde": u_t})
         return out
+
+    def _state_fan(self, state):
+        """The HLL fan of ``state``; a checked state's is formed once, made
+        read-only and kept for the next step."""
+        if not _swe._is_checked(state):
+            return _swe.interface_fan(state, self.params, self.grid)
+        if self._fan[0] is not state:
+            hg = _swe._pad(state.h)
+            fan = _swe._fan(hg, _swe._pad(state.q) / hg, self.params.g)
+            for arr in fan:
+                arr.flags.writeable = False
+            self._fan = (state, fan)
+        return self._fan[1]
 
 
 def cfl_dt(model, state, cfl: float) -> float:
@@ -146,6 +189,7 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
 
     recorder = SnapshotRecorder() if record else None
     clamp_eps = 1e-12 * max(t_final, 1.0)
+    state = model.initial(state)
 
     t = 0.0
     times = [0.0]

@@ -8,6 +8,11 @@ Two first-order schemes, both exactly well-balanced for water at rest
 free surface eta, and the HLL flux with per-interface fan coefficients.
 Free boundaries replicate (h, q, z) into the ghost cells, which is the
 stationary extension of a lake-at-rest edge state.
+
+The public functions check every state they are given.  A step checks
+the state it produces and returns it marked as checked, with read-only
+arrays; ``SweModel`` (fom/driver.py) skips the check of such a state and
+shares its HLL fan between recording and the next step.
 """
 
 from dataclasses import dataclass
@@ -71,11 +76,39 @@ def _check_state(state: SweState) -> None:
         raise NonPositiveDepth("water depth must be positive everywhere")
 
 
+def _checked_output(h: np.ndarray, q: np.ndarray) -> SweState:
+    """The state a step produced, once its output check has passed.  Its
+    arrays are made read-only and the state is marked as checked, so no
+    later call needs to check it again and the mark cannot go stale."""
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(q))):
+        raise NonFiniteState("SWE step produced NaN/Inf")
+    if np.any(h <= 0.0):
+        raise NonPositiveDepth("SWE step produced a non-positive depth")
+    h.flags.writeable = False
+    q.flags.writeable = False
+    state = SweState(h=h, q=q)
+    state._checked = (h, q)
+    return state
+
+
+def _is_checked(state: SweState) -> bool:
+    """Whether ``state`` still holds the read-only arrays a checked step
+    produced: rebinding ``h`` or ``q``, or a copy whose arrays are
+    writable again (an unpickled state), drops the mark."""
+    mark = getattr(state, "_checked", None)
+    return (mark is not None and mark[0] is state.h and mark[1] is state.q
+            and not (state.h.flags.writeable or state.q.flags.writeable))
+
+
+def _max_speed(state: SweState, g: float) -> float:
+    u = state.q / state.h
+    c = np.sqrt(g * state.h)
+    return float(np.max(np.abs(u) + c))
+
+
 def swe_max_speed(state: SweState, params: SweParams) -> float:
     _check_state(state)
-    u = state.q / state.h
-    c = np.sqrt(params.g * state.h)
-    return float(np.max(np.abs(u) + c))
+    return _max_speed(state, params.g)
 
 
 def froude_number(state: SweState, params: SweParams) -> np.ndarray:
@@ -85,30 +118,41 @@ def froude_number(state: SweState, params: SweParams) -> np.ndarray:
     return np.abs(u) / np.sqrt(params.g * state.h)
 
 
+def _roe(h_l, h_r, u_l, u_r):
+    """Roe averages of depths already known to be positive."""
+    sl = np.sqrt(h_l)
+    sr = np.sqrt(h_r)
+    h_tilde = 0.5 * (h_l + h_r)
+    u_tilde = (sr * u_r + sl * u_l) / (sr + sl)
+    return h_tilde, u_tilde
+
+
 def roe_averages(h_l, h_r, u_l, u_r):
     """Interface Roe averages (h_tilde, u_tilde); accepts scalars or arrays."""
     h_l = np.asarray(h_l, dtype=float)
     h_r = np.asarray(h_r, dtype=float)
     if np.any(h_l <= 0.0) or np.any(h_r <= 0.0):
         raise NonPositiveDepth("Roe average requires positive depths")
-    sl = np.sqrt(h_l)
-    sr = np.sqrt(h_r)
-    h_tilde = 0.5 * (h_l + h_r)
-    u_tilde = (sr * np.asarray(u_r) + sl * np.asarray(u_l)) / (sr + sl)
-    return h_tilde, u_tilde
+    return _roe(h_l, h_r, np.asarray(u_l), np.asarray(u_r))
+
+
+def _fan_coeffs(s_l, s_r):
+    """(alpha0, alpha1) of float-array fans (S_L, S_R).  Each interface is
+    degenerate when its gap is below _FAN_TOL * max(1, |S_L|, |S_R|) of
+    its own speeds."""
+    gap = s_r - s_l
+    abs_l = np.abs(s_l)
+    abs_r = np.abs(s_r)
+    if (gap < _FAN_TOL * np.maximum(1.0, np.maximum(abs_l, abs_r))).any():
+        raise DegenerateWaveFan("HLL wave speeds are not separated")
+    return (s_r * abs_l - s_l * abs_r) / gap, (abs_r - abs_l) / gap
 
 
 def hll_coeffs(s_l, s_r):
     """PVM degree-1 coefficients (alpha0, alpha1) of the HLL fan (S_L, S_R)."""
     s_l = np.asarray(s_l, dtype=float)
-    s_r = np.asarray(s_r, dtype=float)
-    gap = s_r - s_l
-    scale = np.maximum(1.0, np.maximum(np.abs(s_l), np.abs(s_r)))
-    if np.any(gap < _FAN_TOL * scale):
-        raise DegenerateWaveFan("HLL wave speeds are not separated")
-    a0 = (s_r * np.abs(s_l) - s_l * np.abs(s_r)) / gap
-    a1 = (np.abs(s_r) - np.abs(s_l)) / gap
-    if np.isscalar(s_l) or s_l.ndim == 0:
+    a0, a1 = _fan_coeffs(s_l, np.asarray(s_r, dtype=float))
+    if s_l.ndim == 0:
         return float(a0), float(a1)
     return a0, a1
 
@@ -118,23 +162,26 @@ def _pad(a: np.ndarray) -> np.ndarray:
     return np.concatenate(([a[0]], a, [a[-1]]))
 
 
-def _padded(state: SweState, params: SweParams, grid: Grid1D):
-    """Ghost-replicated h, q and z."""
-    z = np.asarray(params.bathymetry(grid.centers), dtype=float)
-    return _pad(state.h), _pad(state.q), _pad(z)
+def _bed(params: SweParams, grid: Grid1D):
+    """Ghost-replicated bed zg and its one-sided differences at the cells,
+    (zg[2:] - z, z - zg[:-2]): everything a step reads of the bathymetry."""
+    zg = _pad(np.asarray(params.bathymetry(grid.centers), dtype=float))
+    z = zg[1:-1]
+    return zg, zg[2:] - z, z - zg[:-2]
 
 
 def _fan(hg, ug, g):
     """Roe averages and HLL fan coefficients (h_tilde, u_tilde, alpha0,
-    alpha1) at every interface of ghost-padded h and u.  The Davis speed
-    estimates take the one-sided speeds and the Roe speed, so the Roe
-    averages are formed once and serve both."""
-    h_t, u_t = roe_averages(hg[:-1], hg[1:], ug[:-1], ug[1:])
+    alpha1) at every interface of ghost-padded h and u, whose depths are
+    checked already.  The Davis speed estimates take the one-sided speeds
+    and the Roe speed, so the Roe averages are formed once and serve
+    both."""
+    h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:])
     c = np.sqrt(g * hg)
     c_t = np.sqrt(g * h_t)
     s_l = np.minimum(ug[:-1] - c[:-1], u_t - c_t)
     s_r = np.maximum(ug[1:] + c[1:], u_t + c_t)
-    a0, a1 = hll_coeffs(s_l, s_r)
+    a0, a1 = _fan_coeffs(s_l, s_r)
     return h_t, u_t, a0, a1
 
 
@@ -153,31 +200,27 @@ def _friction(state: SweState, params: SweParams, dt: float) -> np.ndarray:
         / state.h ** (7.0 / 3.0)
 
 
-def _bed_slope(hg, zg, lam, g):
+def _bed_slope(hg, bed, lam, g):
     # Centered path-conservative source: -(g dt / 4 dx) * sum of side terms.
+    _, dz_r, dz_l = bed
     h = hg[1:-1]
-    z = zg[1:-1]
-    side = (hg[2:] + h) * (zg[2:] - z) + (h + hg[:-2]) * (z - zg[:-2])
+    side = (hg[2:] + h) * dz_r + (h + hg[:-2]) * dz_l
     return -0.25 * g * lam * side
 
 
-def swe_lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
-                flux: FluxChoice = FluxChoice.MODIFIED_LAX_FRIEDRICHS
-                ) -> SweState:
-    """PVM-0 EWB step: the h-equation viscosity acts on eta = h + z."""
-    if flux is FluxChoice.HLL:
-        raise UnsupportedSystem("use swe_hll_step for the HLL flux")
-    _check_state(state)
+def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
+             flux: FluxChoice, bed) -> SweState:
+    """PVM-0 step of a checked state over the bed ``_bed`` gives."""
     dx = grid.dx
     lam = dt / dx
     g = params.g
-    hg, qg, zg = _padded(state, params, grid)
-    etag = hg + zg
+    hg, qg = _pad(state.h), _pad(state.q)
+    etag = hg + bed[0]
     h, q = state.h, state.q
 
     if flux is FluxChoice.RUSANOV:
         ug = qg / hg
-        h_t, u_t = roe_averages(hg[:-1], hg[1:], ug[:-1], ug[1:])
+        h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:])
         a0 = np.abs(u_t) + np.sqrt(g * h_t)
     else:
         a0 = np.full(grid.n_cells + 1, pvm0_constant(flux, params.nu, dx, dt))
@@ -191,29 +234,33 @@ def swe_lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
     mom = qg * qg / hg + 0.5 * g * hg * hg
     q_new = q - 0.5 * lam * (mom[2:] - mom[:-2]) \
         + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
-        + _bed_slope(hg, zg, lam, g) \
+        + _bed_slope(hg, bed, lam, g) \
         - _friction(state, params, dt)
 
-    out = SweState(h=h_new, q=q_new)
-    if not (np.all(np.isfinite(out.h)) and np.all(np.isfinite(out.q))):
-        raise NonFiniteState("SWE step produced NaN/Inf")
-    if np.any(out.h <= 0.0):
-        raise NonPositiveDepth("SWE step produced a non-positive depth")
-    return out
+    return _checked_output(h_new, q_new)
 
 
-def swe_hll_step(state: SweState, params: SweParams, grid: Grid1D,
-                 dt: float) -> SweState:
-    """HLL EWB step with per-interface fan coefficients."""
+def swe_lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
+                flux: FluxChoice = FluxChoice.MODIFIED_LAX_FRIEDRICHS
+                ) -> SweState:
+    """PVM-0 EWB step: the h-equation viscosity acts on eta = h + z."""
+    if flux is FluxChoice.HLL:
+        raise UnsupportedSystem("use swe_hll_step for the HLL flux")
     _check_state(state)
-    dx = grid.dx
-    lam = dt / dx
+    return _lf_step(state, params, grid, dt, flux, _bed(params, grid))
+
+
+def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
+              bed, fan=None) -> SweState:
+    """HLL step of a checked state over the bed ``_bed`` gives; ``fan`` is
+    the state's ``_fan``, formed here when not given."""
+    lam = dt / grid.dx
     g = params.g
-    hg, qg, zg = _padded(state, params, grid)
-    etag = hg + zg
+    hg, qg = _pad(state.h), _pad(state.q)
+    etag = hg + bed[0]
     h, q = state.h, state.q
 
-    h_t, u_t, a0, a1 = _fan(hg, qg / hg, g)
+    h_t, u_t, a0, a1 = _fan(hg, qg / hg, g) if fan is None else fan
     # Momentum weight of the degree-1 term applied to the eta jump.
     wgt = -u_t * u_t + g * h_t
 
@@ -231,12 +278,14 @@ def swe_hll_step(state: SweState, params: SweParams, grid: Grid1D,
         + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
         + lam * (a1[1:] * u_t[1:] * q_jump[1:]
                  - a1[:-1] * u_t[:-1] * q_jump[:-1]) \
-        + _bed_slope(hg, zg, lam, g) \
+        + _bed_slope(hg, bed, lam, g) \
         - _friction(state, params, dt)
 
-    out = SweState(h=h_new, q=q_new)
-    if not (np.all(np.isfinite(out.h)) and np.all(np.isfinite(out.q))):
-        raise NonFiniteState("SWE step produced NaN/Inf")
-    if np.any(out.h <= 0.0):
-        raise NonPositiveDepth("SWE step produced a non-positive depth")
-    return out
+    return _checked_output(h_new, q_new)
+
+
+def swe_hll_step(state: SweState, params: SweParams, grid: Grid1D,
+                 dt: float) -> SweState:
+    """HLL EWB step with per-interface fan coefficients."""
+    _check_state(state)
+    return _hll_step(state, params, grid, dt, _bed(params, grid))

@@ -2,20 +2,24 @@
 
 DEIM-updated auxiliary variables need pointwise values of the lifted
 state at the interpolation points only.  The context stacks the h and q
-mode rows of every sampled cell into one array, so a single batched
-product per step samples the state for all refreshes; each refresh then
-reads its own slice of the samples, at O(M) cost per point.  Interface
-evaluations (fan coefficients) sample the two cells flanking each
-interface, with edge clamping matching the ghost replication of the
-full-order scheme.
+mode rows of every sampled cell into one array, so each step makes one
+point pass (``sample_cells``): a single batched product samples the
+state for all refreshes, and everything the refreshes read of it -- the
+depth check, u = q/h and, with fan refreshes, sqrt(h) and sqrt(g h) --
+is derived there once for every sampled cell.  Each refresh then reads
+its own slice of these, at O(M) cost per point.  Interface evaluations
+(fan coefficients) sample the two cells flanking each interface, with
+edge clamping matching the ghost replication of the full-order scheme.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..deim import DeimInterpolant, deim_online_values
-from ..errors import DegenerateWaveFan, EvaluationError
+from ..errors import EvaluationError
+from ..fom.swe import hll_coeffs
 
 LIN_TAV = "tav"
 LIN_DEIM_U_TAV_F = "deim_u_tav_f"
@@ -96,52 +100,61 @@ def build_swe_context(bases: dict, interpolants: dict, inputs: tuple,
     return ctx
 
 
-def refresh_u(ctx: SweRomContext, pts: np.ndarray) -> np.ndarray:
-    """DEIM coefficients of u = q/h from the sampled points ``pts``."""
-    at = ctx.u_samples.at
-    h_pts = pts[0, at, 0]
-    if h_pts.min() <= 0.0:
+class SampledCells(NamedTuple):
+    """The lifted state at every sampled cell, in the context's order, and
+    what the refreshes derive from it.  ``root_h`` and ``c`` are None when
+    the window refreshes no fan coefficients."""
+
+    h: np.ndarray
+    q: np.ndarray
+    u: np.ndarray                       # q / h
+    root_h: np.ndarray | None           # sqrt(h)
+    c: np.ndarray | None                # sqrt(g h)
+
+
+def sample_cells(ctx: SweRomContext, x: np.ndarray) -> SampledCells:
+    """One point pass: sample x = [h_hat; q_hat] at every sampled cell,
+    check the depths and derive what the refreshes read."""
+    pts = ctx.rows @ x.reshape(2, -1, 1)
+    h = pts[0, :, 0]
+    q = pts[1, :, 0]
+    if h.min() <= 0.0:
         raise EvaluationError("non-positive depth at a DEIM point")
-    return deim_online_values(ctx.u_samples.interp, pts[1, at, 0] / h_pts)
+    if ctx.fan_left is None:
+        return SampledCells(h, q, q / h, None, None)
+    return SampledCells(h, q, q / h, np.sqrt(h), np.sqrt(ctx.g * h))
 
 
-def refresh_f(ctx: SweRomContext, pts: np.ndarray) -> np.ndarray:
-    """DEIM coefficients of f = |q|/h^(7/3) from the sampled points."""
+def refresh_u(ctx: SweRomContext, cells: SampledCells) -> np.ndarray:
+    """DEIM coefficients of u = q/h from the sampled cells."""
+    return deim_online_values(ctx.u_samples.interp, cells.u[ctx.u_samples.at])
+
+
+def refresh_f(ctx: SweRomContext, cells: SampledCells) -> np.ndarray:
+    """DEIM coefficients of f = |q|/h^(7/3) from the sampled cells."""
     at = ctx.f_samples.at
-    h_pts = pts[0, at, 0]
-    if h_pts.min() <= 0.0:
-        raise EvaluationError("non-positive depth at a DEIM point")
     return deim_online_values(ctx.f_samples.interp,
-                              np.abs(pts[1, at, 0]) / h_pts ** (7.0 / 3.0))
+                              np.abs(cells.q[at]) / cells.h[at] ** (7.0 / 3.0))
 
 
-def refresh_alphas(ctx: SweRomContext, pts: np.ndarray):
+def refresh_alphas(ctx: SweRomContext, cells: SampledCells):
     """Fan coefficients at the stacked interpolation interfaces, one pass,
     from the sampled flanking cells."""
-    h_l = pts[0, ctx.fan_left, 0]
-    h_r = pts[0, ctx.fan_right, 0]
-    if h_l.min() <= 0.0 or h_r.min() <= 0.0:
-        raise EvaluationError("non-positive depth at a DEIM interface")
-    u_l = pts[1, ctx.fan_left, 0] / h_l
-    u_r = pts[1, ctx.fan_right, 0] / h_r
-    # Inline Roe + Davis + degree-1 fan coefficients (hot online path);
-    # the arithmetic mirrors the full-order fan evaluation exactly.
-    sqrt_l = np.sqrt(h_l)
-    sqrt_r = np.sqrt(h_r)
+    left, right = ctx.fan_left, ctx.fan_right
+    h_l = cells.h[left]
+    h_r = cells.h[right]
+    u_l = cells.u[left]
+    u_r = cells.u[right]
+    # Inline Roe + Davis speeds (hot online path); the arithmetic mirrors
+    # the full-order fan evaluation exactly, and the fan coefficients and
+    # their degeneracy rule are the full-order ones.
+    sqrt_l = cells.root_h[left]
+    sqrt_r = cells.root_h[right]
     u_t = (sqrt_r * u_r + sqrt_l * u_l) / (sqrt_r + sqrt_l)
-    g = ctx.g
-    c_t = np.sqrt(g * (0.5 * (h_l + h_r)))
-    s_l = np.minimum(u_l - np.sqrt(g * h_l), u_t - c_t)
-    s_r = np.maximum(u_r + np.sqrt(g * h_r), u_t + c_t)
-    gap = s_r - s_l
-    abs_l = np.abs(s_l)
-    abs_r = np.abs(s_r)
-    if gap.min() < 1e-12 * max(1.0, abs_l.max(), abs_r.max()):
-        raise DegenerateWaveFan(
-            "HLL wave speeds are not separated at a DEIM interface")
+    c_t = np.sqrt(ctx.g * (0.5 * (h_l + h_r)))
+    s_l = np.minimum(u_l - cells.c[left], u_t - c_t)
+    s_r = np.maximum(u_r + cells.c[right], u_t + c_t)
+    a0, a1 = hll_coeffs(s_l, s_r)
     m0 = ctx.a0_samples.interp.m
-    a0_hat = deim_online_values(ctx.a0_samples.interp,
-                                ((s_r * abs_l - s_l * abs_r) / gap)[:m0])
-    a1_hat = deim_online_values(ctx.a1_samples.interp,
-                                ((abs_r - abs_l) / gap)[m0:])
-    return a0_hat, a1_hat
+    return (deim_online_values(ctx.a0_samples.interp, a0[:m0]),
+            deim_online_values(ctx.a1_samples.interp, a1[m0:]))

@@ -37,7 +37,7 @@ from ..fom.swe import SweParams
 from ..grid import Grid1D
 from .context import (COEFF_DEIM, LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F,
                       LIN_TAV, LINEARIZATIONS, SweRomContext, refresh_f,
-                      refresh_u)
+                      refresh_u, sample_cells)
 from .operators import (RomOperators, Term, TimeAverages, advance,
                         compile_terms, contract_quadratic, pad_rows,
                         project_outer, stencil_weights)
@@ -130,18 +130,20 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
 def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
              dt: float, refresh_fans) -> np.ndarray:
     """One reduced step of the packed state x = [h_hat; q_hat].  The
-    refreshed coefficients are stacked in the order of ``ops.inputs``;
-    the fan refresh, which yields alpha0 and alpha1 at once, is passed by
-    the HLL entry point, which owns its name."""
-    pts = ctx.rows @ x.reshape(2, -1, 1)
+    refreshed coefficients are stacked in the order of ``ops.inputs``,
+    all from one point pass; the fan refresh, which yields alpha0 and
+    alpha1 at once, is passed by the HLL entry point, which owns its
+    name."""
     xa = [x]
+    if len(ops.inputs) > 2:
+        cells = sample_cells(ctx, x)
     for name in ops.inputs[2:]:
         if name == "u":
-            xa.append(refresh_u(ctx, pts))
+            xa.append(refresh_u(ctx, cells))
         elif name == "f":
-            xa.append(refresh_f(ctx, pts))
+            xa.append(refresh_f(ctx, cells))
         elif name == "alpha0":
-            xa.extend(refresh_fans(ctx, pts))
+            xa.extend(refresh_fans(ctx, cells))
     xa.append(_ONE)
     return advance(x, np.concatenate(xa), ops, dt, contract_quadratic)
 

@@ -6,11 +6,19 @@ vectorized code paths of the package: step oracles use math.exp and
 per-cell arithmetic, operator oracles use naive triple loops, the SVD
 oracle goes through the Gram-matrix eigendecomposition, and sums that
 back accuracy claims use compensated (Kahan) accumulation.
+
+The last section keeps reference copies of retired package code: the
+whole-field DEIM interpolation and the per-refresh point evaluations of
+the SWE online context, each refresh deriving its own values from the
+sampled points.  The package's replacements must match them bitwise.
 """
 
 import math
 
 import numpy as np
+
+from hyporom.deim import deim_online_values
+from hyporom.errors import DegenerateWaveFan, EvaluationError
 
 
 def kahan_sum(values):
@@ -508,3 +516,64 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params, dx, dt):
              - 0.25 * g * lam * (mats["G"] @ h_hat)
              - dt * friction)
     return h_new, q_new
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of retired package code
+
+
+def deim_interpolate(interp, field):
+    """U (P^T U)^-1 P^T field: the DEIM approximation of a full field from
+    its values at the interpolation points."""
+    return interp.basis @ deim_online_values(interp, field[interp.indices])
+
+
+def refresh_u_reference(ctx, pts):
+    """DEIM coefficients of u = q/h from the sampled points ``pts``
+    (2 x points x 1, h rows then q rows)."""
+    at = ctx.u_samples.at
+    h_pts = pts[0, at, 0]
+    if h_pts.min() <= 0.0:
+        raise EvaluationError("non-positive depth at a DEIM point")
+    return deim_online_values(ctx.u_samples.interp, pts[1, at, 0] / h_pts)
+
+
+def refresh_f_reference(ctx, pts):
+    """DEIM coefficients of f = |q|/h^(7/3) from the sampled points."""
+    at = ctx.f_samples.at
+    h_pts = pts[0, at, 0]
+    if h_pts.min() <= 0.0:
+        raise EvaluationError("non-positive depth at a DEIM point")
+    return deim_online_values(ctx.f_samples.interp,
+                              np.abs(pts[1, at, 0]) / h_pts ** (7.0 / 3.0))
+
+
+def refresh_alphas_reference(ctx, pts):
+    """Fan coefficients at the stacked interpolation interfaces.  Its
+    degenerate-fan test compares the smallest gap with one scale taken
+    over all interfaces, not with each interface's own."""
+    h_l = pts[0, ctx.fan_left, 0]
+    h_r = pts[0, ctx.fan_right, 0]
+    if h_l.min() <= 0.0 or h_r.min() <= 0.0:
+        raise EvaluationError("non-positive depth at a DEIM interface")
+    u_l = pts[1, ctx.fan_left, 0] / h_l
+    u_r = pts[1, ctx.fan_right, 0] / h_r
+    sqrt_l = np.sqrt(h_l)
+    sqrt_r = np.sqrt(h_r)
+    u_t = (sqrt_r * u_r + sqrt_l * u_l) / (sqrt_r + sqrt_l)
+    g = ctx.g
+    c_t = np.sqrt(g * (0.5 * (h_l + h_r)))
+    s_l = np.minimum(u_l - np.sqrt(g * h_l), u_t - c_t)
+    s_r = np.maximum(u_r + np.sqrt(g * h_r), u_t + c_t)
+    gap = s_r - s_l
+    abs_l = np.abs(s_l)
+    abs_r = np.abs(s_r)
+    if gap.min() < 1e-12 * max(1.0, abs_l.max(), abs_r.max()):
+        raise DegenerateWaveFan(
+            "HLL wave speeds are not separated at a DEIM interface")
+    m0 = ctx.a0_samples.interp.m
+    a0_hat = deim_online_values(ctx.a0_samples.interp,
+                                ((s_r * abs_l - s_l * abs_r) / gap)[:m0])
+    a1_hat = deim_online_values(ctx.a1_samples.interp,
+                                ((abs_r - abs_l) / gap)[m0:])
+    return a0_hat, a1_hat

@@ -3,7 +3,9 @@ import pytest
 
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (SweModel, SweParams, SweState, TransportModel,
-                         TransportParams, run_fom, transport_stationary)
+                         TransportParams, cfl_dt, interface_fan, run_fom,
+                         swe_hll_step, swe_lf_step, transport_stationary)
+from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
 from oracles import kahan_sum
@@ -88,3 +90,88 @@ def test_swe_hll_records_interface_variables():
         assert res.snapshots[name].n_rows == 41
     for name in ("h", "q", "u", "f"):
         assert res.snapshots[name].n_rows == 40
+
+
+def _dam_case(flux, n=60):
+    grid = Grid1D(0.0, 12.0, n)
+
+    def z(x):
+        return 0.2 * (1.0 - np.asarray(x) / 12.0)
+
+    params = SweParams(g=9.81, n_b=0.1, nu=0.9, bathymetry=z)
+    zc = z(grid.centers)
+    h0 = np.where(grid.centers <= 6.0, 2.0 - zc, 1.0 - zc)
+    return SweModel(params, grid, flux), SweState(h=h0, q=np.zeros_like(h0))
+
+
+@pytest.mark.parametrize("record, extra", [(True, 1), (False, 0)])
+def test_hll_run_forms_one_fan_per_state(monkeypatch, record, extra):
+    # Recorded: fields forms each state's fan and the next step reuses it
+    # (N + 1 fans for N steps); plain: each step forms its own.
+    model, state = _dam_case(FluxChoice.HLL)
+    calls = []
+    fan = swe_module._fan
+
+    def counted(*args):
+        calls.append(1)
+        return fan(*args)
+
+    monkeypatch.setattr(swe_module, "_fan", counted)
+    res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
+    assert res.n_steps > 10
+    assert len(calls) == res.n_steps + extra
+
+
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.HLL])
+@pytest.mark.parametrize("record", [True, False])
+def test_run_checks_only_the_initial_state(monkeypatch, flux, record):
+    # Every later state is checked by the step that produced it.
+    model, state = _dam_case(flux)
+    calls = []
+    check = swe_module._check_state
+
+    def counted(arg):
+        calls.append(arg)
+        check(arg)
+
+    monkeypatch.setattr(swe_module, "_check_state", counted)
+    res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
+    assert res.n_steps > 10
+    assert calls == [state]
+
+
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.RUSANOV, FluxChoice.HLL])
+@pytest.mark.parametrize("record", [True, False])
+def test_run_is_bitwise_the_public_step_loop(flux, record):
+    # The model's shared checks, bed and fans change no bit of a run:
+    # replay it with the public functions, which derive everything anew.
+    model, state = _dam_case(flux)
+    res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
+    params, grid = model.params, model.grid
+    ref = SweModel(params, grid, flux)
+    cur = state
+    for n, dt in enumerate(res.dts):
+        assert cfl_dt(ref, cur, 0.9) == dt or n == len(res.dts) - 1
+        if flux is FluxChoice.HLL:
+            nxt = swe_hll_step(cur, params, grid, dt)
+        else:
+            nxt = swe_lf_step(cur, params, grid, dt, flux)
+        if record:
+            if flux is FluxChoice.HLL:
+                for name, arr in zip(("htilde", "utilde", "alpha0", "alpha1"),
+                                     interface_fan(cur, params, grid)):
+                    assert np.array_equal(res.snapshots[name].data[:, n], arr)
+            assert np.array_equal(res.snapshots["h"].data[:, n], cur.h)
+        cur = SweState(h=nxt.h.copy(), q=nxt.q.copy())
+    assert np.array_equal(res.final_state.h, cur.h)
+    assert np.array_equal(res.final_state.q, cur.q)
+
+
+def test_run_leaves_the_callers_state_writable():
+    model, state = _dam_case(FluxChoice.HLL)
+    res = run_fom(model, state, t_final=0.05, cfl=0.9)
+    assert state.h.flags.writeable and state.q.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        res.final_state.h[0] = 1.0

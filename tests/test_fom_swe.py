@@ -1,12 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from hyporom.errors import (DegenerateWaveFan, NonPositiveDepth,
-                            UnsupportedSystem)
+from hyporom.errors import (DegenerateWaveFan, NonFiniteState,
+                            NonPositiveDepth, UnsupportedSystem)
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, froude_number,
                          hll_coeffs, interface_fan, lake_at_rest, roe_averages,
-                         swe_hll_step, swe_lf_step)
+                         swe_hll_step, swe_lf_step, swe_max_speed)
 from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
@@ -223,3 +225,125 @@ def test_lf_stepper_rejects_hll_choice():
     state = SweState(h=np.ones(5), q=np.zeros(5))
     with pytest.raises(UnsupportedSystem):
         swe_lf_step(state, SweParams(), grid, 0.001, FluxChoice.HLL)
+
+
+_BAD_STATES = [
+    (np.array([1.0, np.nan, 1.0, 1.0]), np.zeros(4), NonFiniteState),
+    (np.ones(4), np.array([0.0, np.inf, 0.0, 0.0]), NonFiniteState),
+    (np.array([1.0, 1.0, 0.0, 1.0]), np.zeros(4), NonPositiveDepth),
+    (np.array([1.0, -0.5, 1.0, 1.0]), np.zeros(4), NonPositiveDepth),
+]
+_GRID4 = Grid1D(0.0, 1.0, 4)
+_PUBLIC_ENTRIES = {
+    "swe_lf_step": lambda s: swe_lf_step(s, BUMP_PARAMS, _GRID4, 1e-3),
+    "swe_hll_step": lambda s: swe_hll_step(s, BUMP_PARAMS, _GRID4, 1e-3),
+    "swe_max_speed": lambda s: swe_max_speed(s, BUMP_PARAMS),
+    "interface_fan": lambda s: interface_fan(s, BUMP_PARAMS, _GRID4),
+    "froude_number": lambda s: froude_number(s, BUMP_PARAMS),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PUBLIC_ENTRIES))
+@pytest.mark.parametrize("h, q, error", _BAD_STATES)
+def test_public_entries_check_caller_states(entry, h, q, error):
+    with pytest.raises(error):
+        _PUBLIC_ENTRIES[entry](SweState(h=h, q=q))
+
+
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.HLL])
+@pytest.mark.parametrize("h, q, error", _BAD_STATES)
+def test_model_checks_caller_states(flux, h, q, error):
+    model = SweModel(BUMP_PARAMS, _GRID4, flux)
+    calls = [model.initial, model.max_wave_speed,
+             lambda s: model.step(s, 1e-3)]
+    if flux is FluxChoice.HLL:
+        calls.append(model.fields)
+    for call in calls:
+        with pytest.raises(error):
+            call(SweState(h=h, q=q))
+
+
+def test_roe_and_fan_entries_keep_their_checks():
+    with pytest.raises(NonPositiveDepth):
+        roe_averages(np.array([1.0, 0.0]), np.ones(2), np.zeros(2),
+                     np.zeros(2))
+    with pytest.raises(DegenerateWaveFan):
+        hll_coeffs(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
+
+
+def _stepped(flux, seed=0):
+    grid = Grid1D(-3.0, 3.0, 97)
+    model = SweModel(BUMP_PARAMS, grid, flux)
+    state = _random_state(seed, grid.n_cells)
+    return model, grid, model.step(model.initial(state), 1e-3)
+
+
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.HLL])
+def test_stepped_states_are_read_only(flux):
+    model, grid, out = _stepped(flux)
+    public = (swe_hll_step(out, BUMP_PARAMS, grid, 1e-3)
+              if flux is FluxChoice.HLL
+              else swe_lf_step(out, BUMP_PARAMS, grid, 1e-3, flux))
+    for state in (out, public):
+        for arr in (state.h, state.q):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[3] = -1.0
+    # The recorded h and q are the state's arrays, and the HLL fan that
+    # fields hands to the recorder is the one the next step reads.
+    shared = ("h", "q", "alpha0", "alpha1", "htilde", "utilde")
+    for name, arr in model.fields(out).items():
+        if name in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[3] = -1.0
+
+
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.HLL])
+def test_rebinding_a_stepped_state_drops_its_mark(flux):
+    # A checked state whose arrays are replaced is checked again.
+    model, _, out = _stepped(flux)
+    model.fields(out)
+    good = out.h
+    bad = out.h.copy()
+    bad[5] = np.nan
+    out.h = bad
+    calls = [model.max_wave_speed, lambda s: model.step(s, 1e-3)]
+    if flux is FluxChoice.HLL:
+        calls.append(model.fields)
+    for call in calls:
+        with pytest.raises(NonFiniteState):
+            call(out)
+    # Valid new arrays: the step derives everything from them, as the
+    # public step does, and does not reuse the fan formed for the old ones.
+    out.h = good + 0.25
+    model.fields(out)
+    got = model.step(out, 1e-3)
+    public = (swe_hll_step(out, BUMP_PARAMS, model.grid, 1e-3)
+              if flux is FluxChoice.HLL
+              else swe_lf_step(out, BUMP_PARAMS, model.grid, 1e-3, flux))
+    assert np.array_equal(got.h, public.h) and np.array_equal(got.q, public.q)
+
+
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.HLL])
+def test_unpickled_stepped_state_is_checked_again(flux):
+    # Unpickled arrays are writable, so the copy carries no valid mark.
+    model, _, out = _stepped(flux)
+    copy = pickle.loads(pickle.dumps(out))
+    copy.q[7] = np.inf
+    with pytest.raises(NonFiniteState):
+        model.step(copy, 1e-3)
+    with pytest.raises(NonFiniteState):
+        model.max_wave_speed(copy)
+
+
+def test_initial_copies_the_callers_state():
+    model = SweModel(BUMP_PARAMS, Grid1D(-3.0, 3.0, 97), FluxChoice.HLL)
+    state = _random_state(1, 97)
+    start = model.initial(state)
+    assert np.array_equal(start.h, state.h)
+    assert np.array_equal(start.q, state.q)
+    assert not np.shares_memory(start.h, state.h)
+    assert state.h.flags.writeable and state.q.flags.writeable

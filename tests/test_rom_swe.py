@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 from hyporom.deim import deim_offline
-from hyporom.errors import MissingAuxBasis
-from hyporom.fom import SweParams
+from hyporom.errors import DegenerateWaveFan, MissingAuxBasis
+from hyporom.fom import SweParams, SweState, interface_fan
 from hyporom.grid import Grid1D
 from hyporom.pod import PodBasis
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
                          TimeAverages,
                          assemble_swe_hll_rom, assemble_swe_lf_rom,
-                         build_swe_context, rom_swe_hll_step,
-                         rom_swe_lf_step, swe_lf, time_average)
+                         build_swe_context, refresh_alphas, refresh_f,
+                         refresh_u, rom_swe_hll_step, rom_swe_lf_step, swe_lf,
+                         time_average)
+from hyporom.rom.context import sample_cells
 from hyporom.rom.driver import basis_variables
 
 from oracles import (friction_ops_oracle, kahan_sum, random_orthonormal,
-                     swe_hll_deim_ops_oracle, swe_hll_tav_ops_oracle,
-                     swe_lf_ops_oracle, swe_rom_step_oracle)
+                     refresh_alphas_reference, refresh_f_reference,
+                     refresh_u_reference, swe_hll_deim_ops_oracle,
+                     swe_hll_tav_ops_oracle, swe_lf_ops_oracle,
+                     swe_rom_step_oracle)
 
 
 def _bases(n, m, seeds=(0, 1, 2, 3)):
@@ -465,3 +469,71 @@ class TestSteps:
                 np.concatenate([h_hat, q_hat]), ops, ctx, dt=0.01), 2)
             np.testing.assert_allclose(q_new, 0.0, atol=1e-15)
             np.testing.assert_allclose(h_new, h_hat, atol=1e-15)
+
+
+class TestPointPass:
+    """One point pass per step: the refreshes read what ``sample_cells``
+    derives and match, bitwise, the references that derived their own
+    values from the sampled points."""
+
+    @staticmethod
+    def _context(m, hll, n=60, seed=0):
+        rng = np.random.default_rng(seed)
+        sv = np.arange(m, 0, -1, dtype=float)
+        # A constant first h mode keeps the sampled depths positive.
+        phih = np.linalg.qr(np.column_stack(
+            [np.ones(n), rng.standard_normal((n, m - 1))]))[0]
+        bases = {"h": PodBasis("h", phih, sv),
+                 **{k: v for k, v in _bases(n, m, (7, 1, 2, 3)).items()
+                    if k != "h"}}
+        names = ["u", "f"]
+        if hll:
+            bases.update(_interface_bases(n, m))
+            names += ["alpha0", "alpha1"]
+        interps = {v: deim_offline(bases[v].modes) for v in names}
+        ctx = build_swe_context(bases, interps, ("h", "q", *names), 9.81)
+        h_hat = 0.3 * rng.standard_normal(m) / np.sqrt(m)
+        h_hat[0] = 1.5 * np.sqrt(n) * np.sign(phih[0, 0])
+        return ctx, np.concatenate([h_hat, rng.standard_normal(m)])
+
+    @pytest.mark.parametrize("hll", [False, True], ids=["lf", "hll"])
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_refreshes_bitwise_the_per_refresh_references(self, m, hll):
+        for seed in range(3):
+            ctx, x = self._context(m, hll, seed=seed)
+            pts = ctx.rows @ x.reshape(2, -1, 1)
+            assert pts[0].min() > 0.0
+            cells = sample_cells(ctx, x)
+            pairs = [(refresh_u(ctx, cells), refresh_u_reference(ctx, pts)),
+                     (refresh_f(ctx, cells), refresh_f_reference(ctx, pts))]
+            if hll:
+                pairs += zip(refresh_alphas(ctx, cells),
+                             refresh_alphas_reference(ctx, pts))
+            for got, want in pairs:
+                assert got.shape == (m,)
+                assert np.array_equal(got, want)
+
+    def test_fan_degeneracy_is_judged_per_interface(self):
+        # Two interpolation interfaces: one between two nearly dry cells,
+        # whose fan gap 2 sqrt(g h) ~ 6e-12 clears the full-order rule
+        # 1e-12 * max(1, |S_L|, |S_R|) of its own speeds, and one between
+        # deep cells with speeds near 100.  A scale taken over both
+        # interfaces (the old rule) rejects the shallow one.
+        n = 4
+        h = np.array([1e-25, 1e-25, 1e3, 1e3])
+        q = np.zeros(n)
+        sv = np.ones(n)
+        bases = {v: PodBasis(v, np.eye(n), sv) for v in ("h", "q")}
+        interps = {name: deim_offline(np.eye(n + 1)[:, [j]])
+                   for name, j in (("alpha0", 1), ("alpha1", 3))}
+        ctx = build_swe_context(bases, interps, ("h", "q", "alpha0", "alpha1"),
+                                9.81)
+        x = np.concatenate([h, q])
+        with pytest.raises(DegenerateWaveFan):
+            refresh_alphas_reference(ctx, ctx.rows @ x.reshape(2, -1, 1))
+        a0_hat, a1_hat = refresh_alphas(ctx, sample_cells(ctx, x))
+        grid = Grid1D(0.0, 1.0, n)
+        _, _, a0, a1 = interface_fan(SweState(h=h, q=q), SweParams(g=9.81),
+                                     grid)
+        assert np.array_equal(a0_hat, a0[[1]])
+        assert np.array_equal(a1_hat, a1[[3]])
