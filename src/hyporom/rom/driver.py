@@ -14,9 +14,10 @@ Entering a run in a new window transfers the conserved coefficients
 through the continuity-of-projection jump condition, so the crossing
 step already uses the incoming window's operators; each step is one call
 ``step(x, ops, ctx, dt)`` of the system's step function (ctx is None for
-transport and Burgers).  A SWE state is checked for NaN/Inf once
-at the end of each run; transport and Burgers replays hand a non-finite
-state back to the caller, which judges the divergence.
+transport and Burgers).  A SWE state is checked for a non-positive
+lifted depth after each transfer and for NaN/Inf once at the end of each
+run; transport and Burgers replays hand a non-finite state back to the
+caller, which judges the divergence.
 """
 
 import time
@@ -27,10 +28,10 @@ import numpy as np
 
 from ..deim import deim_offline
 from ..errors import (BreakdownInEigensolve, HyporomError, NonFiniteState,
-                      ShapeMismatch, UnsupportedSystem)
+                      NonPositiveDepth, ShapeMismatch, UnsupportedSystem)
 from ..grid import Grid1D
-from ..pod import (fallback_basis, numerical_rank, pod_basis, select_modes,
-                   thin_svd, window_transfer)
+from ..pod import (fallback_basis, lift, numerical_rank, pod_basis,
+                   select_modes, thin_svd, window_transfer)
 from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
 from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_TAV_F, LIN_TAV,
@@ -312,6 +313,15 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
             nxt = setup.windows[v]
             x = _transfer(x, window, nxt, names)
             window = nxt
+            # No DEIM point checks the depth on the tav path, so the
+            # transferred state is checked here, lifted in its new basis.
+            if swe:
+                h = lift(window.bases["h"], np.split(x, len(names))[0])
+                if h.min() <= 0.0:
+                    t = float(dts[:start].sum())
+                    raise NonPositiveDepth(
+                        f"non-positive depth after the transfer into window "
+                        f"{v} (step {start}, t={t:.6g})")
         ops, ctx = window.ops, window.context
         try:
             for n in range(start, stop):

@@ -1,10 +1,13 @@
 """End-to-end reduced pipeline: offline build + online replay."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hyporom.errors import (BreakdownInEigensolve, EvaluationError,
-                            NonFiniteState, UnsupportedSystem)
+                            NonFiniteState, NonPositiveDepth,
+                            UnsupportedSystem)
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          TransportModel, TransportParams, burgers_stationary,
@@ -296,6 +299,24 @@ def test_tav_replay_of_a_non_finite_state_raises():
     q0[50] = np.nan
     with pytest.raises(NonFiniteState, match=r"window 0"):
         run_rom(setup, {"h": h0, "q": q0}, res.dts)
+
+
+def test_transfer_into_a_basis_without_positive_depths_raises():
+    # No DEIM point checks the depth on the tav path either, so only the
+    # transfer can notice it.  Zero-mean modes lift any state to a depth
+    # that is <= 0 somewhere.
+    grid, params, h0, res = _dam_run()
+    setup = build_rom("swe_lf", [res.snapshots], params, grid, n_windows=3,
+                      eps_pod=1e-10, mode_cap=10, linearization=LIN_TAV)
+    bases = setup.windows[1].bases
+    rng = np.random.default_rng(3)
+    zero_mean = rng.standard_normal(bases["h"].modes.shape)
+    zero_mean -= zero_mean.mean(axis=0)
+    bases["h"] = dataclasses.replace(bases["h"],
+                                     modes=np.linalg.qr(zero_mean)[0])
+    with pytest.raises(NonPositiveDepth,
+                       match=r"transfer into window 1 \(step \d+, t=0\.\d+"):
+        run_rom(setup, {"h": h0, "q": np.zeros_like(h0)}, res.dts)
 
 
 def test_scalar_replay_hands_a_non_finite_state_back():
