@@ -285,13 +285,16 @@ def sweep_modes_windows(config: ExperimentConfig, m_list, nv_list,
             cfg = ExperimentConfig(**{**config.__dict__,
                                       "mode_cap": None if cap == 0 else cap,
                                       "n_windows": n_windows})
+            t0 = time.perf_counter()
             setup = _stage("offline", _build, cfg, grid,
                            [recorded.snapshots], model)
+            offline_seconds = time.perf_counter() - t0
             out = _stage("online", run_rom, setup,
                          _state_fields(cfg, state0), recorded.dts,
                          recorded_steps=_recorded_steps(recorded))
             row = {"mode_cap": cap, "n_windows": n_windows,
                    "selected_m": max(out.modes_per_window),
+                   "offline_seconds": offline_seconds,
                    "online_seconds": out.online_seconds}
             for var, final in out.final.items():
                 row[f"l1_{var}"] = l1_error(final, fom_final[var], grid.dx)
@@ -380,13 +383,14 @@ def write_sweep(config: ExperimentConfig, rows) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     keys = ["mode_cap", "n_windows", "selected_m"]
     var_keys = sorted({k for row in rows for k in row if k.startswith("l1_")})
-    header = keys + var_keys + ["online_seconds"]
+    timing_keys = ["offline_seconds", "online_seconds"]
+    header = keys + var_keys + timing_keys
     path = outdir / "sweep.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [str(row[k]) for k in keys]
             cells += [_fmt(row.get(k, "")) for k in var_keys]
-            cells.append(_fmt(row["online_seconds"]))
+            cells += [_fmt(row[k]) for k in timing_keys]
             fh.write(",".join(cells) + "\n")
     return path

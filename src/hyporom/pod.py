@@ -1,4 +1,4 @@
-"""POD bases: SVD of snapshot slices, mode selection, projection, transfer.
+"""POD bases: SVD of snapshot slices, mode selection, lifting, transfer.
 
 The decomposition is a thin SVD of the slice itself (numerically better
 conditioned than eigendecomposing the Gram matrix the criterion is
@@ -14,8 +14,24 @@ singular vectors of R that a build can keep; every singular value is
 still computed, so rank and energy tests see the whole spectrum.  Mode
 signs are normalized so each mode's largest-magnitude entry is
 positive, making bases deterministic across runs and platforms.
+
+The small SVD of R depends on R alone, not on k (Chan's R-SVD, ACM
+TOMS 8(1), 1982), so builds that decompose the same window slice at
+several mode caps (a cap sweep over one recording) reuse it.  A
+snapshot matrix registers its data array with ``memoize_slices``;
+``thin_svd`` then keeps, for each slice that is a view of that array,
+a digest of R with its left singular vectors and singular values
+(p x p + p floats for a slice of min(rows, cols) = p), and a later
+call on the same slice skips the small SVD when its freshly factored R
+has that digest.  The QR and the application of Q run on every call,
+so the result is bitwise that of a fresh decomposition, also after the
+data was edited in place (R, and so the digest, then differ).  The
+kept SVDs are freed with the array; pooled copies and other arrays
+are never kept.
 """
 
+import hashlib
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +51,9 @@ _ORTHO_TOL = 1e-12
 # 16-64 were within noise of each other (2.3-3.3 ms), one block took
 # 3.0-4.5 ms and dgeqrf 4.5-6.0 ms.
 _QR_BLOCK = 32
+# Small SVDs of the slices of registered arrays: id(array) -> {slice key:
+# (digest of R, u_r, s)}.  An array's entry is dropped when it is freed.
+_SLICE_SVDS: dict[int, dict] = {}
 
 
 @dataclass
@@ -108,16 +127,56 @@ def thin_svd(data: np.ndarray, k: int | None = None
     k = p if k is None else min(max(int(k), 1), p)
     qr, t, info = lapack.dgeqrt(min(_QR_BLOCK, p), data)
     _check_info("dgeqrt", info)
-    try:
-        u_r, s, _ = scipy.linalg.svd(np.triu(qr[:p]), full_matrices=False,
-                                     check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise BreakdownInEigensolve(str(exc)) from exc
+    u_r, s = _small_svd(np.triu(qr[:p]), data)
     lead = np.zeros((n, k), order="F")
     lead[:p] = u_r[:, :k]
     u, info = lapack.dgemqrt(qr[:, :p], t, lead, overwrite_c=1)
     _check_info("dgemqrt", info)
     return _fix_signs(u), s
+
+
+def memoize_slices(array: np.ndarray) -> None:
+    """Let ``thin_svd`` keep the small SVD of each slice viewing
+    ``array`` for as long as the array lives."""
+    key = id(array)
+    if key not in _SLICE_SVDS:
+        _SLICE_SVDS[key] = {}
+        weakref.finalize(array, _SLICE_SVDS.pop, key, None)
+
+
+def _slice_memo(data: np.ndarray):
+    """(memo, slice key) when ``data`` views a registered array, else
+    (None, None).  An id found in the memo is the live registered array:
+    its entry goes when the array is freed, before the id can be reused."""
+    base = data.base
+    while isinstance(base, np.ndarray):
+        memo = _SLICE_SVDS.get(id(base))
+        if memo is not None:
+            offset = (data.__array_interface__["data"][0]
+                      - base.__array_interface__["data"][0])
+            return memo, (offset, data.shape, data.strides)
+        base = base.base
+    return None, None
+
+
+def _small_svd(r: np.ndarray, data: np.ndarray):
+    """Left singular vectors and singular values of the triangle R of
+    ``data``, reused from an earlier call on the same slice when R is
+    bitwise what it was then.  The caller gets its own copy of s."""
+    memo, key = _slice_memo(data)
+    if memo is not None:
+        digest = hashlib.sha256(np.ascontiguousarray(r)).digest()
+        entry = memo.get(key)
+        if entry is not None and entry[0] == digest:
+            return entry[1], entry[2].copy()
+    try:
+        u_r, s, _ = scipy.linalg.svd(r, full_matrices=False,
+                                     check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise BreakdownInEigensolve(str(exc)) from exc
+    if memo is not None:
+        memo[key] = (digest, u_r, s.copy())
+    return u_r, s
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -171,13 +230,6 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     lead = modes[np.argmax(np.abs(modes), axis=0), cols]
     modes *= np.where(lead < 0.0, -1.0, 1.0)
     return modes
-
-
-def project(basis: PodBasis, fld: np.ndarray) -> np.ndarray:
-    fld = np.asarray(fld, dtype=float)
-    if fld.shape != (basis.n_rows,):
-        raise ShapeMismatch(f"field length {fld.shape} vs {basis.n_rows} rows")
-    return basis.modes.T @ fld
 
 
 def lift(basis: PodBasis, coeffs: np.ndarray) -> np.ndarray:

@@ -179,6 +179,8 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
         raise UnsupportedSystem(f"unknown linearization {linearization!r}")
     if system == "swe_hll" and coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
+    if not groups:
+        raise ShapeMismatch("need at least one snapshot group")
     variables = basis_variables(system, linearization, coeff_mode,
                                 params.n_b if swe else 0.0)
     avg_vars = average_variables(system, linearization, coeff_mode)
@@ -282,7 +284,8 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
     recorded_steps = np.asarray(recorded_steps)
     # A training partition may cover more columns than the replayed run
     # (concatenated parametric snapshots); later windows are never visited.
-    if len(recorded_steps) > n_cols or recorded_steps[-1] != len(dts):
+    if (not 0 < len(recorded_steps) <= n_cols
+            or recorded_steps[-1] != len(dts)):
         raise ShapeMismatch("dt sequence inconsistent with the partition")
 
     # Window of each full step: the window owning the first recorded

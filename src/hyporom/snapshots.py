@@ -10,7 +10,9 @@ recorded, loaded, concatenated or copied.  A column, and so a window's
 column range, is one contiguous block, which is the layout LAPACK reads.
 The recorder writes each column in place into fixed-size column-major
 blocks per variable, and ``finalize`` joins them one variable at a time.
-On disk the payload stays row-major.
+On disk the payload stays row-major.  A matrix registers its data with
+``pod.memoize_slices``, so builds at several mode caps decompose each
+window's small triangle once (see ``pod``).
 
 Binary container (little-endian, CRC32 trailer), fixed 64-byte header:
 
@@ -27,6 +29,7 @@ import numpy as np
 
 from .errors import (ChecksumMismatch, EmptySlice, FormatVersionMismatch,
                      IoError, NonMonotoneTime, ShapeMismatch, TooFewSnapshots)
+from .pod import memoize_slices
 
 SNAPSHOT_MAGIC = b"HYPSNAP1"
 FORMAT_VERSION = 1
@@ -64,6 +67,7 @@ class SnapshotMatrix:
         scale = np.maximum(np.abs(gaps), np.abs(self.dts))
         if np.any(np.abs(gaps - self.dts) > 1e-12 * np.maximum(scale, 1e-300)):
             raise ShapeMismatch("dts do not match time gaps")
+        memoize_slices(self.data)
 
     @property
     def n_rows(self) -> int:

@@ -8,7 +8,8 @@ oracle goes through the Gram-matrix eigendecomposition, and sums that
 back accuracy claims use compensated (Kahan) accumulation.
 
 The last section keeps reference copies of retired package code: the
-whole-field DEIM interpolation and the per-refresh point evaluations of
+projection of a full field onto a POD basis, the whole-field DEIM
+interpolation and the per-refresh point evaluations of
 the SWE online context, each refresh deriving its own values from the
 sampled points.  The package's replacements must match them bitwise.
 """
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from hyporom.deim import deim_online_values
-from hyporom.errors import DegenerateWaveFan, EvaluationError
+from hyporom.errors import DegenerateWaveFan, EvaluationError, ShapeMismatch
 
 
 def kahan_sum(values):
@@ -520,6 +521,14 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params, dx, dt):
 
 # ---------------------------------------------------------------------------
 # Reference copies of retired package code
+
+
+def project(basis, fld):
+    """Coefficients U^T fld of a full field in a POD basis."""
+    fld = np.asarray(fld, dtype=float)
+    if fld.shape != (basis.n_rows,):
+        raise ShapeMismatch(f"field length {fld.shape} vs {basis.n_rows} rows")
+    return basis.modes.T @ fld
 
 
 def deim_interpolate(interp, field):

@@ -23,7 +23,7 @@ from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          transport_stationary, transport_step)
 from hyporom.grid import Grid1D
 from hyporom.harness import dam_break_bed, gaussian_bump_bed, l1_error
-from hyporom.pod import PodBasis, compute_basis, lift, project, window_transfer
+from hyporom.pod import PodBasis, compute_basis, lift, window_transfer
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          LIN_DEIM_U_TAV_F, LIN_TAV, TimeAverages,
                          assemble_burgers_rom, assemble_swe_hll_rom,
@@ -415,7 +415,7 @@ def test_criterion_7_oracle_suite():
         ops = assemble_transport_rom(full, params, grid)
         w = transport_stationary(params, 1.0, 0.0, grid.centers) \
             + 0.1 * rng.standard_normal(n)
-        w_hat = project(full, w)
+        w_hat = oracles.project(full, w)
         dt = 0.9 * grid.dx
         w_fom = w.copy()
         for _ in range(100):

@@ -231,6 +231,17 @@ class TestSweep:
         rows = sweep_modes_windows(cfg, [2, 4], [2, 4, 8])
         assert len(rows) == 6
 
+    def test_rows_reproducible_but_timings(self, tmp_path):
+        cfg = ExperimentConfig(preset="transport_perturbation", n_cells=80,
+                               t_final=0.4, outdir=str(tmp_path / "o"))
+        runs = [sweep_modes_windows(cfg, [2, 4], [2]) for _ in range(2)]
+        for a, b in zip(*runs):
+            assert a["offline_seconds"] > 0.0 and a["online_seconds"] > 0.0
+            assert ({k: v for k, v in a.items() if k not in TIMING_COLUMNS}
+                    == {k: v for k, v in b.items() if k not in TIMING_COLUMNS})
+        header = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[0]
+        assert header.endswith("offline_seconds,online_seconds")
+
 
 class TestCli:
     def _run(self, *args, cwd):

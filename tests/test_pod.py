@@ -9,10 +9,10 @@ import hyporom.pod as pod
 from hyporom.errors import (AllZeroSpectrum, BreakdownInEigensolve,
                             EmptySlice, ShapeMismatch)
 from hyporom.pod import (PodBasis, compute_basis, fallback_basis, lift,
-                         project, select_modes, thin_svd, window_transfer)
+                         select_modes, thin_svd, window_transfer)
 from hyporom.snapshots import SnapshotMatrix
 
-from oracles import random_orthonormal, svd_via_gram
+from oracles import project, random_orthonormal, svd_via_gram
 
 
 class TestSelectModes:
@@ -124,6 +124,24 @@ class TestThinSvd:
             u_c, s_c = thin_svd(np.ascontiguousarray(view), k)
             np.testing.assert_array_equal(u_f, u_c)
             np.testing.assert_array_equal(s_f, s_c)
+
+    def test_snapshot_windows_keep_small_svds_and_match_fresh(self):
+        rng = np.random.default_rng(22)
+        times = np.arange(90.0)
+        snap = SnapshotMatrix("h", rng.standard_normal((200, 90)), times,
+                              np.diff(times))
+        memo = pod._SLICE_SVDS[id(snap.data)]
+        for k in (3, None, 1, 30):
+            for start, stop in ((0, 46), (45, 90)):
+                view = snap.window(start, stop)
+                u, s = thin_svd(view, k)
+                u0, s0 = thin_svd(view.copy(order="F"), k)
+                assert u.tobytes() == u0.tobytes()
+                assert s.tobytes() == s0.tobytes()
+        # One entry per window slice; copies and whole arrays never enter.
+        assert len(memo) == 2
+        thin_svd(snap.data, 4)
+        assert len(memo) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 12),

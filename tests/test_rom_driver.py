@@ -1,12 +1,18 @@
 """End-to-end reduced pipeline: offline build + online replay."""
 
+import copy
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import hyporom.pod as pod
 
 from hyporom.errors import (BreakdownInEigensolve, EvaluationError,
-                            NonFiniteState, NonPositiveDepth,
+                            NonFiniteState, NonPositiveDepth, ShapeMismatch,
                             UnsupportedSystem)
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
@@ -45,7 +51,8 @@ def test_single_window_equals_manual_stepping():
                       n_windows=1, eps_pod=1e-12)
     out = run_rom(setup, {"w": w0}, res.dts)
 
-    from hyporom.pod import lift, project
+    from hyporom.pod import lift
+    from oracles import project
     from hyporom.rom import rom_transport_step
     basis = setup.windows[0].bases["w"]
     w_hat = project(basis, w0)
@@ -338,3 +345,151 @@ def test_step_errors_carry_time_and_window():
     with pytest.raises(EvaluationError,
                        match=r"non-positive depth .*t=0, window 0\)"):
         run_rom(setup, {"h": -h0, "q": np.zeros_like(h0)}, res.dts)
+
+
+def test_empty_recorded_steps_raise_typed():
+    grid, params, w0, res = _transport_run(n=40, t_final=0.3)
+    setup = build_rom("transport", [res.snapshots], params, grid,
+                      n_windows=2, eps_pod=1e-10)
+    with pytest.raises(ShapeMismatch, match="partition"):
+        run_rom(setup, {"w": w0}, res.dts, recorded_steps=np.array([], int))
+
+
+def test_no_snapshot_group_raises_before_svd(monkeypatch):
+    grid, params, _, _ = _transport_run(n=40, t_final=0.3)
+
+    def no_svd(*args):
+        raise AssertionError("groups must be checked before the SVDs")
+
+    monkeypatch.setattr("hyporom.rom.driver.thin_svd", no_svd)
+    with pytest.raises(ShapeMismatch, match="snapshot group"):
+        build_rom("transport", [], params, grid, n_windows=2)
+
+
+def _assert_bitwise(a, b):
+    """a and b hold the same structure with bitwise equal arrays."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_bitwise(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_bitwise(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bitwise(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    else:
+        np.testing.assert_equal(a, b)
+
+
+# The first window's q/u slices open with a zero column and get padded.
+@pytest.mark.filterwarnings("ignore:window .* padding:UserWarning")
+class TestSliceSvdReuse:
+    """Builds on one recording reuse each window's small SVD of R, and
+    every output stays bitwise that of a build on fresh snapshots."""
+
+    CAPS = (2, 4, 8, None)
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        grid = Grid1D(0.0, 12.0, 120)
+
+        def z(x):
+            return 0.2 * (1.0 - np.asarray(x) / 12.0)
+
+        params = SweParams(g=9.81, n_b=0.05, nu=0.9, bathymetry=z)
+        zc = z(grid.centers)
+        h0 = np.where(grid.centers <= 6.0, 2.0 - zc, 1.0 - zc)
+        from hyporom.fom import SweState
+        model = SweModel(params, grid, FluxChoice.HLL)
+        res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
+                      t_final=0.4, cfl=0.9)
+        return grid, params, res
+
+    @staticmethod
+    def _build(run, snapshots, cap, groups=None):
+        grid, params, _ = run
+        return build_rom("swe_hll", groups or [snapshots], params, grid,
+                         n_windows=3, eps_pod=1e-10, mode_cap=cap,
+                         linearization=LIN_DEIM_U_DEIM_F,
+                         coeff_mode=COEFF_DEIM)
+
+    @staticmethod
+    def _recording(run):
+        # Re-registered matrices: a memo of their own, empty.
+        return {var: dataclasses.replace(sm, data=sm.data.copy(order="F"))
+                for var, sm in run[2].snapshots.items()}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of thin_svd calls and of the small SVDs they run."""
+        counts = {"thin_svd": 0, "svd": 0}
+        svd = scipy.linalg.svd
+
+        def count_thin(data, k=None):
+            counts["thin_svd"] += 1
+            return thin_svd(data, k)
+
+        def count_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr("hyporom.rom.driver.thin_svd", count_thin)
+        monkeypatch.setattr(scipy.linalg, "svd", count_svd)
+        return counts
+
+    @pytest.mark.parametrize("caps", [CAPS, CAPS[::-1]],
+                             ids=["ascending", "descending"])
+    def test_cap_sweep_bitwise_fresh_builds(self, run, caps):
+        snaps = self._recording(run)
+        for cap in caps:
+            reused = self._build(run, snaps, cap)
+            fresh = self._build(run, copy.deepcopy(snaps), cap)
+            _assert_bitwise(reused, fresh)
+
+    def test_one_small_svd_per_slice(self, run, calls):
+        snaps = self._recording(run)
+        self._build(run, snaps, self.CAPS[0])
+        assert calls["thin_svd"] > 0
+        assert calls["svd"] == calls["thin_svd"]
+        first = calls["thin_svd"]
+        for cap in self.CAPS[1:]:
+            self._build(run, snaps, cap)
+        assert calls["thin_svd"] == len(self.CAPS) * first
+        assert calls["svd"] == first
+
+    def test_edited_column_recomputes_its_window(self, run, calls):
+        snaps = self._recording(run)
+        self._build(run, snaps, 4)
+        before = calls["svd"]
+        # Column 5 lies inside window 0 and outside window 1's look-back.
+        snaps["h"].data[:, 5] *= 1.0 + 1e-3
+        edited = self._build(run, snaps, 8)
+        assert calls["svd"] == before + 1
+        _assert_bitwise(edited, self._build(run, copy.deepcopy(snaps), 8))
+
+    def test_pooled_groups_are_not_memoized(self, run, calls):
+        snaps = self._recording(run)
+        twice = [snaps, snaps]
+        self._build(run, None, 4, groups=twice)
+        first = calls["svd"]
+        self._build(run, None, 8, groups=twice)
+        assert calls["svd"] == 2 * first
+        assert all(pod._SLICE_SVDS[id(sm.data)] == {}
+                   for sm in snaps.values())
+
+    def test_memo_dies_with_the_snapshots(self, run):
+        snaps = self._recording(run)
+        self._build(run, snaps, 4)
+        data = snaps["h"].data
+        key, alive = id(data), weakref.ref(data)
+        assert pod._SLICE_SVDS[key]
+        del data, snaps
+        gc.collect()
+        assert alive() is None
+        assert key not in pod._SLICE_SVDS

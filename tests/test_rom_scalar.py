@@ -6,11 +6,11 @@ import pytest
 from hyporom.fom import (BurgersParams, TransportParams, burgers_stationary,
                          burgers_step, transport_stationary, transport_step)
 from hyporom.grid import Grid1D
-from hyporom.pod import PodBasis, compute_basis, project, lift
+from hyporom.pod import PodBasis, compute_basis, lift
 from hyporom.rom import (assemble_burgers_rom, assemble_transport_rom,
                          rom_burgers_step, rom_transport_step)
 
-from oracles import (burgers_ops_oracle, burgers_rom_step_oracle,
+from oracles import (burgers_ops_oracle, burgers_rom_step_oracle, project,
                      random_orthonormal, transport_ops_oracle,
                      transport_rom_step_oracle)
 
