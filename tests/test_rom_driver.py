@@ -355,15 +355,10 @@ def test_empty_recorded_steps_raise_typed():
         run_rom(setup, {"w": w0}, res.dts, recorded_steps=np.array([], int))
 
 
-def test_no_snapshot_group_raises_before_svd(monkeypatch):
-    grid, params, _, _ = _transport_run(n=40, t_final=0.3)
-
-    def no_svd(*args):
-        raise AssertionError("groups must be checked before the SVDs")
-
-    monkeypatch.setattr("hyporom.rom.driver.thin_svd", no_svd)
+def test_no_snapshot_group_raises_typed():
     with pytest.raises(ShapeMismatch, match="snapshot group"):
-        build_rom("transport", [], params, grid, n_windows=2)
+        build_rom("transport", [], TransportParams(c=1.0, alpha=1.0, nu=0.9),
+                  Grid1D(0.0, 2.0, 40), n_windows=2)
 
 
 def _assert_bitwise(a, b):
