@@ -30,7 +30,7 @@ N_WINDOWS = 25
 def solve(n_b):
     params = SweParams(g=9.81, n_b=n_b, nu=0.9, bathymetry=dam_break_bed)
     model = SweModel(params, grid, FluxChoice.MODIFIED_LAX_FRIEDRICHS)
-    return params, run_fom(model, state0, t_final=1.0, cfl=0.9, param_tag=n_b)
+    return params, run_fom(model, state0, t_final=1.0, cfl=0.9)
 
 
 target_params, reference = solve(TARGET)

@@ -38,15 +38,7 @@ class ShapeMismatch(HyporomError):
 
 
 class IoError(HyporomError):
-    """A snapshot file could not be read or written."""
-
-
-class FormatVersionMismatch(IoError):
-    """File carries an unsupported format version."""
-
-
-class ChecksumMismatch(IoError):
-    """File checksum does not match its contents (truncated/corrupt)."""
+    """A snapshot CSV file could not be written."""
 
 
 class EmptySlice(HyporomError):

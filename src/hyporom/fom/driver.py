@@ -174,8 +174,7 @@ class FomResult:
 
 
 def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
-            record: bool = True, snapshot_stride: int = 1,
-            param_tag: float | None = None) -> FomResult:
+            record: bool = True, snapshot_stride: int = 1) -> FomResult:
     """Advance from t=0 to exactly t_final, recording states and steps.
 
     ``snapshot_stride`` keeps every k-th column (plus t=0 and the final
@@ -217,7 +216,7 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
                 recorder.record(model.fields(state), t)
     wall = time.perf_counter() - t0
 
-    snapshots = recorder.finalize(param_tag=param_tag) if recorder else {}
+    snapshots = recorder.finalize() if recorder else {}
     return FomResult(final_state=state, times=np.array(times),
                      dts=np.array(dts), snapshots=snapshots,
                      wall_seconds=wall)

@@ -9,10 +9,11 @@ free surface eta, and the HLL flux with per-interface fan coefficients.
 Free boundaries replicate (h, q, z) into the ghost cells, which is the
 stationary extension of a lake-at-rest edge state.
 
-The public functions check every state they are given.  A step checks
-the state it produces and returns it marked as checked, with read-only
-arrays; ``SweModel`` (fom/driver.py) skips the check of such a state and
-shares its HLL fan between recording and the next step.
+``SweModel`` (fom/driver.py) is the entry to the schemes.  It and
+``interface_fan`` check every state a caller builds.  A step checks the
+state it produces and returns it marked as checked, with read-only
+arrays; ``SweModel`` skips the check of such a state and shares its HLL
+fan between recording and the next step.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
-                      UnsupportedSystem)
+from ..errors import DegenerateWaveFan, NonFiniteState, NonPositiveDepth
 from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
@@ -106,18 +106,6 @@ def _max_speed(state: SweState, g: float) -> float:
     return float(np.max(np.abs(u) + c))
 
 
-def swe_max_speed(state: SweState, params: SweParams) -> float:
-    _check_state(state)
-    return _max_speed(state, params.g)
-
-
-def froude_number(state: SweState, params: SweParams) -> np.ndarray:
-    """Diagnostic |u|/c per cell; no regime switching anywhere in the schemes."""
-    _check_state(state)
-    u = state.q / state.h
-    return np.abs(u) / np.sqrt(params.g * state.h)
-
-
 def _roe(h_l, h_r, u_l, u_r):
     """Roe averages of depths already known to be positive."""
     sl = np.sqrt(h_l)
@@ -125,15 +113,6 @@ def _roe(h_l, h_r, u_l, u_r):
     h_tilde = 0.5 * (h_l + h_r)
     u_tilde = (sr * u_r + sl * u_l) / (sr + sl)
     return h_tilde, u_tilde
-
-
-def roe_averages(h_l, h_r, u_l, u_r):
-    """Interface Roe averages (h_tilde, u_tilde); accepts scalars or arrays."""
-    h_l = np.asarray(h_l, dtype=float)
-    h_r = np.asarray(h_r, dtype=float)
-    if np.any(h_l <= 0.0) or np.any(h_r <= 0.0):
-        raise NonPositiveDepth("Roe average requires positive depths")
-    return _roe(h_l, h_r, np.asarray(u_l), np.asarray(u_r))
 
 
 def _fan_coeffs(s_l, s_r):
@@ -240,16 +219,6 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
     return _checked_output(h_new, q_new)
 
 
-def swe_lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
-                flux: FluxChoice = FluxChoice.MODIFIED_LAX_FRIEDRICHS
-                ) -> SweState:
-    """PVM-0 EWB step: the h-equation viscosity acts on eta = h + z."""
-    if flux is FluxChoice.HLL:
-        raise UnsupportedSystem("use swe_hll_step for the HLL flux")
-    _check_state(state)
-    return _lf_step(state, params, grid, dt, flux, _bed(params, grid))
-
-
 def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
               bed, fan=None) -> SweState:
     """HLL step of a checked state over the bed ``_bed`` gives; ``fan`` is
@@ -282,10 +251,3 @@ def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
         - _friction(state, params, dt)
 
     return _checked_output(h_new, q_new)
-
-
-def swe_hll_step(state: SweState, params: SweParams, grid: Grid1D,
-                 dt: float) -> SweState:
-    """HLL EWB step with per-interface fan coefficients."""
-    _check_state(state)
-    return _hll_step(state, params, grid, dt, _bed(params, grid))

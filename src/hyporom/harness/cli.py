@@ -1,6 +1,6 @@
 """Command line interface.
 
-    hyporom fom run CONFIG      full-order solve, solution CSV + snapshots
+    hyporom fom run CONFIG      full-order solve, one snapshot CSV per variable
     hyporom rom run CONFIG      full pipeline: FOM, offline build, online ROM
     hyporom predict CONFIG      parametric training study
     hyporom sweep CONFIG        mode/window grid reusing one FOM trajectory
@@ -17,10 +17,11 @@ import numpy as np
 
 from ..errors import ConfigError, HyporomError
 from ..fom import run_fom
-from ..snapshots import export_csv, save_snapshots
+from ..snapshots import export_csv
 from .config import ExperimentConfig, load_config
-from .experiment import (_state_fields, initial_state, make_model,
-                         run_experiment, run_prediction, sweep_modes_windows)
+from .experiment import (_require_horizon, _state_fields, initial_state,
+                         make_model, run_experiment, run_prediction,
+                         sweep_modes_windows)
 from .metrics import l1_error
 
 CONFIG_EXIT = 2
@@ -54,8 +55,9 @@ def fom():
 @fom.command("run")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def fom_run(config_path):
-    """Run the FOM of CONFIG and write snapshots + solution CSVs."""
+    """Run the FOM of CONFIG and write one snapshot CSV per variable."""
     config = _guard(load_config, config_path)
+    _guard(_require_horizon, config, "fom run")
 
     def body():
         from ..grid import Grid1D
@@ -67,7 +69,6 @@ def fom_run(config_path):
         outdir = Path(config.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, matrix in res.snapshots.items():
-            save_snapshots(matrix, outdir / f"snapshots_{name}.hyp")
             export_csv(matrix, outdir / f"snapshots_{name}.csv")
         click.echo(f"{config.preset}: {res.n_steps} steps, "
                    f"{res.wall_seconds:.3f}s, outputs in {outdir}")

@@ -147,6 +147,13 @@ def _deim_index_map(setup) -> dict:
     return out
 
 
+def _require_horizon(config: ExperimentConfig, command: str) -> None:
+    """A zero horizon takes no step, so nothing is recorded to train on;
+    only ``rom run`` answers it (with a trivial report)."""
+    if config.t_final == 0.0:
+        raise ConfigError(f"{command} needs t_final > 0")
+
+
 def _trivial_report(config: ExperimentConfig) -> ErrorReport:
     names = ("w",) if config.system in ("transport", "burgers") else ("h", "q")
     return ErrorReport(case=config.preset,
@@ -216,6 +223,7 @@ def run_prediction(config: ExperimentConfig,
     """
     if config.target_param is None:
         raise ConfigError("prediction needs a target_param")
+    _require_horizon(config, "predict")
     _rom_system(config)
     grid = Grid1D(config.x_min, config.x_max, config.n_cells)
     state0 = initial_state(config, grid)
@@ -225,8 +233,7 @@ def run_prediction(config: ExperimentConfig,
     for mu in config.training_set:
         model_mu = make_model(config, grid, n_b=mu)
         res = _stage("fom", run_fom, model_mu, state0, config.t_final,
-                     config.cfl, snapshot_stride=config.snapshot_stride,
-                     param_tag=mu)
+                     config.cfl, snapshot_stride=config.snapshot_stride)
         fom_seconds += res.wall_seconds
         runs.append(res)
 
@@ -271,6 +278,7 @@ def sweep_modes_windows(config: ExperimentConfig, m_list, nv_list,
     """Grid of (mode cap, window count) runs sharing one FOM trajectory."""
     if not m_list or not nv_list:
         raise ConfigError("sweep lists must be nonempty")
+    _require_horizon(config, "sweep")
     _rom_system(config)
     grid = Grid1D(config.x_min, config.x_max, config.n_cells)
     model = make_model(config, grid)

@@ -198,17 +198,6 @@ def pod_basis(u: np.ndarray, s: np.ndarray, rank: int, m: int, *,
                     energy_captured=min(captured, 1.0), eps_pod=eps_pod)
 
 
-def compute_basis(data: np.ndarray, eps_pod: float, *, variable_id: str = "",
-                  window_index: int = 0, m_max: int | None = None) -> PodBasis:
-    """POD basis of a snapshot slice via thin SVD."""
-    data = np.asarray(data, dtype=float)
-    u, s = thin_svd(data, m_max)
-    rank = numerical_rank(s, *data.shape)
-    m = select_modes(s, eps_pod, m_max=m_max)
-    return pod_basis(u, s, rank, m, variable_id=variable_id,
-                     window_index=window_index, eps_pod=eps_pod)
-
-
 def fallback_basis(n_rows: int, m: int = 1, *, variable_id: str = "",
                    window_index: int = 0) -> PodBasis:
     """Deterministic basis for an identically-zero snapshot slice.

@@ -1,4 +1,4 @@
-"""Snapshot matrices: collection, windowing, concatenation and persistence.
+"""Snapshot matrices: collection, windowing, concatenation and CSV export.
 
 One SnapshotMatrix holds the trajectory of a single variable: column n is
 the field at time ``times[n]`` and ``dts[n]`` is the gap to the next
@@ -6,35 +6,23 @@ column.  Cell variables have n_cells rows; interface variables (the HLL
 fan coefficients and Roe averages) have n_cells + 1 rows.
 
 In memory the data is column-major (Fortran order), however it was made:
-recorded, loaded, concatenated or copied.  A column, and so a window's
+recorded, concatenated or copied.  A column, and so a window's
 column range, is one contiguous block, which is the layout LAPACK reads.
 The recorder writes each column in place into fixed-size column-major
 blocks per variable, and ``finalize`` joins them one variable at a time.
-On disk the payload stays row-major.  A matrix registers its data with
-``pod.memoize_slices``, so builds at several mode caps decompose each
-window's small triangle once (see ``pod``).
-
-Binary container (little-endian, CRC32 trailer), fixed 64-byte header:
-
-    magic 8s  | u32 version | u32 n_rows | u32 n_cols
-    u8 id_len | 35s variable id (zero padded) | f64 param_tag (NaN = none)
-    f64 data row-major | f64 times[n_cols] | f64 dts[n_cols-1] | u32 crc32
+A matrix registers its data with ``pod.memoize_slices``, so builds at
+several mode caps decompose each window's small triangle once (see
+``pod``).
 """
 
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ChecksumMismatch, EmptySlice, FormatVersionMismatch,
-                     IoError, NonMonotoneTime, ShapeMismatch, TooFewSnapshots)
+from .errors import (EmptySlice, IoError, NonMonotoneTime, ShapeMismatch,
+                     TooFewSnapshots)
 from .pod import memoize_slices
 
-SNAPSHOT_MAGIC = b"HYPSNAP1"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<8sIII B 35s d")
-_ID_MAX = 35
 # Columns per recorder block, chosen on the 1600-cell dam breaks of the
 # benchmark (a block of one field is 3.3 MB).  From 512 columns a block
 # passes the 4 MB from which numpy asks Linux for huge pages, and peak RSS
@@ -49,8 +37,6 @@ class SnapshotMatrix:
     data: np.ndarray          # n_rows x n_cols, F order; column n at times[n]
     times: np.ndarray
     dts: np.ndarray
-    param_tag: float | None = None
-    block_tags: tuple = ()    # provenance of concatenated training blocks
 
     def __post_init__(self):
         self.data = np.asfortranarray(self.data, dtype=float)
@@ -126,7 +112,7 @@ class SnapshotRecorder:
             blocks[-1][:, j] = col
         self._times.append(float(t))
 
-    def finalize(self, param_tag: float | None = None) -> dict[str, SnapshotMatrix]:
+    def finalize(self) -> dict[str, SnapshotMatrix]:
         """The recorded matrices; empties the recorder.  Each variable's
         blocks are freed as they are copied out, so the extra memory is one
         variable's matrix, not a second copy of every matrix."""
@@ -141,8 +127,7 @@ class SnapshotRecorder:
                 stop = min(start + _BLOCK_COLS, n)
                 data[:, start:stop] = blocks.pop(0)[:, :stop - start]
             out[name] = SnapshotMatrix(variable_id=name, data=data,
-                                       times=times, dts=dts,
-                                       param_tag=param_tag)
+                                       times=times, dts=dts)
         self._times = []
         return out
 
@@ -189,7 +174,7 @@ def concat_parametric(matrices: list[SnapshotMatrix]) -> SnapshotMatrix:
             raise ShapeMismatch("variable ids differ between training blocks")
     data = np.empty((first.n_rows, sum(m.n_cols for m in matrices)),
                     order="F")
-    times, dts, tags = [], [], []
+    times, dts = [], []
     col = 0
     for k, m in enumerate(matrices):
         data[:, col:col + m.n_cols] = m.data
@@ -201,66 +186,8 @@ def concat_parametric(matrices: list[SnapshotMatrix]) -> SnapshotMatrix:
             seam = dts[-1][-1] if len(dts[-1]) else 1.0
             times.append(m.times - m.times[0] + times[-1][-1] + seam)
             dts.append(np.concatenate(([seam], m.dts)))
-        tags.append((m.param_tag, m.n_cols))
     return SnapshotMatrix(first.variable_id, data,
-                          np.concatenate(times), np.concatenate(dts),
-                          param_tag=None, block_tags=tuple(tags))
-
-
-def _pack_header(matrix: SnapshotMatrix) -> bytes:
-    ident = matrix.variable_id.encode("utf-8")
-    if len(ident) > _ID_MAX:
-        raise IoError(f"variable id longer than {_ID_MAX} bytes")
-    tag = np.nan if matrix.param_tag is None else float(matrix.param_tag)
-    return _HEADER.pack(SNAPSHOT_MAGIC, FORMAT_VERSION, matrix.n_rows,
-                        matrix.n_cols, len(ident), ident.ljust(_ID_MAX, b"\0"),
-                        tag)
-
-
-def save_snapshots(matrix: SnapshotMatrix, path) -> None:
-    payload = _pack_header(matrix)
-    payload += matrix.data.astype("<f8", copy=False).tobytes(order="C")
-    payload += matrix.times.astype("<f8").tobytes()
-    payload += matrix.dts.astype("<f8").tobytes()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-            fh.write(struct.pack("<I", crc))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
-def load_snapshots(path) -> SnapshotMatrix:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    if len(blob) < _HEADER.size + 4:
-        raise ChecksumMismatch("file too short")
-    body, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumMismatch("CRC32 mismatch (truncated or corrupt file)")
-    magic, version, n_rows, n_cols, id_len, ident, tag = \
-        _HEADER.unpack_from(body, 0)
-    if magic != SNAPSHOT_MAGIC:
-        raise IoError("not a snapshot file")
-    if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"unsupported version {version}")
-    need = _HEADER.size + 8 * (n_rows * n_cols + n_cols + max(n_cols - 1, 0))
-    if len(body) != need:
-        raise ChecksumMismatch("payload size inconsistent with header")
-    off = _HEADER.size
-    data = np.frombuffer(body, "<f8", n_rows * n_cols, off).reshape(n_rows, n_cols)
-    off += 8 * n_rows * n_cols
-    times = np.frombuffer(body, "<f8", n_cols, off)
-    off += 8 * n_cols
-    dts = np.frombuffer(body, "<f8", max(n_cols - 1, 0), off)
-    return SnapshotMatrix(variable_id=ident[:id_len].decode("utf-8"),
-                          data=data.copy(order="F"), times=times.copy(),
-                          dts=dts.copy(),
-                          param_tag=None if np.isnan(tag) else float(tag))
+                          np.concatenate(times), np.concatenate(dts))
 
 
 def export_csv(matrix: SnapshotMatrix, path) -> None:

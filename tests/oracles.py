@@ -8,7 +8,8 @@ oracle goes through the Gram-matrix eigendecomposition, and sums that
 back accuracy claims use compensated (Kahan) accumulation.
 
 The last section keeps reference copies of retired package code: the
-projection of a full field onto a POD basis, the whole-field DEIM
+projection of a full field onto a POD basis, the POD basis of one slice
+through the chain the offline build runs, the whole-field DEIM
 interpolation and the per-refresh point evaluations of
 the SWE online context, each refresh deriving its own values from the
 sampled points.  The package's replacements must match them bitwise.
@@ -20,6 +21,7 @@ import numpy as np
 
 from hyporom.deim import deim_online_values
 from hyporom.errors import DegenerateWaveFan, EvaluationError, ShapeMismatch
+from hyporom.pod import numerical_rank, pod_basis, select_modes, thin_svd
 
 
 def kahan_sum(values):
@@ -529,6 +531,16 @@ def project(basis, fld):
     if fld.shape != (basis.n_rows,):
         raise ShapeMismatch(f"field length {fld.shape} vs {basis.n_rows} rows")
     return basis.modes.T @ fld
+
+
+def window_basis(data, eps_pod, m_max=None):
+    """POD basis of one slice as ``rom.driver._window_bases`` forms it for
+    a single variable: thin_svd, numerical_rank, select_modes, pod_basis."""
+    data = np.asarray(data, dtype=float)
+    u, s = thin_svd(data, m_max)
+    rank = numerical_rank(s, *data.shape)
+    m = select_modes(s, eps_pod, m_max=m_max)
+    return pod_basis(u, s, rank, m, eps_pod=eps_pod)
 
 
 def deim_interpolate(interp, field):

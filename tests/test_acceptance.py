@@ -19,11 +19,10 @@ from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                          SweState, TransportModel, TransportParams,
                          burgers_stationary, burgers_step, lake_at_rest,
-                         run_fom, swe_hll_step, swe_lf_step,
-                         transport_stationary, transport_step)
+                         run_fom, transport_stationary, transport_step)
 from hyporom.grid import Grid1D
 from hyporom.harness import dam_break_bed, gaussian_bump_bed, l1_error
-from hyporom.pod import PodBasis, compute_basis, lift, window_transfer
+from hyporom.pod import PodBasis, lift, window_transfer
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          LIN_DEIM_U_TAV_F, LIN_TAV, TimeAverages,
                          assemble_burgers_rom, assemble_swe_hll_rom,
@@ -124,7 +123,7 @@ def _dam_break_fom(flux, n_b=0.1, n_cells=200):
     h0 = np.where(grid.centers <= 6.0, 2.0 - z, 1.0 - z)
     state0 = SweState(h=h0, q=np.zeros_like(h0))
     model = SweModel(params, grid, flux)
-    res = run_fom(model, state0, t_final=1.0, cfl=0.9, param_tag=n_b)
+    res = run_fom(model, state0, t_final=1.0, cfl=0.9)
     return grid, params, state0, res
 
 
@@ -262,8 +261,7 @@ def test_criterion_6_predictive_rom():
                                bathymetry=dam_break_bed)
             model = SweModel(params, grid,
                              FluxChoice.MODIFIED_LAX_FRIEDRICHS)
-            return params, run_fom(model, state0, t_final=1.0, cfl=0.9,
-                                   param_tag=n_b)
+            return params, run_fom(model, state0, t_final=1.0, cfl=0.9)
 
         target_params, reference = fom(0.035)
 
@@ -312,7 +310,7 @@ def test_criterion_7_oracle_suite():
         for shape in ((8, 6), (32, 32), (64, 40), (40, 64)):
             data = rng.standard_normal(shape) @ np.diag(
                 np.logspace(0, -5, shape[1]))
-            basis = compute_basis(data, 1e-10)
+            basis = oracles.window_basis(data, 1e-10)
             left, sigma = oracles.svd_via_gram(data)
             m = basis.m
             np.testing.assert_allclose(basis.singular_values[:m], sigma[:m],
@@ -444,12 +442,12 @@ def test_criterion_7_oracle_suite():
                                                       g5.centers, zv7))
         st = SweState(h=0.5 + rng.random(7), q=0.3 * rng.standard_normal(7))
         dt = 0.3 * g5.dx / 8.0
-        out = swe_lf_step(st, sp, g5, dt)
+        out = SweModel(sp, g5).step(st, dt)
         h_ref, q_ref = oracles.swe_lf_step_scalar(st.h, st.q, zv7, 9.81,
                                                   0.05, 0.8, g5.dx, dt)
         np.testing.assert_allclose(out.h, h_ref, rtol=0, atol=1e-13)
         np.testing.assert_allclose(out.q, q_ref, rtol=0, atol=1e-13)
-        out = swe_hll_step(st, sp, g5, dt)
+        out = SweModel(sp, g5, FluxChoice.HLL).step(st, dt)
         h_ref, q_ref = oracles.swe_hll_step_scalar(st.h, st.q, zv7, 9.81,
                                                    0.05, g5.dx, dt)
         np.testing.assert_allclose(out.h, h_ref, rtol=0, atol=1e-13)

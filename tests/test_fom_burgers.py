@@ -10,7 +10,7 @@ from oracles import burgers_step_scalar
 PARAMS = BurgersParams(alpha=1.0, nu=0.9)
 
 
-def test_stationary_profile_value():
+def test_burgers_stationary_value():
     assert burgers_stationary(PARAMS, 0.1, 0.0, 1.0) == pytest.approx(
         0.1 * np.e, rel=1e-14)
 

@@ -3,12 +3,10 @@ import pickle
 import numpy as np
 import pytest
 
-from hyporom.errors import (DegenerateWaveFan, NonFiniteState,
-                            NonPositiveDepth, UnsupportedSystem)
+from hyporom.errors import DegenerateWaveFan, NonFiniteState, NonPositiveDepth
 from hyporom.fluxes import FluxChoice
-from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, froude_number,
-                         hll_coeffs, interface_fan, lake_at_rest, roe_averages,
-                         swe_hll_step, swe_lf_step, swe_max_speed)
+from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, hll_coeffs,
+                         interface_fan, lake_at_rest)
 from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
@@ -22,21 +20,25 @@ def bump(x):
 BUMP_PARAMS = SweParams(g=9.81, n_b=0.0, nu=0.9, bathymetry=bump)
 
 
-def test_roe_averages_examples():
-    assert roe_averages(1.0, 1.0, 2.0, 2.0) == (1.0, 2.0)
-    h_t, u_t = roe_averages(4.0, 1.0, 0.0, 3.0)
-    assert h_t == pytest.approx(2.5)
-    assert u_t == pytest.approx(1.0)
-    h_t, u_t = roe_averages(2.0, 0.5, 1.0, -1.0)
-    assert h_t == pytest.approx(1.25)
+def _step(state, params, grid, dt, flux=FluxChoice.MODIFIED_LAX_FRIEDRICHS):
+    """One step of a fresh model, as a run takes it."""
+    return SweModel(params, grid, flux).step(state, dt)
+
+
+def test_interface_fan_roe_examples():
+    # Interface j + 1/2 averages cells j and j + 1; the first and last
+    # average an edge cell with its ghost copy.
+    grid = Grid1D(0.0, 1.0, 5)
+    h = np.array([1.0, 4.0, 1.0, 2.0, 0.5])
+    u = np.array([2.0, 0.0, 3.0, 1.0, -1.0])
+    h_t, u_t, _, _ = interface_fan(SweState(h=h, q=h * u), BUMP_PARAMS, grid)
+    assert (h_t[0], u_t[0]) == (1.0, 2.0)
+    assert h_t[2] == pytest.approx(2.5)
+    assert u_t[2] == pytest.approx(1.0)
+    assert h_t[4] == pytest.approx(1.25)
     expected = (np.sqrt(0.5) * -1.0 + np.sqrt(2.0) * 1.0) / (np.sqrt(0.5) + np.sqrt(2.0))
-    assert u_t == pytest.approx(expected, rel=1e-14)
-    assert u_t == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_roe_averages_require_positive_depth():
-    with pytest.raises(NonPositiveDepth):
-        roe_averages(0.0, 1.0, 0.0, 0.0)
+    assert u_t[4] == pytest.approx(expected, rel=1e-14)
+    assert u_t[4] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_hll_coeffs_examples():
@@ -55,9 +57,9 @@ def test_hll_degenerate_fan():
 
 
 def _frozen_fan(hg, ug, g):
-    """The fan as roe_averages, davis_speeds and hll_coeffs computed it
-    before ``interface_fan``, inlined: the Davis speeds form the Roe
-    averages a second time."""
+    """The fan as separate Roe-average, Davis-speed and HLL-coefficient
+    functions computed it before ``interface_fan``, inlined: the Davis
+    speeds form the Roe averages a second time."""
     def roe(h_l, h_r, u_l, u_r):
         sl, sr = np.sqrt(h_l), np.sqrt(h_r)
         return 0.5 * (h_l + h_r), (sr * u_r + sl * u_l) / (sr + sl)
@@ -100,7 +102,7 @@ def test_hll_step_bitwise_with_frozen_fan(seed, monkeypatch):
     grid = Grid1D(-3.0, 3.0, 97)
     params = SweParams(g=9.81, n_b=0.03, bathymetry=bump)
     state = _random_state(seed, grid.n_cells)
-    got = swe_hll_step(state, params, grid, 1e-3)
+    got = _step(state, params, grid, 1e-3, FluxChoice.HLL)
     calls = []
 
     def frozen(*args):
@@ -108,7 +110,7 @@ def test_hll_step_bitwise_with_frozen_fan(seed, monkeypatch):
         return _frozen_fan(*args)
 
     monkeypatch.setattr(swe_module, "_fan", frozen)
-    want = swe_hll_step(state, params, grid, 1e-3)
+    want = _step(state, params, grid, 1e-3, FluxChoice.HLL)
     assert calls
     assert np.array_equal(got.h, want.h) and np.array_equal(got.q, want.q)
 
@@ -122,24 +124,16 @@ def test_cfl_dt_lake_at_rest():
         0.9 * 0.05 / np.sqrt(9.81), rel=1e-12)
 
 
-def test_froude_is_diagnostic_only():
-    state = SweState(h=np.full(4, 2.0), q=np.full(4, 1.0))
-    fr = froude_number(state, SweParams(g=9.81))
-    assert fr == pytest.approx(0.5 / np.sqrt(9.81 * 2.0))
-
-
 @pytest.mark.parametrize("stepper", ["mlf", "lf", "rusanov", "hll"])
 def test_lake_at_rest_preserved(stepper):
     grid = Grid1D(-5.0, 5.0, 200)
     state = lake_at_rest(BUMP_PARAMS, grid, eta=0.0)
     dt = 0.9 * grid.dx / np.sqrt(9.81 * np.max(state.h))
-    if stepper == "hll":
-        out = swe_hll_step(state, BUMP_PARAMS, grid, dt)
-    else:
-        flux = {"mlf": FluxChoice.MODIFIED_LAX_FRIEDRICHS,
-                "lf": FluxChoice.LAX_FRIEDRICHS,
-                "rusanov": FluxChoice.RUSANOV}[stepper]
-        out = swe_lf_step(state, BUMP_PARAMS, grid, dt, flux)
+    flux = {"mlf": FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+            "lf": FluxChoice.LAX_FRIEDRICHS,
+            "rusanov": FluxChoice.RUSANOV,
+            "hll": FluxChoice.HLL}[stepper]
+    out = _step(state, BUMP_PARAMS, grid, dt, flux)
     scale = np.max(np.abs(state.h))
     assert np.max(np.abs(out.h - state.h)) <= 1e-13 * scale
     assert np.max(np.abs(out.q)) <= 1e-13 * scale
@@ -149,10 +143,10 @@ def test_flat_bottom_constant_state_exact():
     grid = Grid1D(0.0, 10.0, 50)
     params = SweParams(g=9.81, n_b=0.3)
     state = SweState(h=np.ones(50), q=np.zeros(50))
-    out = swe_lf_step(state, params, grid, 0.01)
+    out = _step(state, params, grid, 0.01)
     assert np.array_equal(out.h, state.h)
     assert np.array_equal(out.q, state.q)
-    out = swe_hll_step(state, params, grid, 0.01)
+    out = _step(state, params, grid, 0.01, FluxChoice.HLL)
     assert np.array_equal(out.h, state.h)
     assert np.array_equal(out.q, state.q)
 
@@ -170,7 +164,7 @@ def _five_cell_case():
 def test_five_cell_lf_matches_scalar_transcription():
     grid, params, z, state = _five_cell_case()
     dt = 0.5 * grid.dx / 6.0
-    out = swe_lf_step(state, params, grid, dt)
+    out = _step(state, params, grid, dt)
     h_ref, q_ref = swe_lf_step_scalar(state.h, state.q, z, params.g,
                                       params.n_b, params.nu, grid.dx, dt)
     np.testing.assert_allclose(out.h, h_ref, rtol=0, atol=1e-14)
@@ -180,7 +174,7 @@ def test_five_cell_lf_matches_scalar_transcription():
 def test_five_cell_hll_matches_scalar_transcription():
     grid, params, z, state = _five_cell_case()
     dt = 0.5 * grid.dx / 6.0
-    out = swe_hll_step(state, params, grid, dt)
+    out = _step(state, params, grid, dt, FluxChoice.HLL)
     h_ref, q_ref = swe_hll_step_scalar(state.h, state.q, z, params.g,
                                        params.n_b, grid.dx, dt)
     np.testing.assert_allclose(out.h, h_ref, rtol=0, atol=1e-14)
@@ -200,12 +194,12 @@ def test_randomized_states_match_scalar_transcriptions():
         q = rng.standard_normal(n) * 0.3
         state = SweState(h=h, q=q)
         dt = 0.4 * grid.dx / 8.0
-        out = swe_lf_step(state, params, grid, dt)
+        out = _step(state, params, grid, dt)
         h_ref, q_ref = swe_lf_step_scalar(h, q, zvals, 9.81, 0.05, 0.85,
                                           grid.dx, dt)
         np.testing.assert_allclose(out.h, h_ref, rtol=0, atol=1e-13)
         np.testing.assert_allclose(out.q, q_ref, rtol=0, atol=1e-13)
-        out = swe_hll_step(state, params, grid, dt)
+        out = _step(state, params, grid, dt, FluxChoice.HLL)
         h_ref, q_ref = swe_hll_step_scalar(h, q, zvals, 9.81, 0.05,
                                            grid.dx, dt)
         np.testing.assert_allclose(out.h, h_ref, rtol=0, atol=1e-13)
@@ -217,14 +211,7 @@ def test_negative_depth_is_hard_error():
     params = SweParams(g=9.81)
     state = SweState(h=np.array([1.0, 1.0, -0.1, 1.0, 1.0]), q=np.zeros(5))
     with pytest.raises(NonPositiveDepth):
-        swe_lf_step(state, params, grid, 0.001)
-
-
-def test_lf_stepper_rejects_hll_choice():
-    grid = Grid1D(0.0, 1.0, 5)
-    state = SweState(h=np.ones(5), q=np.zeros(5))
-    with pytest.raises(UnsupportedSystem):
-        swe_lf_step(state, SweParams(), grid, 0.001, FluxChoice.HLL)
+        _step(state, params, grid, 0.001)
 
 
 _BAD_STATES = [
@@ -234,12 +221,14 @@ _BAD_STATES = [
     (np.array([1.0, -0.5, 1.0, 1.0]), np.zeros(4), NonPositiveDepth),
 ]
 _GRID4 = Grid1D(0.0, 1.0, 4)
+# Steps and wave speeds go through ``SweModel``, the entry a run uses.
 _PUBLIC_ENTRIES = {
-    "swe_lf_step": lambda s: swe_lf_step(s, BUMP_PARAMS, _GRID4, 1e-3),
-    "swe_hll_step": lambda s: swe_hll_step(s, BUMP_PARAMS, _GRID4, 1e-3),
-    "swe_max_speed": lambda s: swe_max_speed(s, BUMP_PARAMS),
+    "swe_lf_step": lambda s: _step(s, BUMP_PARAMS, _GRID4, 1e-3),
+    "swe_hll_step": lambda s: _step(s, BUMP_PARAMS, _GRID4, 1e-3,
+                                    FluxChoice.HLL),
+    "max_wave_speed": lambda s: SweModel(BUMP_PARAMS, _GRID4
+                                         ).max_wave_speed(s),
     "interface_fan": lambda s: interface_fan(s, BUMP_PARAMS, _GRID4),
-    "froude_number": lambda s: froude_number(s, BUMP_PARAMS),
 }
 
 
@@ -266,8 +255,8 @@ def test_model_checks_caller_states(flux, h, q, error):
 
 def test_roe_and_fan_entries_keep_their_checks():
     with pytest.raises(NonPositiveDepth):
-        roe_averages(np.array([1.0, 0.0]), np.ones(2), np.zeros(2),
-                     np.zeros(2))
+        interface_fan(SweState(h=np.array([1.0, 0.0]), q=np.zeros(2)),
+                      BUMP_PARAMS, Grid1D(0.0, 1.0, 2))
     with pytest.raises(DegenerateWaveFan):
         hll_coeffs(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
 
@@ -283,10 +272,9 @@ def _stepped(flux, seed=0):
                                   FluxChoice.HLL])
 def test_stepped_states_are_read_only(flux):
     model, grid, out = _stepped(flux)
-    public = (swe_hll_step(out, BUMP_PARAMS, grid, 1e-3)
-              if flux is FluxChoice.HLL
-              else swe_lf_step(out, BUMP_PARAMS, grid, 1e-3, flux))
-    for state in (out, public):
+    fresh = _step(SweState(h=out.h.copy(), q=out.q.copy()), BUMP_PARAMS,
+                  grid, 1e-3, flux)
+    for state in (out, fresh):
         for arr in (state.h, state.q):
             with pytest.raises(ValueError, match="read-only"):
                 arr[3] = -1.0
@@ -315,15 +303,14 @@ def test_rebinding_a_stepped_state_drops_its_mark(flux):
     for call in calls:
         with pytest.raises(NonFiniteState):
             call(out)
-    # Valid new arrays: the step derives everything from them, as the
-    # public step does, and does not reuse the fan formed for the old ones.
+    # Valid new arrays: the step derives everything from them, as a fresh
+    # model's step does, and does not reuse the fan formed for the old ones.
     out.h = good + 0.25
     model.fields(out)
     got = model.step(out, 1e-3)
-    public = (swe_hll_step(out, BUMP_PARAMS, model.grid, 1e-3)
-              if flux is FluxChoice.HLL
-              else swe_lf_step(out, BUMP_PARAMS, model.grid, 1e-3, flux))
-    assert np.array_equal(got.h, public.h) and np.array_equal(got.q, public.q)
+    fresh = _step(SweState(h=out.h.copy(), q=out.q.copy()), BUMP_PARAMS,
+                  model.grid, 1e-3, flux)
+    assert np.array_equal(got.h, fresh.h) and np.array_equal(got.q, fresh.q)
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,

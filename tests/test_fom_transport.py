@@ -4,8 +4,7 @@ import pytest
 from hyporom.errors import NonFiniteState, ZeroWaveSpeed
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (TransportModel, TransportParams, cfl_dt,
-                         stationary_profile, transport_stationary,
-                         transport_step)
+                         transport_stationary, transport_step)
 from hyporom.grid import Grid1D
 
 from oracles import transport_step_scalar
@@ -13,25 +12,9 @@ from oracles import transport_step_scalar
 PARAMS = TransportParams(c=1.0, alpha=1.0, nu=0.9)
 
 
-def test_stationary_profile_values():
+def test_transport_stationary_value():
     assert transport_stationary(PARAMS, 1.0, 0.0, 2.0) == pytest.approx(
         np.e ** 2, rel=1e-14)
-    assert stationary_profile("transport", PARAMS, 1.0, 0.0, 2.0) == \
-        pytest.approx(7.389056098930650, rel=1e-12)
-
-
-def test_stationary_profile_swe_rest_and_unknown_system():
-    from hyporom.errors import UnsupportedSystem
-    from hyporom.fom import SweParams
-
-    params = SweParams(bathymetry=lambda x: -1.0 + 0.5 * np.exp(-np.asarray(x) ** 2))
-    # Anchoring the depth at x=0 so the free surface sits at eta = 0.
-    h = stationary_profile("swe-rest", params, 0.5, 0.0, 0.0)
-    assert h == pytest.approx(0.5, rel=1e-14)
-    far = stationary_profile("swe-rest", params, 0.5, 0.0, 5.0)
-    assert far == pytest.approx(1.0 - 0.5 * np.exp(-25.0), rel=1e-14)
-    with pytest.raises(UnsupportedSystem):
-        stationary_profile("elastica", PARAMS, 1.0, 0.0, 0.0)
 
 
 def test_cfl_dt_linear_speed():

@@ -8,9 +8,12 @@ import pytest
 
 import hyporom
 from hyporom.errors import ConfigError, ShapeMismatch
-from hyporom.harness import (ExperimentConfig, TIMING_COLUMNS, l1_error,
-                             linf_error, parse_config, run_experiment,
-                             run_prediction, sweep_modes_windows)
+from hyporom.fom import run_fom
+from hyporom.grid import Grid1D
+from hyporom.harness import (ExperimentConfig, TIMING_COLUMNS, initial_state,
+                             l1_error, linf_error, load_config, make_model,
+                             parse_config, run_experiment, run_prediction,
+                             sweep_modes_windows)
 
 from oracles import kahan_sum
 
@@ -302,8 +305,36 @@ class TestCli:
                        f"t_final = 0.2\noutdir = {tmp_path / 'o'}\n")
         proc = self._run("fom", "run", str(cfg), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "o" / "snapshots_w.hyp").exists()
-        assert (tmp_path / "o" / "snapshots_w.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
+            ["snapshots_w.csv"]
+        # One row per recorded column, bitwise a recorded run of the
+        # same config: the CSV holds repr floats, which parse back exactly.
+        config = load_config(cfg)
+        grid = Grid1D(config.x_min, config.x_max, config.n_cells)
+        want = run_fom(make_model(config, grid), initial_state(config, grid),
+                       config.t_final, config.cfl,
+                       snapshot_stride=config.snapshot_stride).snapshots["w"]
+        with open(tmp_path / "o" / "snapshots_w.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t"] + [str(i) for i in range(want.n_rows)]
+        got = np.array(rows[1:], dtype=float)
+        assert got.shape == (want.n_cols, want.n_rows + 1)
+        assert np.array_equal(got[:, 0], want.times)
+        assert np.array_equal(got[:, 1:], want.data.T)
+
+    @pytest.mark.parametrize("command", [("fom", "run"), ("sweep",),
+                                         ("predict",)])
+    def test_zero_horizon_exits_2(self, tmp_path, command):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("preset = swe_dam_break\nn_cells = 20\nt_final = 0\n"
+                       "sweep_modes = 2\nsweep_windows = 1\n"
+                       "training_set = 0.03, 0.04\ntarget_param = 0.035\n"
+                       f"outdir = {tmp_path / 'o'}\n")
+        proc = self._run(*command, str(cfg), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {' '.join(command)} needs t_final > 0"]
 
     def test_sweep_cli(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

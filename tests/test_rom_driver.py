@@ -252,7 +252,7 @@ def test_parametric_pooling_shapes():
         params = SweParams(g=9.81, n_b=n_b, nu=0.9, bathymetry=z)
         model = SweModel(params, grid, FluxChoice.MODIFIED_LAX_FRIEDRICHS)
         res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
-                      t_final=0.5, cfl=0.9, param_tag=n_b)
+                      t_final=0.5, cfl=0.9)
         groups.append((res.snapshots, res.dts))
     target = SweParams(g=9.81, n_b=0.035, nu=0.9, bathymetry=z)
     with pytest.warns(UserWarning, match="padding deficient bases"):

@@ -6,13 +6,13 @@ import pytest
 from hyporom.fom import (BurgersParams, TransportParams, burgers_stationary,
                          burgers_step, transport_stationary, transport_step)
 from hyporom.grid import Grid1D
-from hyporom.pod import PodBasis, compute_basis, lift
+from hyporom.pod import PodBasis, lift
 from hyporom.rom import (assemble_burgers_rom, assemble_transport_rom,
                          rom_burgers_step, rom_transport_step)
 
 from oracles import (burgers_ops_oracle, burgers_rom_step_oracle, project,
                      random_orthonormal, transport_ops_oracle,
-                     transport_rom_step_oracle)
+                     transport_rom_step_oracle, window_basis)
 
 
 def _orth_basis(n, m, seed):
@@ -49,8 +49,7 @@ class TestTransportStep:
         grid = Grid1D(0.0, 2.0, 100)
         params = TransportParams(c=1.0, alpha=1.0, nu=0.9)
         w_star = transport_stationary(params, 1.0, 0.0, grid.centers)
-        basis = compute_basis(np.column_stack([w_star] * 6), 0.1,
-                              variable_id="w")
+        basis = window_basis(np.column_stack([w_star] * 6), 0.1)
         assert basis.m == 1
         ops = assemble_transport_rom(basis, params, grid)
         w_hat = project(basis, w_star)
@@ -117,7 +116,7 @@ class TestBurgersStep:
         grid = Grid1D(0.0, 2.0, 100)
         params = BurgersParams(alpha=1.0, nu=0.9)
         w_star = burgers_stationary(params, 0.1, 0.0, grid.centers)
-        basis = compute_basis(np.column_stack([w_star] * 5), 0.1)
+        basis = window_basis(np.column_stack([w_star] * 5), 0.1)
         ops = assemble_burgers_rom(basis, params, grid)
         w_hat = project(basis, w_star)
         dt = 0.9 * grid.dx / np.max(np.abs(w_star))

@@ -311,7 +311,7 @@ class TestFullBasisEquivalence:
 
     def _check_lf_step(self, lin):
         from hyporom.fluxes import FluxChoice
-        from hyporom.fom import SweState, swe_lf_step
+        from hyporom.fom import SweModel, SweState
 
         grid, params, h, q = self._setup()
         n = grid.n_cells
@@ -323,13 +323,14 @@ class TestFullBasisEquivalence:
         dt = 0.02
         h_new, q_new = np.split(
             rom_swe_lf_step(np.concatenate([h, q]), ops, ctx, dt), 2)
-        ref = swe_lf_step(SweState(h=h, q=q), params, grid, dt,
-                          FluxChoice.MODIFIED_LAX_FRIEDRICHS)
+        ref = SweModel(params, grid, FluxChoice.MODIFIED_LAX_FRIEDRICHS
+                       ).step(SweState(h=h, q=q), dt)
         np.testing.assert_allclose(h_new, ref.h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q_new, ref.q, rtol=0, atol=1e-12)
 
     def _check_hll_step(self, lin, coeff_mode):
-        from hyporom.fom import SweState, interface_fan, swe_hll_step
+        from hyporom.fluxes import FluxChoice
+        from hyporom.fom import SweModel, SweState, interface_fan
         from hyporom.rom import assemble_swe_hll_rom, rom_swe_hll_step
 
         grid, params, h, q = self._setup(seed=53)
@@ -349,7 +350,7 @@ class TestFullBasisEquivalence:
         dt = 0.02
         h_new, q_new = np.split(
             rom_swe_hll_step(np.concatenate([h, q]), ops, ctx, dt), 2)
-        ref = swe_hll_step(state, params, grid, dt)
+        ref = SweModel(params, grid, FluxChoice.HLL).step(state, dt)
         np.testing.assert_allclose(h_new, ref.h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q_new, ref.q, rtol=0, atol=1e-12)
 

@@ -1,25 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hyporom.errors import (ChecksumMismatch, FormatVersionMismatch, IoError,
-                            NonMonotoneTime, ShapeMismatch, TooFewSnapshots)
+from hyporom.errors import NonMonotoneTime, ShapeMismatch, TooFewSnapshots
 from hyporom import snapshots
 from hyporom.snapshots import (SnapshotMatrix, SnapshotRecorder,
-                               concat_parametric, export_csv, load_snapshots,
-                               partition_uniform, save_snapshots)
+                               concat_parametric, export_csv,
+                               partition_uniform)
 
 BLOCK = snapshots._BLOCK_COLS
 
 
-def _matrix(n_rows=6, n_cols=9, seed=0, variable_id="h", param_tag=None):
+def _matrix(n_rows=6, n_cols=9, seed=0, variable_id="h"):
     rng = np.random.default_rng(seed)
     times = np.cumsum(0.1 + 0.05 * rng.random(n_cols)) - 0.1
     return SnapshotMatrix(variable_id=variable_id,
                           data=rng.standard_normal((n_rows, n_cols)),
-                          times=times, dts=np.diff(times),
-                          param_tag=param_tag)
+                          times=times, dts=np.diff(times))
 
 
 class TestRecorder:
@@ -50,13 +46,12 @@ class TestRecorder:
             rec.record(live, 0.1 * n)
             for col in live.values():
                 col[:] = np.nan
-        mats = rec.finalize(param_tag=0.5)
+        mats = rec.finalize()
         assert rec.n_recorded == 0
         for var in ("h", "alpha0"):
             assert np.array_equal(mats[var].data,
                                   np.column_stack([c[var] for c in cols]))
             assert mats[var].data.flags.f_contiguous
-            assert mats[var].param_tag == 0.5
             np.testing.assert_array_equal(mats[var].times,
                                           0.1 * np.arange(n_cols))
 
@@ -188,23 +183,19 @@ class TestPartition:
 
 class TestConcat:
     def test_single_matrix_identity(self):
-        m = _matrix(param_tag=0.1)
+        m = _matrix()
         out = concat_parametric([m])
         np.testing.assert_array_equal(out.data, m.data)
         assert out.data.flags.f_contiguous
         assert not np.shares_memory(out.data, m.data)
-        assert out.param_tag is None
-        assert out.block_tags == ((0.1, m.n_cols),)
 
     def test_two_blocks(self):
-        a = _matrix(200, 50, seed=1, param_tag=0.03)
-        b = _matrix(200, 50, seed=2, param_tag=0.04)
+        a = _matrix(200, 50, seed=1)
+        b = _matrix(200, 50, seed=2)
         out = concat_parametric([a, b])
         assert out.data.shape == (200, 100)
         assert np.array_equal(out.data, np.hstack([a.data, b.data]))
         assert out.data.flags.f_contiguous
-        assert out.param_tag is None
-        assert [tag for tag, _ in out.block_tags] == [0.03, 0.04]
         assert np.all(np.diff(out.times) > 0)
 
     def test_column_count_is_sum(self):
@@ -213,13 +204,11 @@ class TestConcat:
         assert out.n_cols == 29
 
     def test_three_blocks_keep_time_invariants(self):
-        blocks = [_matrix(8, n, seed=n, param_tag=0.01 * n)
-                  for n in (5, 9, 4)]
+        blocks = [_matrix(8, n, seed=n) for n in (5, 9, 4)]
         out = concat_parametric(blocks)
         assert out.n_cols == 18
         assert np.all(np.diff(out.times) > 0)
         np.testing.assert_allclose(np.diff(out.times), out.dts, rtol=1e-12)
-        assert [n for _, n in out.block_tags] == [5, 9, 4]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -234,96 +223,6 @@ def test_data_is_column_major_and_windows_are_views():
     assert win.base is m.data
     assert win.flags.f_contiguous
     np.testing.assert_array_equal(win, [[1, 2], [5, 6], [9, 10]])
-
-
-class TestBinaryFormat:
-    def test_payload_bytes_independent_of_memory_order(self, tmp_path):
-        m = _matrix(13, 21, seed=4)
-        paths = []
-        for order in ("C", "F"):
-            m.data = np.array(m.data, order=order)
-            paths.append(tmp_path / f"{order}.hyp")
-            save_snapshots(m, paths[-1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_round_trip_bitwise(self, tmp_path):
-        m = _matrix(13, 21, seed=3, variable_id="alpha0", param_tag=0.07)
-        path = tmp_path / "snap.hyp"
-        save_snapshots(m, path)
-        back = load_snapshots(path)
-        assert back.variable_id == "alpha0"
-        assert back.param_tag == 0.07
-        assert np.array_equal(back.data, m.data)
-        assert np.array_equal(back.times, m.times)
-        assert np.array_equal(back.dts, m.dts)
-
-    def test_truncated_file_checksum(self, tmp_path):
-        m = _matrix()
-        path = tmp_path / "snap.hyp"
-        save_snapshots(m, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-9])
-        with pytest.raises(ChecksumMismatch):
-            load_snapshots(path)
-
-    def test_corrupt_byte_checksum(self, tmp_path):
-        m = _matrix()
-        path = tmp_path / "snap.hyp"
-        save_snapshots(m, path)
-        blob = bytearray(path.read_bytes())
-        blob[70] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumMismatch):
-            load_snapshots(path)
-
-    def test_version_mismatch(self, tmp_path):
-        import struct
-        import zlib
-        m = _matrix()
-        path = tmp_path / "snap.hyp"
-        save_snapshots(m, path)
-        blob = bytearray(path.read_bytes())[:-4]
-        struct.pack_into("<I", blob, 8, 99)
-        crc = zlib.crc32(bytes(blob)) & 0xFFFFFFFF
-        path.write_bytes(bytes(blob) + struct.pack("<I", crc))
-        with pytest.raises(FormatVersionMismatch):
-            load_snapshots(path)
-
-    def test_bad_magic(self, tmp_path):
-        import struct
-        import zlib
-        body = b"NOTSNAP!" + bytes(100)
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        path = tmp_path / "bad.hyp"
-        path.write_bytes(body + struct.pack("<I", crc))
-        with pytest.raises(IoError):
-            load_snapshots(path)
-
-    def test_file_size_formula(self, tmp_path):
-        n_rows, n_cols = 200, 1112
-        times = np.arange(n_cols, dtype=float)
-        m = SnapshotMatrix("h", np.zeros((n_rows, n_cols)), times,
-                           np.diff(times))
-        path = tmp_path / "big.hyp"
-        save_snapshots(m, path)
-        expected = 64 + 8 * n_rows * n_cols + 8 * n_cols + 8 * (n_cols - 1) + 4
-        assert path.stat().st_size == expected
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 31))
-    def test_round_trip_randomized(self, n_rows, n_cols, seed):
-        import tempfile
-        rng = np.random.default_rng(seed)
-        times = np.cumsum(0.01 + rng.random(n_cols))
-        m = SnapshotMatrix("q", rng.standard_normal((n_rows, n_cols)),
-                           times, np.diff(times))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = f"{tmp}/s{seed}.hyp"
-            save_snapshots(m, path)
-            back = load_snapshots(path)
-        assert np.array_equal(back.data, m.data)
-        assert np.array_equal(back.times, m.times)
-        assert back.data.flags.f_contiguous and back.data.flags.writeable
 
 
 def test_csv_export(tmp_path):
