@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import HyporomError, UnsupportedSystem, ZeroWaveSpeed
+from ..errors import (ConfigError, HyporomError, UnsupportedSystem,
+                      ZeroWaveSpeed)
 from ..fluxes import FluxChoice
 from ..grid import Grid1D
 from ..snapshots import SnapshotMatrix, SnapshotRecorder
@@ -153,7 +154,7 @@ class SweModel:
 def cfl_dt(model, state, cfl: float) -> float:
     """CFL time step cfl*dx / max |lambda|; errors if no wave moves."""
     if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
+        raise ConfigError("cfl must lie in (0, 1]")
     speed = model.max_wave_speed(state)
     if speed < _SPEED_FLOOR:
         raise ZeroWaveSpeed("maximum wave speed is zero")
@@ -182,9 +183,9 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
     can replay the exact time grid.
     """
     if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+        raise ConfigError("t_final must be positive")
     if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
+        raise ConfigError("snapshot_stride must be >= 1")
 
     recorder = SnapshotRecorder() if record else None
     clamp_eps = 1e-12 * max(t_final, 1.0)

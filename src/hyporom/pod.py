@@ -17,21 +17,17 @@ positive, making bases deterministic across runs and platforms.
 
 The small SVD of R depends on R alone, not on k (Chan's R-SVD, ACM
 TOMS 8(1), 1982), so builds that decompose the same window slice at
-several mode caps (a cap sweep over one recording) reuse it.  A
-snapshot matrix registers its data array with ``memoize_slices``;
-``thin_svd`` then keeps, for each slice that is a view of that array,
-a digest of R with its left singular vectors and singular values
-(p x p + p floats for a slice of min(rows, cols) = p), and a later
-call on the same slice skips the small SVD when its freshly factored R
-has that digest.  The QR and the application of Q run on every call,
-so the result is bitwise that of a fresh decomposition, also after the
-data was edited in place (R, and so the digest, then differ).  The
-kept SVDs are freed with the array; pooled copies and other arrays
-are never kept.
+several mode caps (a cap sweep over one recording) can share it.  A
+caller that owns an immutable slice passes ``thin_svd`` a dict for it
+(``kept``): the first call stores the left singular vectors and singular
+values of R there (p x p + p floats for a slice of min(rows, cols) = p),
+and later calls reuse them.  The QR and the application of Q run on
+every call, so the result is bitwise that of a fresh decomposition.  The
+caller keeps the dict only as long as the slice cannot change; snapshot
+matrices keep one per window slice of their read-only data (see
+``snapshots``).
 """
 
-import hashlib
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +47,6 @@ _ORTHO_TOL = 1e-12
 # 16-64 were within noise of each other (2.3-3.3 ms), one block took
 # 3.0-4.5 ms and dgeqrf 4.5-6.0 ms.
 _QR_BLOCK = 32
-# Small SVDs of the slices of registered arrays: id(array) -> {slice key:
-# (digest of R, u_r, s)}.  An array's entry is dropped when it is freed.
-_SLICE_SVDS: dict[int, dict] = {}
 
 
 @dataclass
@@ -111,12 +104,13 @@ def select_modes(singular_values, eps_pod: float, m_max: int | None = None) -> i
     return max(m, 1)
 
 
-def thin_svd(data: np.ndarray, k: int | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+def thin_svd(data: np.ndarray, k: int | None = None,
+             kept: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Leading k left singular vectors (signs fixed) and all singular
     values of a slice.  k is clamped to [1, min(rows, cols)], like the
     mode count of ``select_modes``; k = None forms all min(rows, cols)
-    vectors."""
+    vectors.  ``kept``, if given, holds the small SVD of this slice's R
+    across calls: filled by the first call, reused by later ones."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.size == 0:
         raise EmptySlice("snapshot slice is empty")
@@ -127,56 +121,23 @@ def thin_svd(data: np.ndarray, k: int | None = None
     k = p if k is None else min(max(int(k), 1), p)
     qr, t, info = lapack.dgeqrt(min(_QR_BLOCK, p), data)
     _check_info("dgeqrt", info)
-    u_r, s = _small_svd(np.triu(qr[:p]), data)
+    if kept:
+        u_r, s = kept["svd"]
+        s = s.copy()
+    else:
+        try:
+            u_r, s, _ = scipy.linalg.svd(np.triu(qr[:p]),
+                                         full_matrices=False,
+                                         check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise BreakdownInEigensolve(str(exc)) from exc
+        if kept is not None:
+            kept["svd"] = (u_r, s.copy())
     lead = np.zeros((n, k), order="F")
     lead[:p] = u_r[:, :k]
     u, info = lapack.dgemqrt(qr[:, :p], t, lead, overwrite_c=1)
     _check_info("dgemqrt", info)
     return _fix_signs(u), s
-
-
-def memoize_slices(array: np.ndarray) -> None:
-    """Let ``thin_svd`` keep the small SVD of each slice viewing
-    ``array`` for as long as the array lives."""
-    key = id(array)
-    if key not in _SLICE_SVDS:
-        _SLICE_SVDS[key] = {}
-        weakref.finalize(array, _SLICE_SVDS.pop, key, None)
-
-
-def _slice_memo(data: np.ndarray):
-    """(memo, slice key) when ``data`` views a registered array, else
-    (None, None).  An id found in the memo is the live registered array:
-    its entry goes when the array is freed, before the id can be reused."""
-    base = data.base
-    while isinstance(base, np.ndarray):
-        memo = _SLICE_SVDS.get(id(base))
-        if memo is not None:
-            offset = (data.__array_interface__["data"][0]
-                      - base.__array_interface__["data"][0])
-            return memo, (offset, data.shape, data.strides)
-        base = base.base
-    return None, None
-
-
-def _small_svd(r: np.ndarray, data: np.ndarray):
-    """Left singular vectors and singular values of the triangle R of
-    ``data``, reused from an earlier call on the same slice when R is
-    bitwise what it was then.  The caller gets its own copy of s."""
-    memo, key = _slice_memo(data)
-    if memo is not None:
-        digest = hashlib.sha256(np.ascontiguousarray(r)).digest()
-        entry = memo.get(key)
-        if entry is not None and entry[0] == digest:
-            return entry[1], entry[2].copy()
-    try:
-        u_r, s, _ = scipy.linalg.svd(r, full_matrices=False,
-                                     check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise BreakdownInEigensolve(str(exc)) from exc
-    if memo is not None:
-        memo[key] = (digest, u_r, s.copy())
-    return u_r, s
 
 
 def _check_info(routine: str, info: int) -> None:

@@ -97,15 +97,19 @@ class RomSetup:
     spectra: dict = field(default_factory=dict)   # (var, window) -> sigma
 
 
+def _window_cols(partition: WindowPartition, v: int) -> tuple[int, int]:
+    """Columns of window v with one column of look-back: the junction
+    snapshot belongs to both adjacent windows (the time windows are
+    closed intervals sharing their endpoints), so the incoming basis can
+    represent the transferred state."""
+    start, stop = partition.ranges[v]
+    return max(start - 1, 0), stop
+
+
 def _pooled_slice(groups, partitions, var, v) -> np.ndarray:
-    """Window slice pooled across training runs, with one column of
-    look-back: the junction snapshot belongs to both adjacent windows
-    (the time windows are closed intervals sharing their endpoints), so
-    the incoming basis can represent the transferred state."""
-    blocks = []
-    for g, p in zip(groups, partitions):
-        start, stop = p.ranges[v]
-        blocks.append(g[var].window(max(start - 1, 0), stop))
+    """Window slice pooled across training runs."""
+    blocks = [g[var].window(*_window_cols(p, v))
+              for g, p in zip(groups, partitions)]
     return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
@@ -126,8 +130,16 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
         if peaks[var] <= zero_tol:
             svds[var] = None        # zero trajectory up to rounding noise
             continue
+        # A single run's slice views its matrix's read-only data, so the
+        # matrix keeps the slice's small SVD across builds.  A pooled slice
+        # is a new copy, and writable data (that of a deep-copied matrix)
+        # could change under a kept SVD.
+        kept = None
+        if len(groups) == 1 and not data.flags.writeable:
+            kept = groups[0][var].window_svds.setdefault(
+                _window_cols(partitions[0], v), {})
         # No unified M exceeds the cap, so only that many modes are formed.
-        u, s = thin_svd(data, mode_cap)
+        u, s = thin_svd(data, mode_cap, kept=kept)
         rank = numerical_rank(s, *data.shape)
         m_sel = select_modes(s, eps_pod, m_max=mode_cap)
         svds[var] = (u, s, rank, m_sel, min(data.shape))

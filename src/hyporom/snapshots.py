@@ -10,9 +10,17 @@ recorded, concatenated or copied.  A column, and so a window's
 column range, is one contiguous block, which is the layout LAPACK reads.
 The recorder writes each column in place into fixed-size column-major
 blocks per variable, and ``finalize`` joins them one variable at a time.
-A matrix registers its data with ``pod.memoize_slices``, so builds at
-several mode caps decompose each window's small triangle once (see
-``pod``).
+
+A matrix owns its data and makes it read-only: the recorder and
+``concat_parametric`` hand it arrays that nothing else holds, and the
+constructor takes an F-order float array as it is, without a copy.  To
+edit snapshots, build a new matrix (``dataclasses.replace(m, data=...)``).
+Since the data cannot change, a matrix keeps, per window column range,
+the small SVD of that slice's triangle R (``window_svds``, filled by
+``pod.thin_svd``), so builds at several mode caps on one recording
+decompose each window's triangle once.  The kept SVDs are freed with the
+matrix; a new matrix starts with none.  A deep copy's data is writable,
+so builds neither use nor extend what the copy carried over.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +29,6 @@ import numpy as np
 
 from .errors import (EmptySlice, IoError, NonMonotoneTime, ShapeMismatch,
                      TooFewSnapshots)
-from .pod import memoize_slices
 
 # Columns per recorder block, chosen on the 1600-cell dam breaks of the
 # benchmark (a block of one field is 3.3 MB).  From 512 columns a block
@@ -37,9 +44,13 @@ class SnapshotMatrix:
     data: np.ndarray          # n_rows x n_cols, F order; column n at times[n]
     times: np.ndarray
     dts: np.ndarray
+    # (start, stop) -> the ``kept`` dict of ``pod.thin_svd`` for that slice
+    window_svds: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         self.data = np.asfortranarray(self.data, dtype=float)
+        self.data.flags.writeable = False
         self.times = np.asarray(self.times, dtype=float)
         self.dts = np.asarray(self.dts, dtype=float)
         if self.data.ndim != 2:
@@ -53,7 +64,6 @@ class SnapshotMatrix:
         scale = np.maximum(np.abs(gaps), np.abs(self.dts))
         if np.any(np.abs(gaps - self.dts) > 1e-12 * np.maximum(scale, 1e-300)):
             raise ShapeMismatch("dts do not match time gaps")
-        memoize_slices(self.data)
 
     @property
     def n_rows(self) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyporom.errors import ConfigError
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (SweModel, SweParams, SweState, TransportModel,
                          TransportParams, cfl_dt, interface_fan, run_fom,
@@ -173,3 +174,14 @@ def test_run_leaves_the_callers_state_writable():
     assert state.h.flags.writeable and state.q.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         res.final_state.h[0] = 1.0
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"t_final": 0.0}, "t_final"),
+    ({"snapshot_stride": 0}, "snapshot_stride"),
+    ({"cfl": 1.5}, "cfl"),
+], ids=["t_final", "snapshot_stride", "cfl"])
+def test_bad_run_argument_raises_config_error(kwargs, match):
+    model, state = _dam_case(FluxChoice.MODIFIED_LAX_FRIEDRICHS)
+    with pytest.raises(ConfigError, match=match):
+        run_fom(model, state, **{"t_final": 0.05, "cfl": 0.9, **kwargs})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hyporom
-from hyporom.errors import ConfigError, ShapeMismatch
+from hyporom.errors import ConfigError, ExperimentError, ShapeMismatch
 from hyporom.fom import run_fom
 from hyporom.grid import Grid1D
 from hyporom.harness import (ExperimentConfig, TIMING_COLUMNS, initial_state,
@@ -151,6 +151,20 @@ class TestRunExperiment:
                                outdir=str(tmp_path / "o"))
         report = run_experiment(cfg)
         assert report.l1 == {"h": 0.0, "q": 0.0}
+
+    @pytest.mark.parametrize("name, value", [("t_final", -1.0),
+                                             ("snapshot_stride", 0),
+                                             ("cfl", 1.5)])
+    def test_bad_solver_argument_fails_the_fom_stage(self, tmp_path, name,
+                                                     value):
+        # Set past the config's own checks, so the solver's guard answers.
+        cfg = ExperimentConfig(preset="transport_stationary", n_cells=20,
+                               t_final=0.1, outdir=str(tmp_path / "o"))
+        setattr(cfg, name, value)
+        with pytest.raises(ExperimentError, match=name) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "fom"
+        assert isinstance(err.value.__cause__, ConfigError)
 
     def test_plain_lf_flux_pipeline_consistent(self, tmp_path):
         # nu pinned to 1 keeps the reduced viscosity identical to the

@@ -125,23 +125,31 @@ class TestThinSvd:
             np.testing.assert_array_equal(u_f, u_c)
             np.testing.assert_array_equal(s_f, s_c)
 
-    def test_snapshot_windows_keep_small_svds_and_match_fresh(self):
+    def test_snapshot_windows_keep_small_svds_and_match_fresh(
+            self, monkeypatch):
         rng = np.random.default_rng(22)
         times = np.arange(90.0)
         snap = SnapshotMatrix("h", rng.standard_normal((200, 90)), times,
                               np.diff(times))
-        memo = pod._SLICE_SVDS[id(snap.data)]
+        svd, calls = scipy.linalg.svd, []
+
+        def count_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svd", count_svd)
         for k in (3, None, 1, 30):
             for start, stop in ((0, 46), (45, 90)):
                 view = snap.window(start, stop)
-                u, s = thin_svd(view, k)
+                kept = snap.window_svds.setdefault((start, stop), {})
+                u, s = thin_svd(view, k, kept)
                 u0, s0 = thin_svd(view.copy(order="F"), k)
                 assert u.tobytes() == u0.tobytes()
                 assert s.tobytes() == s0.tobytes()
-        # One entry per window slice; copies and whole arrays never enter.
-        assert len(memo) == 2
-        thin_svd(snap.data, 4)
-        assert len(memo) == 2
+        # One small SVD per kept slice, the first time; every fresh call
+        # runs its own.
+        assert len(calls) == 2 + 8
+        assert sorted(snap.window_svds) == [(0, 46), (45, 90)]
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 12),

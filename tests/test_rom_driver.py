@@ -2,14 +2,10 @@
 
 import copy
 import dataclasses
-import gc
-import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
-
-import hyporom.pod as pod
 
 from hyporom.errors import (BreakdownInEigensolve, EvaluationError,
                             NonFiniteState, NonPositiveDepth, ShapeMismatch,
@@ -129,7 +125,7 @@ def test_swe_wb_pipeline(flux, system, lin, coeff):
 def test_bad_swe_options_raise_before_svd(monkeypatch, system, lin, coeff):
     grid, params, _, res = _swe_wb_run(FluxChoice.HLL, n=20)
 
-    def no_svd(*args):
+    def no_svd(*args, **kwargs):
         raise AssertionError("options must be checked before the SVDs")
 
     monkeypatch.setattr("hyporom.rom.driver.thin_svd", no_svd)
@@ -142,8 +138,8 @@ def test_capped_build_forms_only_cap_columns(monkeypatch):
     grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
     asked = []
 
-    def spy(data, k=None):
-        u, s = thin_svd(data, k)
+    def spy(data, k=None, kept=None):
+        u, s = thin_svd(data, k, kept)
         asked.append((k, u.shape[1], min(data.shape)))
         return u, s
 
@@ -179,9 +175,12 @@ def test_cap_beyond_window_columns_equals_uncapped():
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
 def test_non_finite_snapshot_raises_typed(bad):
     grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
-    res.snapshots["w"].data[3, 2] = bad
+    recorded = res.snapshots["w"]
+    data = recorded.data.copy(order="F")
+    data[3, 2] = bad
+    snaps = {"w": dataclasses.replace(recorded, data=data)}
     with pytest.raises(BreakdownInEigensolve, match="window 0"):
-        build_rom("transport", [res.snapshots], params, grid, n_windows=2,
+        build_rom("transport", [snaps], params, grid, n_windows=2,
                   eps_pod=1e-12)
 
 
@@ -415,10 +414,10 @@ class TestSliceSvdReuse:
                          coeff_mode=COEFF_DEIM)
 
     @staticmethod
-    def _recording(run):
-        # Re-registered matrices: a memo of their own, empty.
+    def _fresh(snapshots):
+        # New matrices on copied data: no kept small SVDs.
         return {var: dataclasses.replace(sm, data=sm.data.copy(order="F"))
-                for var, sm in run[2].snapshots.items()}
+                for var, sm in snapshots.items()}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -426,9 +425,9 @@ class TestSliceSvdReuse:
         counts = {"thin_svd": 0, "svd": 0}
         svd = scipy.linalg.svd
 
-        def count_thin(data, k=None):
+        def count_thin(data, k=None, kept=None):
             counts["thin_svd"] += 1
-            return thin_svd(data, k)
+            return thin_svd(data, k, kept)
 
         def count_svd(*args, **kwargs):
             counts["svd"] += 1
@@ -441,50 +440,60 @@ class TestSliceSvdReuse:
     @pytest.mark.parametrize("caps", [CAPS, CAPS[::-1]],
                              ids=["ascending", "descending"])
     def test_cap_sweep_bitwise_fresh_builds(self, run, caps):
-        snaps = self._recording(run)
+        snaps = self._fresh(run[2].snapshots)
         for cap in caps:
             reused = self._build(run, snaps, cap)
-            fresh = self._build(run, copy.deepcopy(snaps), cap)
-            _assert_bitwise(reused, fresh)
+            fresh = self._fresh(snaps)
+            assert all(sm.window_svds == {} for sm in fresh.values())
+            _assert_bitwise(reused, self._build(run, fresh, cap))
 
     def test_one_small_svd_per_slice(self, run, calls):
-        snaps = self._recording(run)
+        snaps = self._fresh(run[2].snapshots)
         self._build(run, snaps, self.CAPS[0])
         assert calls["thin_svd"] > 0
         assert calls["svd"] == calls["thin_svd"]
         first = calls["thin_svd"]
+        assert sum(len(sm.window_svds) for sm in snaps.values()) == first
         for cap in self.CAPS[1:]:
             self._build(run, snaps, cap)
         assert calls["thin_svd"] == len(self.CAPS) * first
         assert calls["svd"] == first
 
+    def test_snapshot_data_is_read_only(self, run):
+        snaps = self._fresh(run[2].snapshots)
+        with pytest.raises(ValueError, match="read-only"):
+            snaps["h"].data[:, 5] *= 1.0 + 1e-3
+
     def test_edited_column_recomputes_its_window(self, run, calls):
-        snaps = self._recording(run)
+        snaps = self._fresh(run[2].snapshots)
         self._build(run, snaps, 4)
         before = calls["svd"]
-        # Column 5 lies inside window 0 and outside window 1's look-back.
-        snaps["h"].data[:, 5] *= 1.0 + 1e-3
-        edited = self._build(run, snaps, 8)
-        assert calls["svd"] == before + 1
-        _assert_bitwise(edited, self._build(run, copy.deepcopy(snaps), 8))
+        data = snaps["h"].data.copy(order="F")
+        data[:, 5] *= 1.0 + 1e-3
+        edited = dict(snaps, h=dataclasses.replace(snaps["h"], data=data))
+        assert edited["h"].window_svds == {}
+        built = self._build(run, edited, 8)
+        # Only the new matrix's window slices are decomposed again.
+        assert len(edited["h"].window_svds) == 3
+        assert calls["svd"] == before + 3
+        _assert_bitwise(built, self._build(run, self._fresh(edited), 8))
+
+    def test_deep_copy_edited_in_place_builds_like_fresh(self, run):
+        # A deep copy carries the kept SVDs over, but its data is writable.
+        snaps = self._fresh(run[2].snapshots)
+        self._build(run, snaps, 4)
+        copied = copy.deepcopy(snaps)
+        assert copied["h"].window_svds
+        copied["h"].data[:, 5] *= 1.0 + 1e-3
+        _assert_bitwise(self._build(run, copied, 8),
+                        self._build(run, self._fresh(copied), 8))
 
     def test_pooled_groups_are_not_memoized(self, run, calls):
-        snaps = self._recording(run)
+        snaps = self._fresh(run[2].snapshots)
         twice = [snaps, snaps]
         self._build(run, None, 4, groups=twice)
         first = calls["svd"]
+        assert first > 0
         self._build(run, None, 8, groups=twice)
         assert calls["svd"] == 2 * first
-        assert all(pod._SLICE_SVDS[id(sm.data)] == {}
-                   for sm in snaps.values())
-
-    def test_memo_dies_with_the_snapshots(self, run):
-        snaps = self._recording(run)
-        self._build(run, snaps, 4)
-        data = snaps["h"].data
-        key, alive = id(data), weakref.ref(data)
-        assert pod._SLICE_SVDS[key]
-        del data, snaps
-        gc.collect()
-        assert alive() is None
-        assert key not in pod._SLICE_SVDS
+        assert all(sm.window_svds == {} for sm in snaps.values())
