@@ -1,10 +1,10 @@
 """Time integration of the full-order models with snapshot recording.
 
 A model bundles (params, grid, flux) and exposes the common surface the
-driver needs: the state a run starts from, max wave speed, one explicit
-step, and the named fields to record per snapshot column.  Steps are pure
-functions of (state, dt); the driver is strictly sequential in time and
-clamps the final step so the run lands exactly on t_final.
+driver needs: max wave speed, one explicit step, and the named fields to
+record per snapshot column.  Steps are pure functions of (state, dt); the
+driver is strictly sequential in time and clamps the final step so the
+run lands exactly on t_final.
 """
 
 import time
@@ -35,9 +35,6 @@ class TransportModel:
         self.grid = grid
         self.flux = flux
 
-    def initial(self, w):
-        return w
-
     def max_wave_speed(self, w):
         return _transport.transport_max_speed(w, self.params)
 
@@ -59,9 +56,6 @@ class BurgersModel:
         self.grid = grid
         self.flux = flux
 
-    def initial(self, w):
-        return w
-
     def max_wave_speed(self, w):
         return _burgers.burgers_max_speed(w, self.params)
 
@@ -81,14 +75,11 @@ class SweModel:
     auxiliary column is a pure function of the (h, q) column it belongs
     to.
 
-    Each state of a run is derived from once.  ``initial`` checks the
-    caller's state and holds it as a read-only copy; every later state is
-    checked by the step that produced it, which makes its arrays read-only
-    too.  The model skips the check of such a checked state, and the HLL
-    fan that ``fields`` forms for it is the one the next ``step`` uses.
-    The padded bed and its bed-slope differences are formed once, here,
-    from the ``params`` and ``grid`` given.  A state the caller built is
-    checked on every call and shares nothing.
+    Each state of a run is derived from once.  A ``SweState`` is checked
+    when it is built and its arrays are read-only, so the HLL fan that
+    ``fields`` forms for a state is the one the next ``step`` uses.  The
+    padded bed and its bed-slope differences are formed once, here, from
+    the ``params`` and ``grid`` given.
     """
 
     system = "swe"
@@ -99,25 +90,16 @@ class SweModel:
         self.grid = grid
         self.flux = flux
         self._bed = _swe._bed(params, grid)
-        self._fan = (None, None)          # (checked state, its HLL fan)
-
-    def initial(self, state):
-        _swe._check_state(state)
-        return _swe._checked_output(state.h.copy(), state.q.copy())
+        self._fan = (None, None)          # (state, its HLL fan)
 
     def max_wave_speed(self, state):
-        if not _swe._is_checked(state):
-            _swe._check_state(state)
         return _swe._max_speed(state, self.params.g)
 
     def step(self, state, dt):
-        checked = _swe._is_checked(state)
-        if not checked:
-            _swe._check_state(state)
         if self.flux is not FluxChoice.HLL:
             return _swe._lf_step(state, self.params, self.grid, dt,
                                  self.flux, self._bed)
-        fan = self._fan[1] if checked and self._fan[0] is state else None
+        fan = self._fan[1] if self._fan[0] is state else None
         self._fan = (None, None)
         return _swe._hll_step(state, self.params, self.grid, dt, self._bed,
                               fan)
@@ -138,13 +120,10 @@ class SweModel:
         return out
 
     def _state_fan(self, state):
-        """The HLL fan of ``state``; a checked state's is formed once, made
-        read-only and kept for the next step."""
-        if not _swe._is_checked(state):
-            return _swe.interface_fan(state, self.params, self.grid)
+        """The HLL fan of ``state``, formed once, made read-only and kept
+        for the next step."""
         if self._fan[0] is not state:
-            hg = _swe._pad(state.h)
-            fan = _swe._fan(hg, _swe._pad(state.q) / hg, self.params.g)
+            fan = _swe.interface_fan(state, self.params, self.grid)
             for arr in fan:
                 arr.flags.writeable = False
             self._fan = (state, fan)
@@ -189,7 +168,6 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
 
     recorder = SnapshotRecorder() if record else None
     clamp_eps = 1e-12 * max(t_final, 1.0)
-    state = model.initial(state)
 
     t = 0.0
     times = [0.0]

@@ -9,11 +9,11 @@ free surface eta, and the HLL flux with per-interface fan coefficients.
 Free boundaries replicate (h, q, z) into the ghost cells, which is the
 stationary extension of a lake-at-rest edge state.
 
-``SweModel`` (fom/driver.py) is the entry to the schemes.  It and
-``interface_fan`` check every state a caller builds.  A step checks the
-state it produces and returns it marked as checked, with read-only
-arrays; ``SweModel`` skips the check of such a state and shares its HLL
-fan between recording and the next step.
+``SweModel`` (fom/driver.py) is the entry to the schemes.  A ``SweState``
+is checked when it is built (finite values, positive depth) and owns
+read-only arrays, so every state a step reads or returns is valid and
+``SweModel`` can share a state's HLL fan between recording and the next
+step.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DegenerateWaveFan, NonFiniteState, NonPositiveDepth
+from ..errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
+                      ShapeMismatch)
 from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
@@ -48,56 +49,38 @@ class SweParams:
             raise ValueError("nu must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SweState:
+    """Depth h and discharge q per cell.  Construction checks the state
+    and makes both arrays read-only in place (a float array is kept, not
+    copied), so a state is valid for its whole life; to edit one, build a
+    new state."""
+
     h: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        if self.h.shape != self.q.shape:
-            raise ValueError("h and q must have the same shape")
+        h = np.asarray(self.h, dtype=float)
+        q = np.asarray(self.q, dtype=float)
+        if h.shape != q.shape:
+            raise ShapeMismatch("h and q must have the same shape")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(q))):
+            raise NonFiniteState("SWE state contains NaN/Inf")
+        if np.any(h <= 0.0):
+            raise NonPositiveDepth("water depth must be positive everywhere")
+        h.flags.writeable = False
+        q.flags.writeable = False
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "q", q)
+
+    def __reduce__(self):
+        return SweState, (self.h, self.q)
 
 
 def lake_at_rest(params: SweParams, grid: Grid1D, eta: float = 0.0) -> SweState:
     """Water-at-rest state with free surface eta over the given bathymetry."""
-    z = params.bathymetry(grid.centers)
-    h = eta - z
-    if np.any(h <= 0.0):
-        raise NonPositiveDepth("lake-at-rest surface lies below the bed somewhere")
+    h = eta - params.bathymetry(grid.centers)
     return SweState(h=h, q=np.zeros_like(h))
-
-
-def _check_state(state: SweState) -> None:
-    if not (np.all(np.isfinite(state.h)) and np.all(np.isfinite(state.q))):
-        raise NonFiniteState("SWE state contains NaN/Inf")
-    if np.any(state.h <= 0.0):
-        raise NonPositiveDepth("water depth must be positive everywhere")
-
-
-def _checked_output(h: np.ndarray, q: np.ndarray) -> SweState:
-    """The state a step produced, once its output check has passed.  Its
-    arrays are made read-only and the state is marked as checked, so no
-    later call needs to check it again and the mark cannot go stale."""
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(q))):
-        raise NonFiniteState("SWE step produced NaN/Inf")
-    if np.any(h <= 0.0):
-        raise NonPositiveDepth("SWE step produced a non-positive depth")
-    h.flags.writeable = False
-    q.flags.writeable = False
-    state = SweState(h=h, q=q)
-    state._checked = (h, q)
-    return state
-
-
-def _is_checked(state: SweState) -> bool:
-    """Whether ``state`` still holds the read-only arrays a checked step
-    produced: rebinding ``h`` or ``q``, or a copy whose arrays are
-    writable again (an unpickled state), drops the mark."""
-    mark = getattr(state, "_checked", None)
-    return (mark is not None and mark[0] is state.h and mark[1] is state.q
-            and not (state.h.flags.writeable or state.q.flags.writeable))
 
 
 def _max_speed(state: SweState, g: float) -> float:
@@ -151,10 +134,9 @@ def _bed(params: SweParams, grid: Grid1D):
 
 def _fan(hg, ug, g):
     """Roe averages and HLL fan coefficients (h_tilde, u_tilde, alpha0,
-    alpha1) at every interface of ghost-padded h and u, whose depths are
-    checked already.  The Davis speed estimates take the one-sided speeds
-    and the Roe speed, so the Roe averages are formed once and serve
-    both."""
+    alpha1) at every interface of a state's ghost-padded h and u.  The
+    Davis speed estimates take the one-sided speeds and the Roe speed, so
+    the Roe averages are formed once and serve both."""
     h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:])
     c = np.sqrt(g * hg)
     c_t = np.sqrt(g * h_t)
@@ -167,7 +149,6 @@ def _fan(hg, ug, g):
 def interface_fan(state: SweState, params: SweParams, grid: Grid1D):
     """(h_tilde, u_tilde, alpha0, alpha1) at all n_cells+1 interfaces of
     the state, ghosts replicated: the fan data an HLL step uses."""
-    _check_state(state)
     hg = _pad(state.h)
     return _fan(hg, _pad(state.q) / hg, params.g)
 
@@ -189,7 +170,7 @@ def _bed_slope(hg, bed, lam, g):
 
 def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
              flux: FluxChoice, bed) -> SweState:
-    """PVM-0 step of a checked state over the bed ``_bed`` gives."""
+    """PVM-0 step of the state over the bed ``_bed`` gives."""
     dx = grid.dx
     lam = dt / dx
     g = params.g
@@ -216,12 +197,12 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
         + _bed_slope(hg, bed, lam, g) \
         - _friction(state, params, dt)
 
-    return _checked_output(h_new, q_new)
+    return SweState(h=h_new, q=q_new)
 
 
 def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
               bed, fan=None) -> SweState:
-    """HLL step of a checked state over the bed ``_bed`` gives; ``fan`` is
+    """HLL step of the state over the bed ``_bed`` gives; ``fan`` is
     the state's ``_fan``, formed here when not given."""
     lam = dt / grid.dx
     g = params.g
@@ -250,4 +231,4 @@ def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
         + _bed_slope(hg, bed, lam, g) \
         - _friction(state, params, dt)
 
-    return _checked_output(h_new, q_new)
+    return SweState(h=h_new, q=q_new)

@@ -82,6 +82,16 @@ class ExperimentConfig:
             raise ConfigError("mode_cap must be >= 1 (empty for no cap)")
         if self.t_final < 0.0:
             raise ConfigError("t_final must be >= 0")
+        if not self.x_max > self.x_min:
+            raise ConfigError("x_max must exceed x_min")
+        if self.system == "transport" and self.c == 0.0:
+            raise ConfigError("advection speed c must be nonzero")
+        if self.g <= 0.0:
+            raise ConfigError("g must be positive")
+        if self.n_b < 0.0 or any(mu < 0.0 for mu in self.training_set) \
+                or (self.target_param is not None and self.target_param < 0.0):
+            raise ConfigError("Manning coefficients (n_b, training_set, "
+                              "target_param) must be >= 0")
         if self.snapshot_stride < 1:
             raise ConfigError("snapshot_stride must be >= 1")
         if self.target_param is not None and not self.training_set:

@@ -82,7 +82,12 @@ def _wb_case(system, n_cells, flux, coeff_mode=None):
         rom_system = "swe_hll" if flux is FluxChoice.HLL else "swe_lf"
         lin = LIN_TAV if coeff_mode in (None, COEFF_TAV) else LIN_DEIM_U_DEIM_F
 
-    timed = run_fom(model, state0, t_final=10.0, cfl=0.9, record=False)
+    # Criterion 8 compares the 1600-cell SWE timings, so those take the
+    # median of three timed runs; recording and build happen once.
+    repeats = 3 if system == "swe" and n_cells >= 1600 else 1
+    fom_seconds = np.median([
+        run_fom(model, state0, t_final=10.0, cfl=0.9,
+                record=False).wall_seconds for _ in range(repeats)])
     rec = run_fom(model, state0, t_final=10.0, cfl=0.9,
                   snapshot_stride=stride)
     setup = _quiet_build(rom_system, [rec.snapshots], params, grid,
@@ -90,12 +95,14 @@ def _wb_case(system, n_cells, flux, coeff_mode=None):
                          coeff_mode=coeff_mode)
     steps = np.searchsorted(rec.times,
                             rec.snapshots[next(iter(rec.snapshots))].times)
-    out = run_rom(setup, initial, rec.dts, recorded_steps=steps)
+    outs = [run_rom(setup, initial, rec.dts, recorded_steps=steps)
+            for _ in range(repeats)]
+    out = outs[0]
     errors = {var: l1_error(out.final[var], initial[var], grid.dx)
               for var in out.final}
     return {"errors": errors, "modes": setup.modes_per_window,
-            "fom_seconds": timed.wall_seconds,
-            "online_seconds": out.online_seconds,
+            "fom_seconds": fom_seconds,
+            "online_seconds": np.median([o.online_seconds for o in outs]),
             "case_seconds": time.perf_counter() - start}
 
 

@@ -126,27 +126,28 @@ def test_hll_run_forms_one_fan_per_state(monkeypatch, record, extra):
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
                                   FluxChoice.HLL])
 @pytest.mark.parametrize("record", [True, False])
-def test_run_checks_only_the_initial_state(monkeypatch, flux, record):
-    # Every later state is checked by the step that produced it.
+def test_run_constructs_one_state_per_step(monkeypatch, flux, record):
+    # A state is checked once, when it is built: the caller's before the
+    # run, then each step's output.
     model, state = _dam_case(flux)
     calls = []
-    check = swe_module._check_state
+    check = SweState.__post_init__
 
-    def counted(arg):
-        calls.append(arg)
-        check(arg)
+    def counted(self):
+        calls.append(1)
+        check(self)
 
-    monkeypatch.setattr(swe_module, "_check_state", counted)
+    monkeypatch.setattr(SweState, "__post_init__", counted)
     res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
     assert res.n_steps > 10
-    assert calls == [state]
+    assert len(calls) == res.n_steps
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
                                   FluxChoice.RUSANOV, FluxChoice.HLL])
 @pytest.mark.parametrize("record", [True, False])
 def test_run_is_bitwise_the_public_step_loop(flux, record):
-    # The model's shared checks, bed and fans change no bit of a run:
+    # The model's shared bed and fans change no bit of a run:
     # replay it with a fresh model on caller-built copies of each state,
     # from which it derives everything anew.
     model, state = _dam_case(flux)
@@ -166,14 +167,6 @@ def test_run_is_bitwise_the_public_step_loop(flux, record):
         cur = SweState(h=nxt.h.copy(), q=nxt.q.copy())
     assert np.array_equal(res.final_state.h, cur.h)
     assert np.array_equal(res.final_state.q, cur.q)
-
-
-def test_run_leaves_the_callers_state_writable():
-    model, state = _dam_case(FluxChoice.HLL)
-    res = run_fom(model, state, t_final=0.05, cfl=0.9)
-    assert state.h.flags.writeable and state.q.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        res.final_state.h[0] = 1.0
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from hyporom.errors import DegenerateWaveFan, NonFiniteState, NonPositiveDepth
+from hyporom.errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
+                            ShapeMismatch)
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, hll_coeffs,
                          interface_fan, lake_at_rest)
@@ -207,11 +210,12 @@ def test_randomized_states_match_scalar_transcriptions():
 
 
 def test_negative_depth_is_hard_error():
-    grid = Grid1D(0.0, 1.0, 5)
-    params = SweParams(g=9.81)
-    state = SweState(h=np.array([1.0, 1.0, -0.1, 1.0, 1.0]), q=np.zeros(5))
-    with pytest.raises(NonPositiveDepth):
-        _step(state, params, grid, 0.001)
+    # A step that would dry a cell raises as it builds its output state.
+    state = SweState(h=np.array([1.0, 1.0, 1e-3, 1.0, 1.0]),
+                     q=np.array([0.0, -50.0, 0.0, 50.0, 0.0]))
+    for flux in (FluxChoice.MODIFIED_LAX_FRIEDRICHS, FluxChoice.HLL):
+        with pytest.raises(NonPositiveDepth):
+            _step(state, SweParams(g=9.81), Grid1D(0.0, 1.0, 5), 0.01, flux)
 
 
 _BAD_STATES = [
@@ -221,7 +225,31 @@ _BAD_STATES = [
     (np.array([1.0, -0.5, 1.0, 1.0]), np.zeros(4), NonPositiveDepth),
 ]
 _GRID4 = Grid1D(0.0, 1.0, 4)
-# Steps and wave speeds go through ``SweModel``, the entry a run uses.
+
+
+@pytest.mark.parametrize("h, q, error", _BAD_STATES + [
+    (np.ones(4), np.zeros(3), ShapeMismatch)])
+def test_construction_checks_the_state(h, q, error):
+    with pytest.raises(error):
+        SweState(h=h, q=q)
+
+
+def test_state_owns_the_callers_arrays_read_only():
+    h, q = np.ones(4), np.zeros(4)
+    state = SweState(h=h, q=q)
+    assert state.h is h and state.q is q
+    for arr in (h, q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.h = np.full(4, 2.0)
+    # A new state is the way to edit one, and it is checked again.
+    with pytest.raises(NonFiniteState):
+        dataclasses.replace(state, q=np.full(4, np.nan))
+
+
+# Steps and wave speeds go through ``SweModel``, the entry a run uses; a bad
+# caller state raises when it is built, before any entry sees it.
 _PUBLIC_ENTRIES = {
     "swe_lf_step": lambda s: _step(s, BUMP_PARAMS, _GRID4, 1e-3),
     "swe_hll_step": lambda s: _step(s, BUMP_PARAMS, _GRID4, 1e-3,
@@ -239,20 +267,6 @@ def test_public_entries_check_caller_states(entry, h, q, error):
         _PUBLIC_ENTRIES[entry](SweState(h=h, q=q))
 
 
-@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
-                                  FluxChoice.HLL])
-@pytest.mark.parametrize("h, q, error", _BAD_STATES)
-def test_model_checks_caller_states(flux, h, q, error):
-    model = SweModel(BUMP_PARAMS, _GRID4, flux)
-    calls = [model.initial, model.max_wave_speed,
-             lambda s: model.step(s, 1e-3)]
-    if flux is FluxChoice.HLL:
-        calls.append(model.fields)
-    for call in calls:
-        with pytest.raises(error):
-            call(SweState(h=h, q=q))
-
-
 def test_roe_and_fan_entries_keep_their_checks():
     with pytest.raises(NonPositiveDepth):
         interface_fan(SweState(h=np.array([1.0, 0.0]), q=np.zeros(2)),
@@ -265,7 +279,7 @@ def _stepped(flux, seed=0):
     grid = Grid1D(-3.0, 3.0, 97)
     model = SweModel(BUMP_PARAMS, grid, flux)
     state = _random_state(seed, grid.n_cells)
-    return model, grid, model.step(model.initial(state), 1e-3)
+    return model, grid, model.step(state, 1e-3)
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
@@ -289,48 +303,25 @@ def test_stepped_states_are_read_only(flux):
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
                                   FluxChoice.HLL])
-def test_rebinding_a_stepped_state_drops_its_mark(flux):
-    # A checked state whose arrays are replaced is checked again.
-    model, _, out = _stepped(flux)
-    model.fields(out)
-    good = out.h
-    bad = out.h.copy()
-    bad[5] = np.nan
-    out.h = bad
-    calls = [model.max_wave_speed, lambda s: model.step(s, 1e-3)]
-    if flux is FluxChoice.HLL:
-        calls.append(model.fields)
-    for call in calls:
-        with pytest.raises(NonFiniteState):
-            call(out)
-    # Valid new arrays: the step derives everything from them, as a fresh
-    # model's step does, and does not reuse the fan formed for the old ones.
-    out.h = good + 0.25
-    model.fields(out)
-    got = model.step(out, 1e-3)
-    fresh = _step(SweState(h=out.h.copy(), q=out.q.copy()), BUMP_PARAMS,
-                  model.grid, 1e-3, flux)
-    assert np.array_equal(got.h, fresh.h) and np.array_equal(got.q, fresh.q)
+def test_a_stepped_state_cannot_be_rebound(flux):
+    _, _, out = _stepped(flux)
+    for name in ("h", "q"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(out, name, getattr(out, name) + 0.25)
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
                                   FluxChoice.HLL])
 def test_unpickled_stepped_state_is_checked_again(flux):
-    # Unpickled arrays are writable, so the copy carries no valid mark.
-    model, _, out = _stepped(flux)
-    copy = pickle.loads(pickle.dumps(out))
-    copy.q[7] = np.inf
+    # Pickled and deep-copied states are rebuilt through the constructor,
+    # so they come back checked and read-only.
+    _, _, out = _stepped(flux)
+    for dup in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+        assert dup is not out
+        assert np.array_equal(dup.h, out.h) and np.array_equal(dup.q, out.q)
+        assert not (dup.h.flags.writeable or dup.q.flags.writeable)
+    cls, (h, q) = out.__reduce__()
+    q = q.copy()
+    q[7] = np.inf
     with pytest.raises(NonFiniteState):
-        model.step(copy, 1e-3)
-    with pytest.raises(NonFiniteState):
-        model.max_wave_speed(copy)
-
-
-def test_initial_copies_the_callers_state():
-    model = SweModel(BUMP_PARAMS, Grid1D(-3.0, 3.0, 97), FluxChoice.HLL)
-    state = _random_state(1, 97)
-    start = model.initial(state)
-    assert np.array_equal(start.h, state.h)
-    assert np.array_equal(start.q, state.q)
-    assert not np.shares_memory(start.h, state.h)
-    assert state.h.flags.writeable and state.q.flags.writeable
+        cls(h, q)

@@ -101,10 +101,21 @@ class TestConfig:
         "sweep_windows = 2, inf",
         "n_cells = 0",
         "mode_cap = 0",
+        # Model parameters the grid or SweParams would otherwise reject
+        # later with an untyped ValueError.
+        "x_min = 12\nx_max = 0",
+        "g = 0",
+        "n_b = -0.01",
+        "training_set = 0.03, -0.04\ntarget_param = 0.035",
+        "training_set = 0.03, 0.04\ntarget_param = -0.035",
     ])
     def test_bad_value_raises_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config(f"preset = swe_dam_break\n{line}\n")
+
+    def test_transport_speed_must_be_nonzero(self):
+        with pytest.raises(ConfigError):
+            parse_config("preset = transport_perturbation\nc = 0\n")
 
     def test_integral_sweep_entries_and_empty_mode_cap(self):
         cfg = parse_config("preset = swe_dam_break\nsweep_modes = 5, 10.0\n"
@@ -292,6 +303,15 @@ class TestCli:
         proc = self._run("rom", "run", str(cfg), cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_bad_model_parameter_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        for text in ("preset = swe_dam_break\nx_min = 12\nx_max = 0\n",
+                     "preset = transport_perturbation\nc = 0\n"):
+            cfg.write_text(text)
+            proc = self._run("rom", "run", str(cfg), cwd=tmp_path)
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # Running the dam break with the viscosity far below the stability
