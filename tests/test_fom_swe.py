@@ -267,6 +267,25 @@ def test_public_entries_check_caller_states(entry, h, q, error):
         _PUBLIC_ENTRIES[entry](SweState(h=h, q=q))
 
 
+@pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                  FluxChoice.HLL])
+@pytest.mark.parametrize("h, q, error", _BAD_STATES)
+def test_model_checks_caller_states(flux, h, q, error):
+    # No model entry can be handed a bad state: building one raises, and so
+    # does editing a good state into one.
+    model = SweModel(BUMP_PARAMS, _GRID4, flux)
+    calls = [model.max_wave_speed, lambda s: model.step(s, 1e-3)]
+    if flux is FluxChoice.HLL:
+        calls.append(model.fields)
+    good = SweState(h=np.ones(4), q=np.zeros(4))
+    for call in calls:
+        call(good)
+        with pytest.raises(error):
+            call(SweState(h=h, q=q))
+        with pytest.raises(error):
+            call(dataclasses.replace(good, h=h, q=q))
+
+
 def test_roe_and_fan_entries_keep_their_checks():
     with pytest.raises(NonPositiveDepth):
         interface_fan(SweState(h=np.array([1.0, 0.0]), q=np.zeros(2)),
