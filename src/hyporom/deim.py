@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EvaluationError, SingularInterpolationMatrix
+from .errors import (EvaluationError, ShapeMismatch,
+                     SingularInterpolationMatrix)
 
 _PIVOT_RTOL = 1e-14
 
@@ -51,7 +52,7 @@ def deim_offline(modes: np.ndarray) -> DeimInterpolant:
     """Greedy index selection over the columns of ``modes``."""
     modes = np.asarray(modes, dtype=float)
     if modes.ndim != 2 or modes.shape[1] < 1:
-        raise ValueError("modes must be a 2-D matrix with >= 1 column")
+        raise ShapeMismatch("modes must be a 2-D matrix with >= 1 column")
     n, m = modes.shape
     indices = [int(np.argmax(np.abs(modes[:, 0])))]
     for j in range(1, m):

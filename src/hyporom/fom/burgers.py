@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteState, UnsupportedSystem
+from ..errors import ConfigError, NonFiniteState, UnsupportedSystem
 from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
@@ -21,7 +21,7 @@ class BurgersParams:
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must lie in (0, 1]")
+            raise ConfigError("nu must lie in (0, 1]")
 
 
 def burgers_stationary(params: BurgersParams, anchor_value: float,

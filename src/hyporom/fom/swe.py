@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
-                      ShapeMismatch)
+from ..errors import (ConfigError, DegenerateWaveFan, NonFiniteState,
+                      NonPositiveDepth, ShapeMismatch)
 from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
@@ -42,11 +42,11 @@ class SweParams:
 
     def __post_init__(self):
         if self.g <= 0.0:
-            raise ValueError("gravity must be positive")
+            raise ConfigError("gravity must be positive")
         if self.n_b < 0.0:
-            raise ValueError("Manning coefficient must be >= 0")
+            raise ConfigError("Manning coefficient must be >= 0")
         if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must lie in (0, 1]")
+            raise ConfigError("nu must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)

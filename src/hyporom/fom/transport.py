@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteState, UnsupportedSystem
+from ..errors import ConfigError, NonFiniteState, UnsupportedSystem
 from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
@@ -23,9 +23,9 @@ class TransportParams:
 
     def __post_init__(self):
         if self.c == 0.0:
-            raise ValueError("advection speed c must be nonzero")
+            raise ConfigError("advection speed c must be nonzero")
         if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must lie in (0, 1]")
+            raise ConfigError("nu must lie in (0, 1]")
 
 
 def transport_stationary(params: TransportParams, anchor_value: float,

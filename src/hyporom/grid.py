@@ -5,6 +5,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -20,9 +22,9 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+            raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
         if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ConfigError("x_max must exceed x_min")
 
     @property
     def dx(self) -> float:

@@ -26,16 +26,27 @@ every call, so the result is bitwise that of a fresh decomposition.  The
 caller keeps the dict only as long as the slice cannot change; snapshot
 matrices keep one per window slice of their read-only data (see
 ``snapshots``).
+
+The three LAPACK routines (``dgeqrt``, ``dgesdd`` of R with jobz 'S'
+and the workspace it asks for, ``dgemqrt``) are called through
+``ctypes`` on the addresses ``scipy.linalg.cython_lapack`` exports
+(``_lapack``), which releases the interpreter lock for each call;
+scipy's f2py wrappers hold it, so two threads calling them take turns.
+The results are bitwise those of the wrappers.  ``SliceSvd`` splits a
+decomposition into the checks and allocations, made by the thread that
+builds it, and ``factor``, which a worker thread can run:
+``rom.driver`` decomposes each window's slices in two fixed halves, the
+second on a worker, so the bases are bitwise the same on one CPU or
+many.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
-from .errors import (AllZeroSpectrum, BreakdownInEigensolve, EmptySlice,
-                     ShapeMismatch)
+from . import _lapack
+from .errors import (AllZeroSpectrum, BreakdownInEigensolve, ConfigError,
+                     EmptySlice, ShapeMismatch)
 
 # Numerical-rank rule: sigma_i below this multiple of sigma_1 counts as zero.
 RANK_RTOL = 1e-13
@@ -93,7 +104,7 @@ def select_modes(singular_values, eps_pod: float, m_max: int | None = None) -> i
     if s.size == 0 or not np.any(s > 0.0):
         raise AllZeroSpectrum("cannot select modes from a zero spectrum")
     if not 0.0 < eps_pod < 1.0:
-        raise ValueError("eps_pod must lie in (0, 1)")
+        raise ConfigError("eps_pod must lie in (0, 1)")
     r = numerical_rank(s, len(s), len(s))
     energy = np.cumsum(s[:r] ** 2)
     target = (1.0 - eps_pod ** 2) * energy[-1]
@@ -104,6 +115,63 @@ def select_modes(singular_values, eps_pod: float, m_max: int | None = None) -> i
     return max(m, 1)
 
 
+class SliceSvd:
+    """The R-SVD of one slice in two steps.  Construction checks the
+    slice, clamps k to [1, min(rows, cols)] (k = None forms all
+    min(rows, cols) vectors) and allocates every array the decomposition
+    writes, starting with the F-ordered copy the QR factors in place.
+    ``factor`` then runs the three LAPACK calls without the GIL and
+    allocates no array of the slice's size, so a worker thread can run it
+    while the thread that built the object works on.  ``result`` gives
+    what ``thin_svd`` returns.  ``kept`` is as in ``thin_svd``."""
+
+    def __init__(self, data: np.ndarray, k: int | None = None,
+                 kept: dict | None = None):
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 2 or data.size == 0:
+            raise EmptySlice("snapshot slice is empty")
+        if not np.isfinite(data).all():
+            raise BreakdownInEigensolve("snapshot slice holds NaN or Inf")
+        n, c = data.shape
+        self.p = p = min(n, c)
+        self.k = p if k is None else min(max(int(k), 1), p)
+        self.kept = kept
+        nb = min(_QR_BLOCK, p)
+        self.qr = np.array(data, order="F")
+        self.t = np.zeros((nb, p), order="F")
+        self.work = np.empty(nb * c)        # k <= c: serves dgemqrt too
+        self.lead = np.zeros((n, self.k), order="F")
+        if not kept:
+            # R in the upper trapezoid, zeros below; its thin SVD.
+            self.upper = np.triu(np.ones((p, c), dtype=bool))
+            self.r = np.zeros((p, c), order="F")
+            self.s = np.empty(p)
+            self.u = np.empty((p, p), order="F")
+            self.vt = np.empty((p, c), order="F")
+            self.svd_work = np.empty(_lapack.gesdd_lwork(p, c))
+            self.iwork = np.empty(8 * p, dtype=np.intc)
+
+    def factor(self) -> None:
+        qr, t, p = self.qr, self.t, self.p
+        _check_info("dgeqrt", _lapack.geqrt(qr, t, self.work))
+        if self.kept:
+            u_r, s = self.kept["svd"]
+            self.s = s.copy()
+        else:
+            np.copyto(self.r, qr[:p], where=self.upper)
+            _check_info("dgesdd", _lapack.gesdd(self.r, self.s, self.u,
+                                                self.vt, self.svd_work,
+                                                self.iwork))
+            u_r = self.u
+            if self.kept is not None:
+                self.kept["svd"] = (u_r, self.s.copy())
+        self.lead[:p] = u_r[:, :self.k]
+        _check_info("dgemqrt", _lapack.gemqrt(qr, t, self.lead, self.work))
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        return _fix_signs(self.lead), self.s
+
+
 def thin_svd(data: np.ndarray, k: int | None = None,
              kept: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Leading k left singular vectors (signs fixed) and all singular
@@ -111,33 +179,9 @@ def thin_svd(data: np.ndarray, k: int | None = None,
     mode count of ``select_modes``; k = None forms all min(rows, cols)
     vectors.  ``kept``, if given, holds the small SVD of this slice's R
     across calls: filled by the first call, reused by later ones."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.size == 0:
-        raise EmptySlice("snapshot slice is empty")
-    if not np.isfinite(data).all():
-        raise BreakdownInEigensolve("snapshot slice holds NaN or Inf")
-    n, c = data.shape
-    p = min(n, c)
-    k = p if k is None else min(max(int(k), 1), p)
-    qr, t, info = lapack.dgeqrt(min(_QR_BLOCK, p), data)
-    _check_info("dgeqrt", info)
-    if kept:
-        u_r, s = kept["svd"]
-        s = s.copy()
-    else:
-        try:
-            u_r, s, _ = scipy.linalg.svd(np.triu(qr[:p]),
-                                         full_matrices=False,
-                                         check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise BreakdownInEigensolve(str(exc)) from exc
-        if kept is not None:
-            kept["svd"] = (u_r, s.copy())
-    lead = np.zeros((n, k), order="F")
-    lead[:p] = u_r[:, :k]
-    u, info = lapack.dgemqrt(qr[:, :p], t, lead, overwrite_c=1)
-    _check_info("dgemqrt", info)
-    return _fix_signs(u), s
+    svd = SliceSvd(data, k, kept)
+    svd.factor()
+    return svd.result()
 
 
 def _check_info(routine: str, info: int) -> None:

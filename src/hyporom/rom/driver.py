@@ -2,10 +2,11 @@
 
 Offline: the snapshot columns of each training run are partitioned into
 N_v uniform windows; same-window blocks are pooled across runs, one POD
-basis per (variable, window) is built, the per-system mode count is
-unified, and the window averages and compiled operators are assembled;
-a SWE window then gets DEIM interpolants for exactly the inputs its
-operators read (``ops.inputs``).
+basis per (variable, window) is built (a window's slices are decomposed
+in two fixed halves, the second on a worker thread), the per-system mode
+count is unified, and the window averages and compiled operators are
+assembled; a SWE window then gets DEIM interpolants for exactly the
+inputs its operators read (``ops.inputs``).
 
 Online: the reduced state replays the first run's recorded dt sequence.
 It stays packed, x = [c_var for each conserved variable], and the replay
@@ -30,13 +31,13 @@ from ..deim import deim_offline
 from ..errors import (BreakdownInEigensolve, HyporomError, NonFiniteState,
                       NonPositiveDepth, ShapeMismatch, UnsupportedSystem)
 from ..grid import Grid1D
-from ..pod import (fallback_basis, lift, numerical_rank, pod_basis,
-                   select_modes, thin_svd, window_transfer)
+from ..pod import (SliceSvd, fallback_basis, lift, numerical_rank,
+                   pod_basis, select_modes, thin_svd, window_transfer)
 from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
 from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_TAV_F, LIN_TAV,
                       LINEARIZATIONS, build_swe_context)
-from .operators import TimeAverages, time_average
+from .operators import TimeAverages, in_two_halves, time_average
 from .swe_hll import assemble_swe_hll_rom, rom_swe_hll_step
 from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step, swe_inputs
 from .transport import assemble_transport_rom, rom_transport_step
@@ -113,6 +114,18 @@ def _pooled_slice(groups, partitions, var, v) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
+def _kept_svd(groups, partitions, var, v) -> dict | None:
+    """The ``kept`` dict of ``thin_svd`` for a window slice, or None.  A
+    single run's slice views its matrix's read-only data, so the matrix
+    keeps the slice's small SVD across builds.  A pooled slice is a new
+    copy, and writable data (that of a deep-copied matrix) could change
+    under a kept SVD."""
+    matrix = groups[0][var]
+    if len(groups) > 1 or matrix.data.flags.writeable:
+        return None
+    return matrix.window_svds.setdefault(_window_cols(partitions[0], v), {})
+
+
 def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
     """Per-variable bases for window v with a unified mode count."""
     slices = {var: _pooled_slice(groups, partitions, var, v)
@@ -125,21 +138,37 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
         raise BreakdownInEigensolve(f"window {v}: snapshot slice holds "
                                     "NaN or Inf")
     zero_tol = _ZERO_SLICE_RTOL * max(max(peaks.values()), 1e-300)
+    # Slices at or below zero_tol are a zero trajectory up to rounding
+    # noise.  The others are decomposed in two fixed halves, in variable
+    # order: the first by the caller, through the name the benchmark traces,
+    # the second on a worker thread, into arrays allocated here.  The split
+    # does not depend on the CPU count, so neither do the bases.
+    nonzero = [var for var in slices if peaks[var] > zero_tol]
+    kept = {var: _kept_svd(groups, partitions, var, v) for var in nonzero}
+    mine = nonzero[:len(nonzero) - len(nonzero) // 2]
+    # No unified M exceeds the cap, so only that many modes are formed.
+    theirs = [SliceSvd(slices[var], mode_cap, kept[var])
+              for var in nonzero[len(mine):]]
+    decomposed = {}
+
+    def first_half():
+        for var in mine:
+            decomposed[var] = thin_svd(slices[var], mode_cap, kept[var])
+
+    def second_half():
+        for svd in theirs:
+            svd.factor()
+
+    in_two_halves(first_half, second_half)
+    for var, svd in zip(nonzero[len(mine):], theirs):
+        decomposed[var] = svd.result()
+
     svds = {}
     for var, data in slices.items():
-        if peaks[var] <= zero_tol:
-            svds[var] = None        # zero trajectory up to rounding noise
+        if var not in decomposed:
+            svds[var] = None
             continue
-        # A single run's slice views its matrix's read-only data, so the
-        # matrix keeps the slice's small SVD across builds.  A pooled slice
-        # is a new copy, and writable data (that of a deep-copied matrix)
-        # could change under a kept SVD.
-        kept = None
-        if len(groups) == 1 and not data.flags.writeable:
-            kept = groups[0][var].window_svds.setdefault(
-                _window_cols(partitions[0], v), {})
-        # No unified M exceeds the cap, so only that many modes are formed.
-        u, s = thin_svd(data, mode_cap, kept=kept)
+        u, s = decomposed[var]
         rank = numerical_rank(s, *data.shape)
         m_sel = select_modes(s, eps_pod, m_max=mode_cap)
         svds[var] = (u, s, rank, m_sel, min(data.shape))

@@ -228,6 +228,29 @@ def _sum_blocks(weights, left, right, rows, outer, prod, part) -> None:
         part += prod
 
 
+def in_two_halves(first, second) -> None:
+    """Run ``second`` on a worker thread while the caller runs ``first``.
+    An error in the worker is raised here after the join; if ``first``
+    fails as well, its error wins, as it would if the halves ran one
+    after the other."""
+    failed = []
+
+    def run_second():
+        try:
+            second()
+        except BaseException as exc:    # raised again by the caller
+            failed.append(exc)
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
 def project_outer(weights: np.ndarray, left: np.ndarray,
                   right: np.ndarray) -> np.ndarray:
     """T_plk = sum_i weights[i,p] left[i,l] right[i,k] as blocked GEMMs.
@@ -259,23 +282,8 @@ def project_outer(weights: np.ndarray, left: np.ndarray,
                        np.empty((min(rows, e - s), l, k)),
                        np.empty((p, l * k)), np.zeros((p, l * k))))
 
-    failed = []
-
-    def second_half():
-        try:
-            _sum_blocks(*halves[1])
-        except BaseException as exc:    # raised again by the caller
-            failed.append(exc)
-
-    worker = threading.Thread(target=second_half)
-    worker.start()
-    try:
-        _sum_blocks(*halves[0])
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-
+    in_two_halves(lambda: _sum_blocks(*halves[0]),
+                  lambda: _sum_blocks(*halves[1]))
     out = halves[0][-1]
     out += halves[1][-1]
     return out.reshape(p, l, k)

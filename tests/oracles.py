@@ -8,8 +8,9 @@ oracle goes through the Gram-matrix eigendecomposition, and sums that
 back accuracy claims use compensated (Kahan) accumulation.
 
 The last section keeps reference copies of retired package code: the
-projection of a full field onto a POD basis, the POD basis of one slice
-through the chain the offline build runs, the whole-field DEIM
+projection of a full field onto a POD basis, the window SVD through
+scipy's LAPACK wrappers, the POD basis of one slice through the chain
+the offline build runs, the whole-field DEIM
 interpolation and the per-refresh point evaluations of
 the SWE online context, each refresh deriving its own values from the
 sampled points.  The package's replacements must match them bitwise.
@@ -18,10 +19,14 @@ sampled points.  The package's replacements must match them bitwise.
 import math
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from hyporom.deim import deim_online_values
-from hyporom.errors import DegenerateWaveFan, EvaluationError, ShapeMismatch
-from hyporom.pod import numerical_rank, pod_basis, select_modes, thin_svd
+from hyporom.errors import (BreakdownInEigensolve, DegenerateWaveFan,
+                            EmptySlice, EvaluationError, ShapeMismatch)
+from hyporom.pod import (_QR_BLOCK, _fix_signs, numerical_rank, pod_basis,
+                         select_modes, thin_svd)
 
 
 def kahan_sum(values):
@@ -531,6 +536,40 @@ def project(basis, fld):
     if fld.shape != (basis.n_rows,):
         raise ShapeMismatch(f"field length {fld.shape} vs {basis.n_rows} rows")
     return basis.modes.T @ fld
+
+
+def thin_svd_scipy(data, k=None, kept=None):
+    """``pod.thin_svd`` through scipy's f2py LAPACK wrappers, which hold
+    the GIL: dgeqrt, scipy.linalg.svd (dgesdd) of triu(R), dgemqrt."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.size == 0:
+        raise EmptySlice("snapshot slice is empty")
+    if not np.isfinite(data).all():
+        raise BreakdownInEigensolve("snapshot slice holds NaN or Inf")
+    n, c = data.shape
+    p = min(n, c)
+    k = p if k is None else min(max(int(k), 1), p)
+    qr, t, info = lapack.dgeqrt(min(_QR_BLOCK, p), data)
+    if info != 0:
+        raise BreakdownInEigensolve(f"dgeqrt returned info={info}")
+    if kept:
+        u_r, s = kept["svd"]
+        s = s.copy()
+    else:
+        try:
+            u_r, s, _ = scipy.linalg.svd(np.triu(qr[:p]),
+                                         full_matrices=False,
+                                         check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise BreakdownInEigensolve(str(exc)) from exc
+        if kept is not None:
+            kept["svd"] = (u_r, s.copy())
+    lead = np.zeros((n, k), order="F")
+    lead[:p] = u_r[:, :k]
+    u, info = lapack.dgemqrt(qr[:, :p], t, lead, overwrite_c=1)
+    if info != 0:
+        raise BreakdownInEigensolve(f"dgemqrt returned info={info}")
+    return _fix_signs(u), s
 
 
 def window_basis(data, eps_pod, m_max=None):

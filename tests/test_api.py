@@ -68,7 +68,7 @@ _DEFINED = {
         "SweParams", "SweState", "flat_bottom", "hll_coeffs",
         "interface_fan", "lake_at_rest"],
     "hyporom.pod": [
-        "PodBasis", "RANK_RTOL", "fallback_basis", "lift",
+        "PodBasis", "RANK_RTOL", "SliceSvd", "fallback_basis", "lift",
         "numerical_rank", "pod_basis", "select_modes", "thin_svd",
         "window_transfer"],
     "hyporom.snapshots": [

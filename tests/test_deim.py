@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hyporom.deim import deim_offline, deim_online_values
-from hyporom.errors import EvaluationError, SingularInterpolationMatrix
+from hyporom.errors import (EvaluationError, ShapeMismatch,
+                            SingularInterpolationMatrix)
 
 from oracles import (deim_interpolate, deim_offline_transcription,
                      random_orthonormal)
@@ -82,6 +83,13 @@ def test_interpolation_condition_exact_at_points():
     # A generic field is not in the span, so it differs elsewhere.
     off = np.setdiff1d(np.arange(20), interp.indices)
     assert np.max(np.abs(recon[off] - fld[off])) > 1e-8
+
+
+@pytest.mark.parametrize("modes", [np.ones(5), np.ones((5, 0)),
+                                   np.ones((2, 3, 1))])
+def test_modes_not_a_matrix_raise_shape_mismatch(modes):
+    with pytest.raises(ShapeMismatch, match="2-D"):
+        deim_offline(modes)
 
 
 def test_dependent_modes_raise():

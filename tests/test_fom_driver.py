@@ -3,9 +3,9 @@ import pytest
 
 from hyporom.errors import ConfigError
 from hyporom.fluxes import FluxChoice
-from hyporom.fom import (SweModel, SweParams, SweState, TransportModel,
-                         TransportParams, cfl_dt, interface_fan, run_fom,
-                         transport_stationary)
+from hyporom.fom import (BurgersParams, SweModel, SweParams, SweState,
+                         TransportModel, TransportParams, cfl_dt,
+                         interface_fan, run_fom, transport_stationary)
 from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
@@ -178,3 +178,17 @@ def test_bad_run_argument_raises_config_error(kwargs, match):
     model, state = _dam_case(FluxChoice.MODIFIED_LAX_FRIEDRICHS)
     with pytest.raises(ConfigError, match=match):
         run_fom(model, state, **{"t_final": 0.05, "cfl": 0.9, **kwargs})
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SweParams(g=0.0), "gravity"),
+    (lambda: SweParams(n_b=-0.01), "Manning"),
+    (lambda: SweParams(nu=1.5), "nu"),
+    (lambda: TransportParams(c=0.0), "advection speed"),
+    (lambda: TransportParams(c=1.0, nu=0.0), "nu"),
+    (lambda: BurgersParams(nu=-1.0), "nu"),
+], ids=["swe_g", "swe_n_b", "swe_nu", "transport_c", "transport_nu",
+        "burgers_nu"])
+def test_bad_params_raise_config_error(make, match):
+    with pytest.raises(ConfigError, match=match):
+        make()

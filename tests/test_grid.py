@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyporom.errors import ConfigError
 from hyporom.grid import Grid1D
 
 
@@ -24,7 +25,7 @@ def test_uniformity_across_sizes(n):
 
 
 def test_invalid_grids_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="n_cells"):
         Grid1D(0.0, 1.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="x_max"):
         Grid1D(1.0, 1.0, 10)

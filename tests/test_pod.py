@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 import hyporom.pod as pod
 from hyporom.errors import (AllZeroSpectrum, BreakdownInEigensolve,
-                            EmptySlice, ShapeMismatch)
+                            ConfigError, EmptySlice, ShapeMismatch)
 from hyporom.pod import (PodBasis, fallback_basis, lift, select_modes,
                          thin_svd, window_transfer)
 from hyporom.snapshots import SnapshotMatrix
 
-from oracles import project, random_orthonormal, svd_via_gram, window_basis
+from oracles import (project, random_orthonormal, svd_via_gram,
+                     thin_svd_scipy, window_basis)
 
 
 class TestSelectModes:
@@ -35,6 +35,11 @@ class TestSelectModes:
     def test_all_zero_spectrum(self):
         with pytest.raises(AllZeroSpectrum):
             select_modes(np.zeros(4), 0.1)
+
+    @pytest.mark.parametrize("eps_pod", [0.0, 1.0, -1e-3, float("nan")])
+    def test_bad_eps_pod_is_a_config_error(self, eps_pod):
+        with pytest.raises(ConfigError, match="eps_pod"):
+            select_modes(np.array([2.0, 1.0]), eps_pod)
 
 
 def _slice(kind):
@@ -131,13 +136,13 @@ class TestThinSvd:
         times = np.arange(90.0)
         snap = SnapshotMatrix("h", rng.standard_normal((200, 90)), times,
                               np.diff(times))
-        svd, calls = scipy.linalg.svd, []
+        svd, calls = pod._lapack.gesdd, []
 
-        def count_svd(*args, **kwargs):
+        def count_svd(*args):
             calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+            return svd(*args)
 
-        monkeypatch.setattr(scipy.linalg, "svd", count_svd)
+        monkeypatch.setattr(pod._lapack, "gesdd", count_svd)
         for k in (3, None, 1, 30):
             for start, stop in ((0, 46), (45, 90)):
                 view = snap.window(start, stop)
@@ -186,22 +191,58 @@ class TestThinSvd:
 
     @pytest.mark.parametrize("routine", ["dgeqrt", "dgemqrt"])
     def test_lapack_info_is_typed(self, monkeypatch, routine):
-        real = getattr(pod.lapack, routine)
+        real = getattr(pod._lapack, routine[1:])
 
-        def failing(*args, **kwargs):
-            return (*real(*args, **kwargs)[:-1], -1)
+        def failing(*args):
+            real(*args)
+            return -1
 
-        monkeypatch.setattr(pod.lapack, routine, failing)
+        monkeypatch.setattr(pod._lapack, routine[1:], failing)
         with pytest.raises(BreakdownInEigensolve, match=routine):
             thin_svd(np.eye(4))
 
     def test_small_svd_failure_is_typed(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(scipy.linalg, "svd", failing)
-        with pytest.raises(BreakdownInEigensolve, match="converge"):
+        # dgesdd's info > 0: the SVD did not converge.
+        monkeypatch.setattr(pod._lapack, "gesdd", lambda *args: 1)
+        with pytest.raises(BreakdownInEigensolve, match="dgesdd.*info=1"):
             thin_svd(np.eye(4))
+
+
+class TestGilFreeLapack:
+    """The ctypes calls give bitwise what scipy's LAPACK wrappers give."""
+
+    @pytest.mark.parametrize("shape", [(1600, 148), (60, 25), (33, 33),
+                                       (20, 45), (148, 1600), (1, 7),
+                                       (7, 1)])
+    @pytest.mark.parametrize("k", [None, 1, 40, 10 ** 6])
+    def test_bitwise_the_scipy_wrappers(self, shape, k):
+        data = np.random.default_rng(sum(shape)).standard_normal(shape)
+        data[:, ::3] *= 1e-6          # a graded spectrum
+        u, s = thin_svd(data, k)
+        u0, s0 = thin_svd_scipy(data, k)
+        assert u.tobytes() == u0.tobytes()
+        assert s.tobytes() == s0.tobytes()
+
+    @pytest.mark.parametrize("shape", [(300, 90), (40, 90)])
+    def test_kept_reuse_is_bitwise_the_scipy_wrappers(self, shape):
+        data = np.random.default_rng(3).standard_normal(shape)
+        kept, kept0 = {}, {}
+        for k in (5, None, 2, 30):
+            u, s = thin_svd(data, k, kept)
+            u0, s0 = thin_svd_scipy(data, k, kept0)
+            assert u.tobytes() == u0.tobytes()
+            assert s.tobytes() == s0.tobytes()
+        assert kept["svd"][0].tobytes() == kept0["svd"][0].tobytes()
+
+    def test_arrays_are_checked_before_lapack_sees_them(self):
+        a, t, work = np.zeros((6, 4)), np.zeros((4, 4), order="F"), np.zeros(16)
+        f = np.asfortranarray(a)
+        for args, bad in [((a, t, work), r"\(6, 4\), got float64 \(6, 4\)"),
+                          ((f, t[:, :3].copy(order="F"), work), r"\(4, 3\)"),
+                          ((f, t, work[:15]), r"\(16,\), got float64 \(15,\)"),
+                          ((f.astype(np.float32), t, work), "float32")]:
+            with pytest.raises(ValueError, match=bad):
+                pod._lapack.geqrt(*args)
 
 
 class TestComputeBasis:

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import hyporom.pod as pod
 from hyporom.errors import (BreakdownInEigensolve, EvaluationError,
                             NonFiniteState, NonPositiveDepth, ShapeMismatch,
                             UnsupportedSystem)
@@ -18,6 +20,7 @@ from hyporom.grid import Grid1D
 from hyporom.pod import thin_svd
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F, LIN_TAV,
                          build_rom, run_rom)
+from hyporom.snapshots import SnapshotMatrix
 
 
 def _transport_run(n=100, t_final=2.0, perturbed=False):
@@ -381,6 +384,22 @@ def _assert_bitwise(a, b):
         np.testing.assert_equal(a, b)
 
 
+def _hll_dam_recording():
+    grid = Grid1D(0.0, 12.0, 120)
+
+    def z(x):
+        return 0.2 * (1.0 - np.asarray(x) / 12.0)
+
+    params = SweParams(g=9.81, n_b=0.05, nu=0.9, bathymetry=z)
+    zc = z(grid.centers)
+    h0 = np.where(grid.centers <= 6.0, 2.0 - zc, 1.0 - zc)
+    from hyporom.fom import SweState
+    model = SweModel(params, grid, FluxChoice.HLL)
+    res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
+                  t_final=0.4, cfl=0.9)
+    return grid, params, res
+
+
 # The first window's q/u slices open with a zero column and get padded.
 @pytest.mark.filterwarnings("ignore:window .* padding:UserWarning")
 class TestSliceSvdReuse:
@@ -391,19 +410,7 @@ class TestSliceSvdReuse:
 
     @pytest.fixture(scope="class")
     def run(self):
-        grid = Grid1D(0.0, 12.0, 120)
-
-        def z(x):
-            return 0.2 * (1.0 - np.asarray(x) / 12.0)
-
-        params = SweParams(g=9.81, n_b=0.05, nu=0.9, bathymetry=z)
-        zc = z(grid.centers)
-        h0 = np.where(grid.centers <= 6.0, 2.0 - zc, 1.0 - zc)
-        from hyporom.fom import SweState
-        model = SweModel(params, grid, FluxChoice.HLL)
-        res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
-                      t_final=0.4, cfl=0.9)
-        return grid, params, res
+        return _hll_dam_recording()
 
     @staticmethod
     def _build(run, snapshots, cap, groups=None):
@@ -421,20 +428,24 @@ class TestSliceSvdReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of thin_svd calls and of the small SVDs they run."""
+        """Counts of slice decompositions, on either half of a window's
+        split, and of the small SVDs they run."""
         counts = {"thin_svd": 0, "svd": 0}
-        svd = scipy.linalg.svd
+        lock = threading.Lock()
+        factor, gesdd = pod.SliceSvd.factor, pod._lapack.gesdd
 
-        def count_thin(data, k=None, kept=None):
-            counts["thin_svd"] += 1
-            return thin_svd(data, k, kept)
+        def count_factor(svd):
+            with lock:
+                counts["thin_svd"] += 1
+            return factor(svd)
 
-        def count_svd(*args, **kwargs):
-            counts["svd"] += 1
-            return svd(*args, **kwargs)
+        def count_svd(*args):
+            with lock:
+                counts["svd"] += 1
+            return gesdd(*args)
 
-        monkeypatch.setattr("hyporom.rom.driver.thin_svd", count_thin)
-        monkeypatch.setattr(scipy.linalg, "svd", count_svd)
+        monkeypatch.setattr(pod.SliceSvd, "factor", count_factor)
+        monkeypatch.setattr(pod._lapack, "gesdd", count_svd)
         return counts
 
     @pytest.mark.parametrize("caps", [CAPS, CAPS[::-1]],
@@ -497,3 +508,94 @@ class TestSliceSvdReuse:
         self._build(run, None, 8, groups=twice)
         assert calls["svd"] == 2 * first
         assert all(sm.window_svds == {} for sm in snaps.values())
+
+
+class TestWindowSplit:
+    """Each window's live slices split into two fixed halves: the caller
+    decomposes the first, a worker thread the second."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return _hll_dam_recording()
+
+    @staticmethod
+    def _build(run, cap=8):
+        grid, params, res = run
+        snaps = TestSliceSvdReuse._fresh(res.snapshots)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            setup = TestSliceSvdReuse._build(run, snaps, cap)
+        return setup, [str(w.message) for w in caught]
+
+    @staticmethod
+    def _inline(monkeypatch, worker_first):
+        def in_order(first, second):
+            for half in ((second, first) if worker_first else
+                         (first, second)):
+                half()
+        monkeypatch.setattr("hyporom.rom.driver.in_two_halves", in_order)
+
+    @pytest.mark.parametrize("worker_first", [False, True])
+    @pytest.mark.parametrize("cap", [4, None])
+    def test_inline_worker_half_is_bitwise_threaded(self, run, monkeypatch,
+                                                    worker_first, cap):
+        threaded, warned = self._build(run, cap)
+        self._inline(monkeypatch, worker_first)
+        inline, warned_inline = self._build(run, cap)
+        # Bases, spectra, averages, interpolants and operators.
+        _assert_bitwise(threaded, inline)
+        assert warned == warned_inline
+
+    @pytest.mark.parametrize("worker_first", [None, False, True])
+    def test_padding_warnings_keep_window_order(self, monkeypatch,
+                                                worker_first):
+        # q has rank 1 in every window and h full rank; h is the caller's
+        # half, q the worker's, and each window pads q's basis.
+        grid = Grid1D(0.0, 1.0, 40)
+        times = np.linspace(0.0, 1.0, 61)
+        h = 1.0 + 0.1 * np.random.default_rng(0).standard_normal((40, 61))
+        q = np.outer(np.sin(np.pi * grid.centers), 1.0 + times)
+        snaps = {var: SnapshotMatrix(var, data, times, np.diff(times))
+                 for var, data in (("h", h), ("q", q), ("u", q / h))}
+        params = SweParams(g=9.81, n_b=0.05, nu=0.9,
+                           bathymetry=lambda x: 0.0 * np.asarray(x))
+        if worker_first is not None:
+            self._inline(monkeypatch, worker_first)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_rom("swe_lf", [snaps], params, grid, n_windows=4,
+                      eps_pod=1e-10, linearization=LIN_TAV)
+        assert [str(w.message) for w in caught] == [
+            f"window {v}: unified mode count 16 exceeds the smallest "
+            "numerical rank 1; padding deficient bases" for v in range(4)]
+
+    def test_worker_error_reaches_the_caller_typed(self, run, monkeypatch):
+        factor = pod.SliceSvd.factor
+
+        def fail_off_main_thread(svd):
+            if threading.current_thread() is not threading.main_thread():
+                raise EvaluationError("worker half")
+            factor(svd)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(pod.SliceSvd, "factor", fail_off_main_thread)
+        with pytest.raises(EvaluationError, match="worker half"):
+            self._build(run)
+        assert threading.active_count() == threads
+
+    def test_caller_error_wins_when_both_halves_fail(self, run, monkeypatch):
+        worker_failed = threading.Event()
+
+        def fail_in_worker(svd):
+            worker_failed.set()
+            raise EvaluationError("worker half")
+
+        def fail_in_caller(*args, **kwargs):
+            # The worker has failed before the caller does.
+            assert worker_failed.wait(timeout=60)
+            raise BreakdownInEigensolve("caller half")
+
+        monkeypatch.setattr(pod.SliceSvd, "factor", fail_in_worker)
+        monkeypatch.setattr("hyporom.rom.driver.thin_svd", fail_in_caller)
+        with pytest.raises(BreakdownInEigensolve, match="caller half"):
+            self._build(run)
