@@ -19,9 +19,8 @@ from ..errors import ConfigError, HyporomError
 from ..fom import run_fom
 from ..snapshots import export_csv
 from .config import ExperimentConfig, load_config
-from .experiment import (_require_horizon, _state_fields, initial_state,
-                         make_model, run_experiment, run_prediction,
-                         sweep_modes_windows)
+from .experiment import (_case, _require_horizon, _state_fields,
+                         run_experiment, run_prediction, sweep_modes_windows)
 from .metrics import l1_error
 
 CONFIG_EXIT = 2
@@ -60,10 +59,7 @@ def fom_run(config_path):
     _guard(_require_horizon, config, "fom run")
 
     def body():
-        from ..grid import Grid1D
-        grid = Grid1D(config.x_min, config.x_max, config.n_cells)
-        model = make_model(config, grid)
-        state0 = initial_state(config, grid)
+        _, model, state0 = _case(config)
         res = run_fom(model, state0, config.t_final, config.cfl,
                       snapshot_stride=config.snapshot_stride)
         outdir = Path(config.outdir)
@@ -104,9 +100,6 @@ def predict(config_path):
 def sweep(config_path):
     """Run the (sweep_modes x sweep_windows) grid of CONFIG."""
     config = _guard(load_config, config_path)
-    if not config.sweep_modes or not config.sweep_windows:
-        _fail(ConfigError("sweep needs sweep_modes and sweep_windows"),
-              CONFIG_EXIT)
     rows = _guard(sweep_modes_windows, config, config.sweep_modes,
                   config.sweep_windows)
     for row in rows:
@@ -147,9 +140,7 @@ def wb_check(system, cells, flux, coeff_mode, outdir):
                     outdir=outdir)
 
     def body():
-        from ..grid import Grid1D
-        grid = Grid1D(config.x_min, config.x_max, config.n_cells)
-        state0 = initial_state(config, grid)
+        grid, _, state0 = _case(config)
         report = run_experiment(config)
         # Compare the ROM final state against the initial stationary state.
         click.echo(f"wb-check {system} ({config.flux}"

@@ -1,16 +1,20 @@
-"""Experiment runner: FOM -> offline ROM build -> online replay -> report.
+"""Experiment runner: one path from a config to its report.
 
-run_experiment reproduces the single-parameter studies, run_prediction the
-parametric training study, and sweep_modes_windows the mode/window grids.
-Each writes report.csv (fixed columns, one row per run), solution_<var>.csv
-and spectrum_<var>_<window>.csv into the configured output directory.
-Timings come from the monotonic clock; the speedup compares the plain
-(unrecorded) FOM solve against the ROM's online stepping only.
+Every runner builds its case with ``_case`` (grid, model, initial state),
+runs the FOM, then ``_train_and_replay`` (timed offline build on the
+recorded snapshots, online replay of one run's dt sequence).
+run_experiment and run_prediction end in ``_report``, which compares the
+replay with a reference FOM final state and writes report.csv (fixed
+columns, one row), solution_<var>.csv and spectrum_<var>_<window>.csv;
+sweep_modes_windows repeats the build and replay per (mode cap, window
+count) point on one recording and writes sweep.csv.  Timings come from
+the monotonic clock; the speedup compares the plain (unrecorded) FOM
+solve against the ROM's online stepping only.
 """
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +104,6 @@ def _rom_system(config: ExperimentConfig) -> str:
     return "swe_hll" if config.flux == "hll" else "swe_lf"
 
 
-def _recorded_steps(result) -> np.ndarray:
-    """Full-step index of each recorded snapshot column."""
-    times = result.snapshots[next(iter(result.snapshots))].times
-    return np.searchsorted(result.times, times)
-
-
 def _state_fields(config: ExperimentConfig, state) -> dict:
     """Conserved fields of a FOM state, keyed by variable id."""
     if config.system in ("transport", "burgers"):
@@ -118,18 +116,6 @@ def _stage(label, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except HyporomError as exc:
         raise ExperimentError(label, str(exc)) from exc
-
-
-def _build(config, grid, groups, model):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return build_rom(
-            _rom_system(config), groups, model.params, grid,
-            n_windows=config.n_windows, eps_pod=config.eps_pod,
-            mode_cap=config.mode_cap,
-            linearization=config.linearization
-            if config.system == "swe" else None,
-            coeff_mode=config.coeff_mode if config.flux == "hll" else None)
 
 
 def _deim_index_map(setup) -> dict:
@@ -161,55 +147,91 @@ def _trivial_report(config: ExperimentConfig) -> ErrorReport:
                        linf={v: 0.0 for v in names})
 
 
-def run_experiment(config: ExperimentConfig,
-                   write_outputs: bool = True) -> ErrorReport:
-    """FOM (timed), offline build (timed), online ROM (timed), errors, CSVs."""
-    _rom_system(config)
+def _case(config: ExperimentConfig):
+    """Grid, model and initial state of a config; every command starts here."""
     grid = Grid1D(config.x_min, config.x_max, config.n_cells)
-    if config.t_final == 0.0:
-        report = _trivial_report(config)
-        if write_outputs:
-            write_report(config, report)
-        return report
-    model = make_model(config, grid)
-    state0 = initial_state(config, grid)
+    return grid, make_model(config, grid), initial_state(config, grid)
 
-    timed = _stage("fom", run_fom, model, state0, config.t_final,
-                   config.cfl, record=False)
-    recorded = _stage("fom", run_fom, model, state0, config.t_final,
-                      config.cfl, snapshot_stride=config.snapshot_stride)
 
+def _fom(config: ExperimentConfig, model, state0, record: bool = True):
+    return _stage("fom", run_fom, model, state0, config.t_final, config.cfl,
+                  record=record, snapshot_stride=config.snapshot_stride)
+
+
+def _train_and_replay(config: ExperimentConfig, model, state0, runs):
+    """Offline build on the snapshots of ``runs`` (timed, together with the
+    per-variable concatenation of several runs), then the online replay of
+    the first run's recorded dt sequence.
+
+    Returns ``(setup, out, offline_seconds)``.
+    """
     t0 = time.perf_counter()
-    setup = _stage("offline", _build, config, grid, [recorded.snapshots],
-                   model)
+    snapshots = runs[0].snapshots if len(runs) == 1 else {
+        var: concat_parametric([r.snapshots[var] for r in runs])
+        for var in runs[0].snapshots}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        setup = _stage(
+            "offline", build_rom, _rom_system(config), [snapshots],
+            model.params, model.grid, n_windows=config.n_windows,
+            eps_pod=config.eps_pod, mode_cap=config.mode_cap,
+            linearization=config.linearization
+            if config.system == "swe" else None,
+            coeff_mode=config.coeff_mode if config.flux == "hll" else None)
     offline_seconds = time.perf_counter() - t0
+    replayed = runs[0]
+    # Full-step index of each recorded snapshot column.
+    recorded_steps = np.searchsorted(
+        replayed.times, next(iter(replayed.snapshots.values())).times)
+    out = _stage("online", run_rom, setup, _state_fields(config, state0),
+                 replayed.dts, recorded_steps=recorded_steps)
+    return setup, out, offline_seconds
 
-    recorded_steps = _recorded_steps(recorded)
-    out = _stage("online", run_rom, setup,
-                 _state_fields(config, state0), recorded.dts,
-                 recorded_steps=recorded_steps)
 
-    fom_final = _state_fields(config, recorded.final_state)
+def _report(config: ExperimentConfig, case: str, state0, reference,
+            fom_seconds: float, trained, write_outputs: bool) -> ErrorReport:
+    """Errors of the replay against the ``reference`` FOM final state, the
+    spectra, DEIM indices and modes of its setup; written as the outputs."""
+    setup, out, offline_seconds = trained
+    grid = setup.grid
+    fom_final = _state_fields(config, reference)
     report = ErrorReport(
-        case=config.preset,
+        case=case,
         l1={v: l1_error(out.final[v], fom_final[v], grid.dx)
             for v in out.final},
         linf={v: linf_error(out.final[v], fom_final[v]) for v in out.final},
-        fom_seconds=timed.wall_seconds,
+        fom_seconds=fom_seconds,
         offline_seconds=offline_seconds,
         online_seconds=out.online_seconds,
         modes_per_window=out.modes_per_window,
         spectra=setup.spectra,
         deim_indices=_deim_index_map(setup),
-        n_steps=recorded.n_steps,
-        n_snapshot_cols=len(recorded_steps),
+        n_steps=out.n_steps,
+        n_snapshot_cols=setup.partition.ranges[-1][1],
         final=out.final,
     )
     if write_outputs:
-        _stage("report", write_report, config, report,
-               grid=grid, initial=_state_fields(config, state0),
-               fom=fom_final, rom=out.final)
+        _stage("report", write_report, config, report, grid=grid,
+               initial=_state_fields(config, state0), fom=fom_final,
+               rom=out.final)
     return report
+
+
+def run_experiment(config: ExperimentConfig,
+                   write_outputs: bool = True) -> ErrorReport:
+    """FOM (timed), offline build (timed), online ROM (timed), errors, CSVs."""
+    _rom_system(config)
+    if config.t_final == 0.0:
+        report = _trivial_report(config)
+        if write_outputs:
+            write_report(config, report)
+        return report
+    _, model, state0 = _case(config)
+    timed = _fom(config, model, state0, record=False)
+    recorded = _fom(config, model, state0)
+    trained = _train_and_replay(config, model, state0, [recorded])
+    return _report(config, config.preset, state0, recorded.final_state,
+                   timed.wall_seconds, trained, write_outputs)
 
 
 def run_prediction(config: ExperimentConfig,
@@ -225,81 +247,43 @@ def run_prediction(config: ExperimentConfig,
         raise ConfigError("prediction needs a target_param")
     _require_horizon(config, "predict")
     _rom_system(config)
-    grid = Grid1D(config.x_min, config.x_max, config.n_cells)
-    state0 = initial_state(config, grid)
-
-    runs = []
-    fom_seconds = 0.0
-    for mu in config.training_set:
-        model_mu = make_model(config, grid, n_b=mu)
-        res = _stage("fom", run_fom, model_mu, state0, config.t_final,
-                     config.cfl, snapshot_stride=config.snapshot_stride)
-        fom_seconds += res.wall_seconds
-        runs.append(res)
-
-    reference_model = make_model(config, grid, n_b=config.target_param)
-    reference = _stage("fom", run_fom, reference_model, state0,
-                       config.t_final, config.cfl, record=False)
-
-    t0 = time.perf_counter()
-    merged = {var: concat_parametric([r.snapshots[var] for r in runs])
-              for var in runs[0].snapshots}
-    setup = _stage("offline", _build, config, grid, [merged], reference_model)
-    offline_seconds = time.perf_counter() - t0
-
-    out = _stage("online", run_rom, setup, _state_fields(config, state0),
-                 runs[0].dts, recorded_steps=_recorded_steps(runs[0]))
-
-    fom_final = _state_fields(config, reference.final_state)
-    report = ErrorReport(
-        case=f"{config.preset}:predict:{config.target_param}",
-        l1={v: l1_error(out.final[v], fom_final[v], grid.dx)
-            for v in out.final},
-        linf={v: linf_error(out.final[v], fom_final[v]) for v in out.final},
-        fom_seconds=fom_seconds,
-        offline_seconds=offline_seconds,
-        online_seconds=out.online_seconds,
-        modes_per_window=out.modes_per_window,
-        spectra=setup.spectra,
-        deim_indices=_deim_index_map(setup),
-        n_steps=runs[0].n_steps,
-        n_snapshot_cols=merged[next(iter(merged))].n_cols,
-        final=out.final,
-    )
-    if write_outputs:
-        _stage("report", write_report, config, report, grid=grid,
-               initial=_state_fields(config, state0), fom=fom_final,
-               rom=out.final)
-    return report
+    # The reference FOM and the reduced operators use the target's model.
+    grid, reference_model, state0 = _case(
+        replace(config, n_b=config.target_param))
+    runs = [_fom(config, make_model(config, grid, n_b=mu), state0)
+            for mu in config.training_set]
+    reference = _fom(config, reference_model, state0, record=False)
+    trained = _train_and_replay(config, reference_model, state0, runs)
+    return _report(config, f"{config.preset}:predict:{config.target_param}",
+                   state0, reference.final_state,
+                   sum(r.wall_seconds for r in runs), trained, write_outputs)
 
 
 def sweep_modes_windows(config: ExperimentConfig, m_list, nv_list,
                         write_outputs: bool = True):
-    """Grid of (mode cap, window count) runs sharing one FOM trajectory."""
+    """Grid of (mode cap, window count) runs sharing one FOM trajectory;
+    a cap of 0 means uncapped."""
     if not m_list or not nv_list:
-        raise ConfigError("sweep lists must be nonempty")
+        raise ConfigError("sweep needs sweep_modes and sweep_windows")
+    if min(m_list) < 0:
+        raise ConfigError("sweep_modes: mode caps must be >= 0 "
+                          f"(0 for no cap), got {min(m_list)}")
+    if min(nv_list) < 1:
+        raise ConfigError("sweep_windows: window counts must be >= 1, "
+                          f"got {min(nv_list)}")
     _require_horizon(config, "sweep")
     _rom_system(config)
-    grid = Grid1D(config.x_min, config.x_max, config.n_cells)
-    model = make_model(config, grid)
-    state0 = initial_state(config, grid)
-    recorded = _stage("fom", run_fom, model, state0, config.t_final,
-                      config.cfl, snapshot_stride=config.snapshot_stride)
+    grid, model, state0 = _case(config)
+    recorded = _fom(config, model, state0)
     fom_final = _state_fields(config, recorded.final_state)
 
     rows = []
     for n_windows in nv_list:
         for cap in m_list:
-            cfg = ExperimentConfig(**{**config.__dict__,
-                                      "mode_cap": None if cap == 0 else cap,
-                                      "n_windows": n_windows})
-            t0 = time.perf_counter()
-            setup = _stage("offline", _build, cfg, grid,
-                           [recorded.snapshots], model)
-            offline_seconds = time.perf_counter() - t0
-            out = _stage("online", run_rom, setup,
-                         _state_fields(cfg, state0), recorded.dts,
-                         recorded_steps=_recorded_steps(recorded))
+            point = replace(config, mode_cap=None if cap == 0 else cap,
+                            n_windows=n_windows)
+            _, out, offline_seconds = _train_and_replay(point, model, state0,
+                                                        [recorded])
             row = {"mode_cap": cap, "n_windows": n_windows,
                    "selected_m": max(out.modes_per_window),
                    "offline_seconds": offline_seconds,

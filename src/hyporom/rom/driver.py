@@ -37,7 +37,7 @@ from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
 from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_TAV_F, LIN_TAV,
                       LINEARIZATIONS, build_swe_context)
-from .operators import TimeAverages, in_two_halves, time_average
+from .operators import in_two_halves, time_average
 from .swe_hll import assemble_swe_hll_rom, rom_swe_hll_step
 from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step, swe_inputs
 from .transport import assemble_transport_rom, rom_transport_step
@@ -85,7 +85,7 @@ class RomWindow:
     bases: dict
     ops: object
     context: object | None = None
-    averages: TimeAverages | None = None
+    averages: dict | None = None        # var -> window-mean field
 
 
 @dataclass
@@ -245,9 +245,9 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
 
         averages = None
         if avg_vars:
-            averages = TimeAverages(fields={
+            averages = {
                 var: time_average(_pooled_slice(groups, partitions, var, v))
-                for var in avg_vars})
+                for var in avg_vars}
 
         context = None
         if system == "transport":
@@ -283,7 +283,6 @@ class RomResult:
     modes_per_window: list
     n_steps: int
     online_seconds: float
-    history: dict | None = None       # var -> n_rows x n_times lifted
 
 
 def _project_state(window: RomWindow, fields: dict, names) -> np.ndarray:
@@ -313,8 +312,7 @@ def _segments(step_window: np.ndarray) -> list:
 
 
 def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
-            recorded_steps: np.ndarray | None = None,
-            keep_history: bool = False) -> RomResult:
+            recorded_steps: np.ndarray | None = None) -> RomResult:
     """Replay the recorded dt sequence in the reduced coordinates."""
     dts = np.asarray(dts, dtype=float)
     names = conserved_variables(setup.system)
@@ -347,7 +345,6 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
 
     window = setup.windows[0]
     x = _project_state(window, initial_fields, names)
-    history = [(window, x)] if keep_history else None
     prev = None
     steps = dts.tolist()
 
@@ -371,8 +368,6 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
             for n in range(start, stop):
                 prev = x
                 x = step_fn(x, ops, ctx, steps[n])
-                if history is not None:
-                    history.append((window, x))
         except HyporomError as exc:
             raise type(exc)(f"{exc} (step from t={float(dts[:n].sum()):.6g}, "
                             f"window {v})") from exc
@@ -386,11 +381,6 @@ def run_rom(setup: RomSetup, initial_fields: dict, dts: np.ndarray, *,
     last_two = [last_lifted]
     if prev is not None:
         last_two.insert(0, _lift_state(window, prev, names))
-    if history is not None:
-        lifted = [_lift_state(w, c, names) for w, c in history]
-        history = {var: np.column_stack([f[var] for f in lifted])
-                   for var in names}
     return RomResult(final=last_lifted, last_two=last_two,
                      modes_per_window=list(setup.modes_per_window),
-                     n_steps=len(dts), online_seconds=online,
-                     history=history)
+                     n_steps=len(dts), online_seconds=online)

@@ -62,16 +62,6 @@ def time_average(window_data: np.ndarray) -> np.ndarray:
     return window_data.mean(axis=1)
 
 
-@dataclass
-class TimeAverages:
-    """Window-mean fields keyed by variable id (recomputable from slices)."""
-
-    fields: dict
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.fields[name]
-
-
 class Term(NamedTuple):
     """One window operator and where it enters the step."""
 

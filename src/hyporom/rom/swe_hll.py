@@ -24,8 +24,8 @@ from .context import COEFF_MODES, COEFF_TAV, SweRomContext, refresh_alphas
 # names.
 from .context import refresh_u  # noqa: F401
 from .operators import contract_quadratic  # noqa: F401
-from .operators import (RomOperators, Term, TimeAverages, pad_rows,
-                        project_outer, stencil_weights)
+from .operators import (RomOperators, Term, pad_rows, project_outer,
+                        stencil_weights)
 from .swe_lf import assemble_swe, bed_rows, step_swe
 
 
@@ -60,7 +60,7 @@ def _fan_tensor_vec(phi_out, coef_modes, dz):
 
 def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                          linearization: str, coeff_mode: str,
-                         averages: TimeAverages,
+                         averages: dict,
                          window_index: int = 0) -> RomOperators:
     if coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")

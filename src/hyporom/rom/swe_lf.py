@@ -38,9 +38,9 @@ from ..grid import Grid1D
 from .context import (COEFF_DEIM, LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F,
                       LIN_TAV, LINEARIZATIONS, SweRomContext, refresh_f,
                       refresh_u, sample_cells)
-from .operators import (RomOperators, Term, TimeAverages, advance,
-                        compile_terms, contract_quadratic, pad_rows,
-                        project_outer, stencil_weights)
+from .operators import (RomOperators, Term, advance, compile_terms,
+                        contract_quadratic, pad_rows, project_outer,
+                        stencil_weights)
 
 # Central difference over padded rows, x[i+2] - x[i], moved onto the modes.
 _CENTRAL = {2: 1, 0: -1}
@@ -69,7 +69,7 @@ def swe_inputs(linearization: str, coeff_mode: str | None,
 
 
 def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
-                 linearization: str, averages: TimeAverages, window_index: int,
+                 linearization: str, averages: dict, window_index: int,
                  terms: dict, coeff_mode: str | None = None) -> RomOperators:
     """Window operators, compiled: the flux's own viscosity ``terms`` plus
     A, E, G, the momentum flux and friction H, which every flux shares.
@@ -149,7 +149,7 @@ def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
 
 
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
-                        linearization: str, averages: TimeAverages,
+                        linearization: str, averages: dict,
                         window_index: int = 0) -> RomOperators:
     phih = bases["h"].modes
     phiq = bases["q"].modes

@@ -24,10 +24,10 @@ from hyporom.grid import Grid1D
 from hyporom.harness import dam_break_bed, gaussian_bump_bed, l1_error
 from hyporom.pod import PodBasis, lift, window_transfer
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
-                         LIN_DEIM_U_TAV_F, LIN_TAV, TimeAverages,
-                         assemble_burgers_rom, assemble_swe_hll_rom,
-                         assemble_swe_lf_rom, assemble_transport_rom,
-                         build_rom, rom_transport_step, run_rom)
+                         LIN_DEIM_U_TAV_F, LIN_TAV, assemble_burgers_rom,
+                         assemble_swe_hll_rom, assemble_swe_lf_rom,
+                         assemble_transport_rom, build_rom,
+                         rom_transport_step, run_rom)
 from hyporom.snapshots import concat_parametric
 
 import oracles
@@ -352,12 +352,12 @@ def test_criterion_7_oracle_suite():
         sv = np.arange(m, 0, -1, dtype=float)
         bases = {v: PodBasis(v, oracles.random_orthonormal(n, m, 101 + k), sv)
                  for k, v in enumerate(("h", "q", "u", "f"))}
-        averages = TimeAverages(fields={
+        averages = {
             "u": rng.standard_normal(n) * 0.2, "h": 0.6 + rng.random(n),
             "alpha0": 1.0 + rng.random(n + 1),
             "alpha1": 0.3 * rng.standard_normal(n + 1),
             "utilde": 0.2 * rng.standard_normal(n + 1),
-            "htilde": 0.6 + rng.random(n + 1)})
+            "htilde": 0.6 + rng.random(n + 1)}
         ops = assemble_swe_lf_rom(bases, sparams, grid, LIN_DEIM_U_DEIM_F,
                                   averages)
         ref = oracles.swe_lf_ops_oracle(bases["h"].modes, bases["q"].modes,

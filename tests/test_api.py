@@ -34,8 +34,7 @@ _EXPORTS = {
     "hyporom.rom": [
         "COEFF_DEIM", "COEFF_TAV", "LINEARIZATIONS", "LIN_DEIM_U_DEIM_F",
         "LIN_DEIM_U_TAV_F", "LIN_TAV", "RomOperators", "RomResult",
-        "RomSetup", "RomWindow", "SweRomContext", "TimeAverages",
-        "assemble_burgers_rom", "assemble_swe_hll_rom",
+        "RomSetup", "RomWindow", "SweRomContext", "assemble_burgers_rom", "assemble_swe_hll_rom",
         "assemble_swe_lf_rom", "assemble_transport_rom", "build_rom",
         "build_swe_context", "conserved_variables", "contract_quadratic",
         "pad_rows", "refresh_alphas", "refresh_f", "refresh_u",

@@ -57,6 +57,9 @@ def test_hll_coeffs_examples():
 def test_hll_degenerate_fan():
     with pytest.raises(DegenerateWaveFan):
         hll_coeffs(1.0, 1.0)
+    # One degenerate interface among several fails the whole call.
+    with pytest.raises(DegenerateWaveFan):
+        hll_coeffs(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def _frozen_fan(hg, ug, g):
@@ -284,14 +287,6 @@ def test_model_checks_caller_states(flux, h, q, error):
             call(SweState(h=h, q=q))
         with pytest.raises(error):
             call(dataclasses.replace(good, h=h, q=q))
-
-
-def test_roe_and_fan_entries_keep_their_checks():
-    with pytest.raises(NonPositiveDepth):
-        interface_fan(SweState(h=np.array([1.0, 0.0]), q=np.zeros(2)),
-                      BUMP_PARAMS, Grid1D(0.0, 1.0, 2))
-    with pytest.raises(DegenerateWaveFan):
-        hll_coeffs(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def _stepped(flux, seed=0):

@@ -10,10 +10,10 @@ import hyporom
 from hyporom.errors import ConfigError, ExperimentError, ShapeMismatch
 from hyporom.fom import run_fom
 from hyporom.grid import Grid1D
-from hyporom.harness import (ExperimentConfig, TIMING_COLUMNS, initial_state,
-                             l1_error, linf_error, load_config, make_model,
-                             parse_config, run_experiment, run_prediction,
-                             sweep_modes_windows)
+from hyporom.harness import (ExperimentConfig, TIMING_COLUMNS, experiment,
+                             initial_state, l1_error, linf_error, load_config,
+                             make_model, parse_config, run_experiment,
+                             run_prediction, sweep_modes_windows)
 
 from oracles import kahan_sum
 
@@ -269,6 +269,25 @@ class TestSweep:
                     == {k: v for k, v in b.items() if k not in TIMING_COLUMNS})
         header = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[0]
         assert header.endswith("offline_seconds,online_seconds")
+
+    @pytest.mark.parametrize("modes, windows, key", [
+        ([2, -3], [1], "sweep_modes"),
+        ([2], [2, 0], "sweep_windows"),
+    ])
+    def test_bad_list_entry_fails_before_the_fom(self, tmp_path, monkeypatch,
+                                                 modes, windows, key):
+        # A cap below 0 (0 is uncapped) or a window count below 1 anywhere
+        # in a list fails up front and names the list, not the per-point
+        # mode_cap or n_windows.
+        def no_fom(*args, **kwargs):
+            raise AssertionError("the FOM ran before the lists were checked")
+
+        monkeypatch.setattr(experiment, "run_fom", no_fom)
+        cfg = ExperimentConfig(preset="transport_perturbation", n_cells=40,
+                               t_final=0.2, outdir=str(tmp_path / "o"))
+        with pytest.raises(ConfigError, match=f"^{key}:"):
+            sweep_modes_windows(cfg, modes, windows)
+        assert not (tmp_path / "o").exists()
 
 
 class TestCli:

@@ -19,7 +19,8 @@ from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
 from hyporom.grid import Grid1D
 from hyporom.pod import thin_svd
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F, LIN_TAV,
-                         build_rom, run_rom)
+                         build_rom, rom_swe_hll_step, rom_swe_lf_step,
+                         run_rom)
 from hyporom.snapshots import SnapshotMatrix
 
 
@@ -110,12 +111,22 @@ def test_swe_wb_pipeline(flux, system, lin, coeff):
     setup = build_rom(system, [res.snapshots], params, grid, n_windows=1,
                       eps_pod=1e-10, linearization=lin, coeff_mode=coeff)
     assert setup.modes_per_window == [1]
-    out = run_rom(setup, {"h": state.h, "q": state.q}, res.dts,
-                  keep_history=True)
+    # The projected stationary state is a fixed point for every n: step
+    # window 0 as the replay does and lift every iterate.
+    win = setup.windows[0]
+    phi_h, phi_q = win.bases["h"].modes, win.bases["q"].modes
+    step = rom_swe_hll_step if system == "swe_hll" else rom_swe_lf_step
+    x = np.concatenate([phi_h.T @ state.h, phi_q.T @ state.q])
     scale = np.max(np.abs(state.h))
-    # The projected stationary state is a fixed point for every n.
-    assert np.max(np.abs(out.history["h"] - state.h[:, None])) <= 1e-12 * scale
-    assert np.max(np.abs(out.history["q"])) <= 1e-12 * scale
+    for dt in [None, *res.dts]:
+        if dt is not None:
+            x = step(x, win.ops, win.context, dt)
+        c_h, c_q = np.split(x, 2)
+        assert np.max(np.abs(phi_h @ c_h - state.h)) <= 1e-12 * scale
+        assert np.max(np.abs(phi_q @ c_q)) <= 1e-12 * scale
+    out = run_rom(setup, {"h": state.h, "q": state.q}, res.dts)
+    np.testing.assert_array_equal(out.final["h"], phi_h @ c_h)
+    np.testing.assert_array_equal(out.final["q"], phi_q @ c_q)
 
 
 @pytest.mark.parametrize("system,lin,coeff", [
@@ -230,14 +241,13 @@ def test_steady_state_recovery_after_perturbation_exits():
     assert drift <= 1e-12
 
 
-def test_history_and_last_two():
+def test_last_two():
     grid, params, w0, res = _transport_run(n=40, t_final=0.3, perturbed=True)
     setup = build_rom("transport", [res.snapshots], params, grid,
                       n_windows=2, eps_pod=1e-8)
-    out = run_rom(setup, {"w": w0}, res.dts, keep_history=True)
-    assert out.history["w"].shape == (40, res.n_steps + 1)
-    np.testing.assert_allclose(out.history["w"][:, -1], out.final["w"])
+    out = run_rom(setup, {"w": w0}, res.dts)
     assert len(out.last_two) == 2
+    np.testing.assert_array_equal(out.last_two[1]["w"], out.final["w"])
 
 
 def test_parametric_pooling_shapes():

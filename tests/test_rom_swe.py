@@ -10,7 +10,6 @@ from hyporom.grid import Grid1D
 from hyporom.pod import PodBasis
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          LIN_DEIM_U_TAV_F, LIN_TAV, LINEARIZATIONS,
-                         TimeAverages,
                          assemble_swe_hll_rom, assemble_swe_lf_rom,
                          build_swe_context, refresh_alphas, refresh_f,
                          refresh_u, rom_swe_hll_step, rom_swe_lf_step, swe_lf,
@@ -54,7 +53,7 @@ def _averages(n, seed=9, with_hll=False):
             "utilde": rng.standard_normal(n + 1) * 0.2,
             "htilde": 0.5 + rng.random(n + 1),
         })
-    return TimeAverages(fields=fields)
+    return fields
 
 
 def _params(n_b=0.1, z=None):
@@ -167,7 +166,7 @@ class TestHllAssembly:
         grid = Grid1D(0.0, 1.0, n)
         bases = _bases(n, m)
         avg = _averages(n, with_hll=True)
-        avg.fields["alpha1"] = np.zeros(n + 1)
+        avg["alpha1"] = np.zeros(n + 1)
         ops = assemble_swe_hll_rom(bases, _params(), grid, LIN_DEIM_U_DEIM_F,
                                    COEFF_TAV, avg)
         np.testing.assert_array_equal(ops.matrices["U2"], np.zeros((m, m)))
@@ -316,7 +315,7 @@ class TestFullBasisEquivalence:
         grid, params, h, q = self._setup()
         n = grid.n_cells
         bases = self._full_bases(n)
-        averages = TimeAverages(fields={"u": q / h, "h": h})
+        averages = {"u": q / h, "h": h}
         ops = assemble_swe_lf_rom(bases, params, grid, lin, averages)
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
         ctx = build_swe_context(bases, interpolants, ops.inputs, params.g)
@@ -338,9 +337,8 @@ class TestFullBasisEquivalence:
         bases = self._full_bases(n, with_interfaces=(coeff_mode == COEFF_DEIM))
         state = SweState(h=h, q=q)
         h_t, u_t, a0, a1 = interface_fan(state, params, grid)
-        averages = TimeAverages(fields={
-            "u": q / h, "h": h, "alpha0": a0, "alpha1": a1,
-            "utilde": u_t, "htilde": h_t})
+        averages = {"u": q / h, "h": h, "alpha0": a0, "alpha1": a1,
+                    "utilde": u_t, "htilde": h_t}
         ops = assemble_swe_hll_rom(bases, params, grid, lin, coeff_mode,
                                    averages)
         names = ("u", "f") if coeff_mode == COEFF_TAV \
@@ -450,7 +448,7 @@ class TestSteps:
         grid = Grid1D(0.0, 1.0, n)
         params = _params(n_b=0.5)
         h_field = np.full(n, 1.3)
-        averages = TimeAverages(fields={"u": np.zeros(n), "h": h_field})
+        averages = {"u": np.zeros(n), "h": h_field}
         sv = np.ones(1)
         h_mode = np.full((n, 1), 1.0 / np.sqrt(n))
         bases = {
