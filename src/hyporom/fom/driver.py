@@ -78,8 +78,8 @@ class SweModel:
     Each state of a run is derived from once.  A ``SweState`` is checked
     when it is built and its arrays are read-only, so the HLL fan that
     ``fields`` forms for a state is the one the next ``step`` uses.  The
-    padded bed and its bed-slope differences are formed once, here, from
-    the ``params`` and ``grid`` given.
+    bed profile (padded bed and its interface jumps) is formed once, here,
+    from the ``params`` and ``grid`` given.
     """
 
     system = "swe"
@@ -89,7 +89,7 @@ class SweModel:
         self.params = params
         self.grid = grid
         self.flux = flux
-        self._bed = _swe._bed(params, grid)
+        self._bed = _swe.bed_profile(params, grid)
         self._fan = (None, None)          # (state, its HLL fan)
 
     def max_wave_speed(self, state):
@@ -111,7 +111,7 @@ class SweModel:
             "h": h,
             "q": q,
             "u": q / h,
-            "f": np.abs(q) / h ** (7.0 / 3.0),
+            "f": _swe.friction_kernel(h, q),
         }
         if fan is not None:
             h_t, u_t, a0, a1 = fan

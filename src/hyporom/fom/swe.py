@@ -9,6 +9,10 @@ free surface eta, and the HLL flux with per-interface fan coefficients.
 Free boundaries replicate (h, q, z) into the ghost cells, which is the
 stationary extension of a lake-at-rest edge state.
 
+The pointwise closures ``hll_fan``, ``friction_kernel`` and
+``bed_profile`` are defined here once; the reduced model calls them at
+its DEIM points and in its assemblers.
+
 ``SweModel`` (fom/driver.py) is the entry to the schemes.  A ``SweState``
 is checked when it is built (finite values, positive depth) and owns
 read-only arrays, so every state a step reads or returns is valid and
@@ -89,12 +93,10 @@ def _max_speed(state: SweState, g: float) -> float:
     return float(np.max(np.abs(u) + c))
 
 
-def _roe(h_l, h_r, u_l, u_r):
-    """Roe averages of depths already known to be positive."""
-    sl = np.sqrt(h_l)
-    sr = np.sqrt(h_r)
+def _roe(h_l, h_r, u_l, u_r, root_l, root_r):
+    """Roe averages of positive depths, given their square roots."""
     h_tilde = 0.5 * (h_l + h_r)
-    u_tilde = (sr * u_r + sl * u_l) / (sr + sl)
+    u_tilde = (root_r * u_r + root_l * u_l) / (root_r + root_l)
     return h_tilde, u_tilde
 
 
@@ -110,13 +112,22 @@ def _fan_coeffs(s_l, s_r):
     return (s_r * abs_l - s_l * abs_r) / gap, (abs_r - abs_l) / gap
 
 
-def hll_coeffs(s_l, s_r):
-    """PVM degree-1 coefficients (alpha0, alpha1) of the HLL fan (S_L, S_R)."""
-    s_l = np.asarray(s_l, dtype=float)
-    a0, a1 = _fan_coeffs(s_l, np.asarray(s_r, dtype=float))
-    if s_l.ndim == 0:
-        return float(a0), float(a1)
-    return a0, a1
+def hll_fan(h_l, h_r, u_l, u_r, root_l, root_r, c_l, c_r, g):
+    """(h_tilde, u_tilde, alpha0, alpha1) of the interfaces between the
+    given left and right depths, velocities, sqrt(h) and sqrt(g h).  The
+    Davis speed estimates take the one-sided speeds and the Roe speed, so
+    the Roe averages are formed once and serve both."""
+    h_t, u_t = _roe(h_l, h_r, u_l, u_r, root_l, root_r)
+    c_t = np.sqrt(g * h_t)
+    s_l = np.minimum(u_l - c_l, u_t - c_t)
+    s_r = np.maximum(u_r + c_r, u_t + c_t)
+    a0, a1 = _fan_coeffs(s_l, s_r)
+    return h_t, u_t, a0, a1
+
+
+def friction_kernel(h, q):
+    """Manning friction kernel |q| / h^(7/3)."""
+    return np.abs(q) / h ** (7.0 / 3.0)
 
 
 def _pad(a: np.ndarray) -> np.ndarray:
@@ -124,26 +135,19 @@ def _pad(a: np.ndarray) -> np.ndarray:
     return np.concatenate(([a[0]], a, [a[-1]]))
 
 
-def _bed(params: SweParams, grid: Grid1D):
-    """Ghost-replicated bed zg and its one-sided differences at the cells,
-    (zg[2:] - z, z - zg[:-2]): everything a step reads of the bathymetry."""
+def bed_profile(params: SweParams, grid: Grid1D):
+    """Ghost-replicated bed zg and its jump zg[1:] - zg[:-1] at every
+    interface: everything the schemes read of the bathymetry."""
     zg = _pad(np.asarray(params.bathymetry(grid.centers), dtype=float))
-    z = zg[1:-1]
-    return zg, zg[2:] - z, z - zg[:-2]
+    return zg, np.diff(zg)
 
 
 def _fan(hg, ug, g):
-    """Roe averages and HLL fan coefficients (h_tilde, u_tilde, alpha0,
-    alpha1) at every interface of a state's ghost-padded h and u.  The
-    Davis speed estimates take the one-sided speeds and the Roe speed, so
-    the Roe averages are formed once and serve both."""
-    h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:])
+    """``hll_fan`` at every interface of a state's ghost-padded h and u."""
+    root = np.sqrt(hg)
     c = np.sqrt(g * hg)
-    c_t = np.sqrt(g * h_t)
-    s_l = np.minimum(ug[:-1] - c[:-1], u_t - c_t)
-    s_r = np.maximum(ug[1:] + c[1:], u_t + c_t)
-    a0, a1 = _fan_coeffs(s_l, s_r)
-    return h_t, u_t, a0, a1
+    return hll_fan(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:],
+                   c[:-1], c[1:], g)
 
 
 def interface_fan(state: SweState, params: SweParams, grid: Grid1D):
@@ -160,17 +164,16 @@ def _friction(state: SweState, params: SweParams, dt: float) -> np.ndarray:
         / state.h ** (7.0 / 3.0)
 
 
-def _bed_slope(hg, bed, lam, g):
+def _bed_slope(hg, dz, lam, g):
     # Centered path-conservative source: -(g dt / 4 dx) * sum of side terms.
-    _, dz_r, dz_l = bed
     h = hg[1:-1]
-    side = (hg[2:] + h) * dz_r + (h + hg[:-2]) * dz_l
+    side = (hg[2:] + h) * dz[1:] + (h + hg[:-2]) * dz[:-1]
     return -0.25 * g * lam * side
 
 
 def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
              flux: FluxChoice, bed) -> SweState:
-    """PVM-0 step of the state over the bed ``_bed`` gives."""
+    """PVM-0 step of the state over the bed ``bed_profile`` gives."""
     dx = grid.dx
     lam = dt / dx
     g = params.g
@@ -180,7 +183,8 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
 
     if flux is FluxChoice.RUSANOV:
         ug = qg / hg
-        h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:])
+        root = np.sqrt(hg)
+        h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:])
         a0 = np.abs(u_t) + np.sqrt(g * h_t)
     else:
         a0 = np.full(grid.n_cells + 1, pvm0_constant(flux, params.nu, dx, dt))
@@ -194,7 +198,7 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
     mom = qg * qg / hg + 0.5 * g * hg * hg
     q_new = q - 0.5 * lam * (mom[2:] - mom[:-2]) \
         + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
-        + _bed_slope(hg, bed, lam, g) \
+        + _bed_slope(hg, bed[1], lam, g) \
         - _friction(state, params, dt)
 
     return SweState(h=h_new, q=q_new)
@@ -202,7 +206,7 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
 
 def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
               bed, fan=None) -> SweState:
-    """HLL step of the state over the bed ``_bed`` gives; ``fan`` is
+    """HLL step of the state over the bed ``bed_profile`` gives; ``fan`` is
     the state's ``_fan``, formed here when not given."""
     lam = dt / grid.dx
     g = params.g
@@ -228,7 +232,7 @@ def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
         + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
         + lam * (a1[1:] * u_t[1:] * q_jump[1:]
                  - a1[:-1] * u_t[:-1] * q_jump[:-1]) \
-        + _bed_slope(hg, bed, lam, g) \
+        + _bed_slope(hg, bed[1], lam, g) \
         - _friction(state, params, dt)
 
     return SweState(h=h_new, q=q_new)

@@ -6,10 +6,12 @@ mode rows of every sampled cell into one array, so each step makes one
 point pass (``sample_cells``): a single batched product samples the
 state for all refreshes, and everything the refreshes read of it -- the
 depth check, u = q/h and, with fan refreshes, sqrt(h) and sqrt(g h) --
-is derived there once for every sampled cell.  Each refresh then reads
-its own slice of these, at O(M) cost per point.  Interface evaluations
-(fan coefficients) sample the two cells flanking each interface, with
-edge clamping matching the ghost replication of the full-order scheme.
+is derived there once for every sampled cell.  Each refresh then passes
+its own slice of these to the full-order closure (``friction_kernel``,
+``hll_fan`` in fom/swe.py), at O(M) cost per point.  Interface
+evaluations (fan coefficients) sample the two cells flanking each
+interface, with edge clamping matching the ghost replication of the
+full-order scheme.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 
 from ..deim import DeimInterpolant, deim_online_values
 from ..errors import EvaluationError
-from ..fom.swe import hll_coeffs
+from ..fom.swe import friction_kernel, hll_fan
 
 LIN_TAV = "tav"
 LIN_DEIM_U_TAV_F = "deim_u_tav_f"
@@ -134,27 +136,17 @@ def refresh_f(ctx: SweRomContext, cells: SampledCells) -> np.ndarray:
     """DEIM coefficients of f = |q|/h^(7/3) from the sampled cells."""
     at = ctx.f_samples.at
     return deim_online_values(ctx.f_samples.interp,
-                              np.abs(cells.q[at]) / cells.h[at] ** (7.0 / 3.0))
+                              friction_kernel(cells.h[at], cells.q[at]))
 
 
 def refresh_alphas(ctx: SweRomContext, cells: SampledCells):
-    """Fan coefficients at the stacked interpolation interfaces, one pass,
-    from the sampled flanking cells."""
+    """Fan coefficients at the stacked interpolation interfaces, one pass:
+    the full-order ``hll_fan`` of the sampled flanking cells."""
     left, right = ctx.fan_left, ctx.fan_right
-    h_l = cells.h[left]
-    h_r = cells.h[right]
-    u_l = cells.u[left]
-    u_r = cells.u[right]
-    # Inline Roe + Davis speeds (hot online path); the arithmetic mirrors
-    # the full-order fan evaluation exactly, and the fan coefficients and
-    # their degeneracy rule are the full-order ones.
-    sqrt_l = cells.root_h[left]
-    sqrt_r = cells.root_h[right]
-    u_t = (sqrt_r * u_r + sqrt_l * u_l) / (sqrt_r + sqrt_l)
-    c_t = np.sqrt(ctx.g * (0.5 * (h_l + h_r)))
-    s_l = np.minimum(u_l - cells.c[left], u_t - c_t)
-    s_r = np.maximum(u_r + cells.c[right], u_t + c_t)
-    a0, a1 = hll_coeffs(s_l, s_r)
+    _, _, a0, a1 = hll_fan(cells.h[left], cells.h[right], cells.u[left],
+                           cells.u[right], cells.root_h[left],
+                           cells.root_h[right], cells.c[left],
+                           cells.c[right], ctx.g)
     m0 = ctx.a0_samples.interp.m
     return (deim_online_values(ctx.a0_samples.interp, a0[:m0]),
             deim_online_values(ctx.a1_samples.interp, a1[m0:]))

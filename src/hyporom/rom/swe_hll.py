@@ -8,16 +8,19 @@ scaled by dt/(2dx).  Interface Roe means (u_tilde, h_tilde) are always
 window averages; the fan coefficients are either window averages baked
 into U matrices and vectors (coeff_mode "tav") or DEIM-updated
 coefficients contracted against U tensors, with U_3 and U_7 matrices on
-the coefficients (coeff_mode "deim").  Each U tensor is one
-``project_outer`` call with the interface difference moved onto the test
-functions.  The U terms are compiled with the shared ones; the fan
-coefficients are the step's last inputs, after u and f.
+the coefficients (coeff_mode "deim").  The DEIM point values are the
+full-order ``hll_fan`` of the sampled flanking cells (``refresh_alphas``
+in context.py), and the bed jumps are the full-order ``bed_profile``.
+Every U operator moves the interface difference of its product onto the
+test functions; each U tensor is one ``project_outer`` call.  The U
+terms are compiled with the shared ones; the fan coefficients are the
+step's last inputs, after u and f.
 """
 
 import numpy as np
 
 from ..errors import MissingAuxBasis, UnsupportedSystem
-from ..fom.swe import SweParams
+from ..fom.swe import SweParams, bed_profile
 from ..grid import Grid1D
 from .context import COEFF_MODES, COEFF_TAV, SweRomContext, refresh_alphas
 # Not called here; kept because the benchmark tracer wraps them by these
@@ -26,24 +29,13 @@ from .context import refresh_u  # noqa: F401
 from .operators import contract_quadratic  # noqa: F401
 from .operators import (RomOperators, Term, pad_rows, project_outer,
                         stencil_weights)
-from .swe_lf import assemble_swe, bed_rows, step_swe
+from .swe_lf import assemble_swe, step_swe
 
 
-def _jumps(phi):
-    """Mode jumps at the n_cells+1 interfaces (ghosts replicated)."""
-    phig = pad_rows(phi)
-    return phig[1:] - phig[:-1]
-
-
-def _fan_matrix(phi_out, coef, jumps):
-    """sum_i phi_out[i,p] (coef[i+1] jumps[i+1,k] - coef[i] jumps[i,k])."""
-    weighted = coef[:, None] * jumps
-    return phi_out.T @ (weighted[1:] - weighted[:-1])
-
-
-def _fan_vector(phi_out, coef, dz):
-    weighted = coef * dz
-    return phi_out.T @ (weighted[1:] - weighted[:-1])
+def _fan_diff(phi_out, prod):
+    """sum_i phi_out[i,p] (prod[i+1] - prod[i]): the interface difference
+    of a per-interface product, moved onto the test functions."""
+    return phi_out.T @ np.diff(prod, axis=0)
 
 
 def _fan_tensor(phi_out, coef_modes, jumps):
@@ -51,11 +43,6 @@ def _fan_tensor(phi_out, coef_modes, jumps):
     the interface difference x[i+1] - x[i] moves onto phi_out."""
     return project_outer(stencil_weights(phi_out, {1: 1, 0: -1}),
                          coef_modes, jumps)
-
-
-def _fan_tensor_vec(phi_out, coef_modes, dz):
-    prod = coef_modes * dz[:, None]
-    return phi_out.T @ (prod[1:] - prod[:-1])
 
 
 def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
@@ -66,10 +53,10 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     phih = bases["h"].modes
     phiq = bases["q"].modes
-    zg = bed_rows(params, grid)
-    dz = zg[1:] - zg[:-1]
-    dh = _jumps(phih)
-    dq = _jumps(phiq)
+    dz = bed_profile(params, grid)[1]
+    # Mode jumps at the n_cells+1 interfaces (ghosts replicated).
+    dh = np.diff(pad_rows(phih), axis=0)
+    dq = np.diff(pad_rows(phiq), axis=0)
     # Momentum weight of the degree-1 fan term, from window-mean Roe data.
     u_t = averages["utilde"]
     h_t = averages["htilde"]
@@ -79,15 +66,17 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
     if coeff_mode == COEFF_TAV:
         a0 = averages["alpha0"]
         a1 = averages["alpha1"]
+        a0c, a1c = a0[:, None], a1[:, None]
         terms = {
-            "U1": Term(_fan_matrix(phih, a0, dh), "h", ("h",), 0.0, fan),
-            "U2": Term(_fan_matrix(phih, a1, dq), "h", ("q",), 0.0, fan),
-            "U3": Term(_fan_vector(phih, a0, dz), "h", (), 0.0, fan),
-            "U4": Term(_fan_matrix(phiq, a1 * wgt, dh), "q", ("h",), 0.0, fan),
-            "U5": Term(_fan_matrix(phiq, a0, dq), "q", ("q",), 0.0, fan),
-            "U6": Term(_fan_matrix(phiq, 2.0 * a1 * u_t, dq), "q", ("q",),
+            "U1": Term(_fan_diff(phih, a0c * dh), "h", ("h",), 0.0, fan),
+            "U2": Term(_fan_diff(phih, a1c * dq), "h", ("q",), 0.0, fan),
+            "U3": Term(_fan_diff(phih, a0 * dz), "h", (), 0.0, fan),
+            "U4": Term(_fan_diff(phiq, a1c * wgt[:, None] * dh), "q", ("h",),
                        0.0, fan),
-            "U7": Term(_fan_vector(phiq, a1 * wgt, dz), "q", (), 0.0, fan)}
+            "U5": Term(_fan_diff(phiq, a0c * dq), "q", ("q",), 0.0, fan),
+            "U6": Term(_fan_diff(phiq, 2.0 * a1c * u_t[:, None] * dq), "q",
+                       ("q",), 0.0, fan),
+            "U7": Term(_fan_diff(phiq, a1 * wgt * dz), "q", (), 0.0, fan)}
     else:
         if "alpha0" not in bases or "alpha1" not in bases:
             raise MissingAuxBasis("coeff_mode 'deim' needs alpha0/alpha1 bases")
@@ -98,16 +87,16 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                        0.0, fan),
             "U2": Term(_fan_tensor(phih, ca1, dq), "h", ("alpha1", "q"),
                        0.0, fan),
-            "U3": Term(_fan_tensor_vec(phih, ca0, dz), "h", ("alpha0",),
-                       0.0, fan),
+            "U3": Term(_fan_diff(phih, ca0 * dz[:, None]), "h",
+                       ("alpha0",), 0.0, fan),
             "U4": Term(_fan_tensor(phiq, ca1 * wgt[:, None], dh), "q",
                        ("alpha1", "h"), 0.0, fan),
             "U5": Term(_fan_tensor(phiq, ca0, dq), "q", ("alpha0", "q"),
                        0.0, fan),
             "U6": Term(_fan_tensor(phiq, 2.0 * ca1 * u_t[:, None], dq), "q",
                        ("alpha1", "q"), 0.0, fan),
-            "U7": Term(_fan_tensor_vec(phiq, ca1 * wgt[:, None], dz), "q",
-                       ("alpha1",), 0.0, fan)}
+            "U7": Term(_fan_diff(phiq, ca1 * wgt[:, None] * dz[:, None]),
+                       "q", ("alpha1",), 0.0, fan)}
 
     return assemble_swe("swe_hll", bases, params, grid, linearization,
                         averages, window_index, terms, coeff_mode)

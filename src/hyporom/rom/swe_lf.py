@@ -33,7 +33,7 @@ fixed factor.
 import numpy as np
 
 from ..errors import MissingAuxBasis, UnsupportedSystem
-from ..fom.swe import SweParams
+from ..fom.swe import SweParams, bed_profile
 from ..grid import Grid1D
 from .context import (COEFF_DEIM, LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F,
                       LIN_TAV, LINEARIZATIONS, SweRomContext, refresh_f,
@@ -46,11 +46,6 @@ from .operators import (RomOperators, Term, advance, compile_terms,
 _CENTRAL = {2: 1, 0: -1}
 # Last entry of xa: the input of every constant-vector column.
 _ONE = np.ones(1)
-
-
-def bed_rows(params: SweParams, grid: Grid1D) -> np.ndarray:
-    """Bathymetry at the cell centres with replicated ghost rows."""
-    return pad_rows(np.asarray(params.bathymetry(grid.centers), dtype=float))
 
 
 def swe_inputs(linearization: str, coeff_mode: str | None,
@@ -85,8 +80,7 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
     phiq = bases["q"].modes
     phihg = pad_rows(phih)
     phiqg = pad_rows(phiq)
-    zg = bed_rows(params, grid)
-    z = zg[1:-1]
+    dz = bed_profile(params, grid)[1][:, None]
     central = stencil_weights(phiq, _CENTRAL)
     dx, g = grid.dx, params.g
 
@@ -94,10 +88,8 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
                       0.0, -0.5 / dx)
     terms["E"] = Term(project_outer(central, phihg, phihg), "q", ("h", "h"),
                       0.0, -0.25 * g / dx)
-    dz_r = (zg[2:] - z)[:, None]
-    dz_l = (z - zg[:-2])[:, None]
-    terms["G"] = Term(phiq.T @ ((phihg[2:] + phih) * dz_r
-                                + (phih + phihg[:-2]) * dz_l),
+    terms["G"] = Term(phiq.T @ ((phihg[2:] + phih) * dz[1:]
+                                + (phih + phihg[:-2]) * dz[:-1]),
                       "q", ("h",), 0.0, -0.25 * g / dx)
 
     if linearization == LIN_TAV:
@@ -155,7 +147,7 @@ def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
     phiq = bases["q"].modes
     phihg = pad_rows(phih)
     phiqg = pad_rows(phiq)
-    zg = bed_rows(params, grid)
+    zg = bed_profile(params, grid)[0]
     half_nu = 0.5 * params.nu
     return assemble_swe(
         "swe_lf", bases, params, grid, linearization, averages, window_index,

@@ -28,7 +28,7 @@ _EXPORTS = {
         "BurgersModel", "BurgersParams", "FomResult", "SweModel",
         "SweParams", "SweState", "TransportModel", "TransportParams",
         "burgers_max_speed", "burgers_stationary", "burgers_step", "cfl_dt",
-        "flat_bottom", "hll_coeffs", "interface_fan", "lake_at_rest",
+        "flat_bottom", "interface_fan", "lake_at_rest",
         "run_fom", "transport_max_speed", "transport_stationary",
         "transport_step"],
     "hyporom.rom": [
@@ -64,8 +64,8 @@ _DEFINED = {
         "ShapeMismatch", "SingularInterpolationMatrix", "TooFewSnapshots",
         "UnsupportedSystem", "ZeroWaveSpeed"],
     "hyporom.fom.swe": [
-        "SweParams", "SweState", "flat_bottom", "hll_coeffs",
-        "interface_fan", "lake_at_rest"],
+        "SweParams", "SweState", "bed_profile", "flat_bottom",
+        "friction_kernel", "hll_fan", "interface_fan", "lake_at_rest"],
     "hyporom.pod": [
         "PodBasis", "RANK_RTOL", "SliceSvd", "fallback_basis", "lift",
         "numerical_rank", "pod_basis", "select_modes", "thin_svd",

@@ -8,8 +8,8 @@ import pytest
 from hyporom.errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
                             ShapeMismatch)
 from hyporom.fluxes import FluxChoice
-from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, hll_coeffs,
-                         interface_fan, lake_at_rest)
+from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, interface_fan,
+                         lake_at_rest)
 from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
@@ -44,22 +44,25 @@ def test_interface_fan_roe_examples():
     assert u_t[4] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def _fan_coeffs(s_l, s_r):
+    return swe_module._fan_coeffs(np.array(s_l), np.array(s_r))
+
+
 def test_hll_coeffs_examples():
-    a0, a1 = hll_coeffs(-2.5, 2.5)
-    assert a0 == pytest.approx(2.5) and a1 == 0.0
-    a0, a1 = hll_coeffs(1.0, 3.0)
-    assert a0 == pytest.approx(0.0) and a1 == pytest.approx(1.0)
-    a0, a1 = hll_coeffs(-2.0, 1.0)
-    assert a0 == pytest.approx(4.0 / 3.0, rel=1e-14)
-    assert a1 == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    # Fans (S_L, S_R) = (-2.5, 2.5), (1, 3) and (-2, 1), one per interface.
+    a0, a1 = _fan_coeffs([-2.5, 1.0, -2.0], [2.5, 3.0, 1.0])
+    assert a0[0] == pytest.approx(2.5) and a1[0] == 0.0
+    assert a0[1] == pytest.approx(0.0) and a1[1] == pytest.approx(1.0)
+    assert a0[2] == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert a1[2] == pytest.approx(-1.0 / 3.0, rel=1e-14)
 
 
 def test_hll_degenerate_fan():
     with pytest.raises(DegenerateWaveFan):
-        hll_coeffs(1.0, 1.0)
+        _fan_coeffs([1.0], [1.0])
     # One degenerate interface among several fails the whole call.
     with pytest.raises(DegenerateWaveFan):
-        hll_coeffs(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
+        _fan_coeffs([-1.0, 2.0], [1.0, 2.0])
 
 
 def _frozen_fan(hg, ug, g):
@@ -249,25 +252,6 @@ def test_state_owns_the_callers_arrays_read_only():
     # A new state is the way to edit one, and it is checked again.
     with pytest.raises(NonFiniteState):
         dataclasses.replace(state, q=np.full(4, np.nan))
-
-
-# Steps and wave speeds go through ``SweModel``, the entry a run uses; a bad
-# caller state raises when it is built, before any entry sees it.
-_PUBLIC_ENTRIES = {
-    "swe_lf_step": lambda s: _step(s, BUMP_PARAMS, _GRID4, 1e-3),
-    "swe_hll_step": lambda s: _step(s, BUMP_PARAMS, _GRID4, 1e-3,
-                                    FluxChoice.HLL),
-    "max_wave_speed": lambda s: SweModel(BUMP_PARAMS, _GRID4
-                                         ).max_wave_speed(s),
-    "interface_fan": lambda s: interface_fan(s, BUMP_PARAMS, _GRID4),
-}
-
-
-@pytest.mark.parametrize("entry", sorted(_PUBLIC_ENTRIES))
-@pytest.mark.parametrize("h, q, error", _BAD_STATES)
-def test_public_entries_check_caller_states(entry, h, q, error):
-    with pytest.raises(error):
-        _PUBLIC_ENTRIES[entry](SweState(h=h, q=q))
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
