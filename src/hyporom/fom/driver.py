@@ -1,10 +1,12 @@
 """Time integration of the full-order models with snapshot recording.
 
 A model bundles (params, grid, flux) and exposes the common surface the
-driver needs: max wave speed, one explicit step, and the named fields to
-record per snapshot column.  Steps are pure functions of (state, dt); the
-driver is strictly sequential in time and clamps the final step so the
-run lands exactly on t_final.
+driver needs: max wave speed, one explicit step, and the conserved state
+to record per snapshot column.  Steps are pure functions of (state, dt),
+and a model keeps nothing between them.  The driver is strictly
+sequential in time, clamps the final step so the run lands exactly on
+t_final, and for the SWE derives u, f and the HLL fan from the recorded
+h and q after the run.
 """
 
 import time
@@ -67,19 +69,12 @@ class BurgersModel:
 
 
 class SweModel:
-    """SWE model; records u = q/h and f = |q|/h^(7/3) alongside h, q.
-
-    With the HLL flux the per-interface fan data (alpha0, alpha1, Roe
-    averages) are recorded too: the same expressions the HLL step
-    evaluates, so the recorded fan columns are bitwise the step's.  Every
-    auxiliary column is a pure function of the (h, q) column it belongs
-    to.
-
-    Each state of a run is derived from once.  A ``SweState`` is checked
-    when it is built and its arrays are read-only, so the HLL fan that
-    ``fields`` forms for a state is the one the next ``step`` uses.  The
-    bed profile (padded bed and its interface jumps) is formed once, here,
-    from the ``params`` and ``grid`` given.
+    """SWE model; records h and q.  ``run_fom`` derives u = q/h,
+    f = |q|/h^(7/3) and, with the HLL flux, the per-interface fan data
+    (alpha0, alpha1, Roe averages) from them after the run, by the
+    expressions the step evaluates.  The bed profile (padded bed and its
+    interface jumps) is formed once, here, from the ``params`` and
+    ``grid`` given.
     """
 
     system = "swe"
@@ -90,7 +85,6 @@ class SweModel:
         self.grid = grid
         self.flux = flux
         self._bed = _swe.bed_profile(params, grid)
-        self._fan = (None, None)          # (state, its HLL fan)
 
     def max_wave_speed(self, state):
         return _swe._max_speed(state, self.params.g)
@@ -99,35 +93,10 @@ class SweModel:
         if self.flux is not FluxChoice.HLL:
             return _swe._lf_step(state, self.params, self.grid, dt,
                                  self.flux, self._bed)
-        fan = self._fan[1] if self._fan[0] is state else None
-        self._fan = (None, None)
-        return _swe._hll_step(state, self.params, self.grid, dt, self._bed,
-                              fan)
+        return _swe._hll_step(state, self.params, self.grid, dt, self._bed)
 
     def fields(self, state):
-        h, q = state.h, state.q
-        fan = self._state_fan(state) if self.flux is FluxChoice.HLL else None
-        out = {
-            "h": h,
-            "q": q,
-            "u": q / h,
-            "f": _swe.friction_kernel(h, q),
-        }
-        if fan is not None:
-            h_t, u_t, a0, a1 = fan
-            out.update({"alpha0": a0, "alpha1": a1,
-                        "htilde": h_t, "utilde": u_t})
-        return out
-
-    def _state_fan(self, state):
-        """The HLL fan of ``state``, formed once, made read-only and kept
-        for the next step."""
-        if self._fan[0] is not state:
-            fan = _swe.interface_fan(state, self.params, self.grid)
-            for arr in fan:
-                arr.flags.writeable = False
-            self._fan = (state, fan)
-        return self._fan[1]
+        return {"h": state.h, "q": state.q}
 
 
 def cfl_dt(model, state, cfl: float) -> float:
@@ -196,6 +165,12 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
     wall = time.perf_counter() - t0
 
     snapshots = recorder.finalize() if recorder else {}
+    if snapshots and isinstance(model, SweModel):
+        h = snapshots["h"]
+        for name, data in _swe._derived_fields(
+                h.data, snapshots["q"].data, model.params.g,
+                model.flux is FluxChoice.HLL).items():
+            snapshots[name] = SnapshotMatrix(name, data, h.times, h.dts)
     return FomResult(final_state=state, times=np.array(times),
                      dts=np.array(dts), snapshots=snapshots,
                      wall_seconds=wall)

@@ -15,9 +15,9 @@ its DEIM points and in its assemblers.
 
 ``SweModel`` (fom/driver.py) is the entry to the schemes.  A ``SweState``
 is checked when it is built (finite values, positive depth) and owns
-read-only arrays, so every state a step reads or returns is valid and
-``SweModel`` can share a state's HLL fan between recording and the next
-step.
+read-only arrays, so every state a step reads or returns is valid.  The
+auxiliary snapshots of a run (u, f, the HLL fan) are derived from its
+recorded h and q afterwards by the same closures (``_derived_fields``).
 """
 
 from dataclasses import dataclass
@@ -31,6 +31,12 @@ from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
 _FAN_TOL = 1e-12
+# Columns per block of ``_derived_fields``.  On the HLL recording of the
+# 1600-cell dam break (739 columns, 1 BLAS thread, 2-core shared host;
+# three runs, median of 7 each) the derivation took 0.055-0.067 s at 16
+# columns, 0.055-0.060 s at 32, 0.063-0.079 s at 64 and 0.11-0.14 s at
+# 256: a small block's temporaries stay in cache.
+_DERIVE_COLS = 16
 
 
 def flat_bottom(x):
@@ -157,6 +163,28 @@ def interface_fan(state: SweState, params: SweParams, grid: Grid1D):
     return _fan(hg, _pad(state.q) / hg, params.g)
 
 
+def _derived_fields(h, q, g: float, hll: bool) -> dict:
+    """u = q/h, f = ``friction_kernel`` and, with ``hll``, the fan at the
+    n_cells+1 interfaces of every column of the recorded h and q, formed
+    ``_DERIVE_COLS`` columns at a time into F-order arrays.  Each column
+    is bitwise what the closures give for its own state."""
+    n, cols = h.shape
+    fan = ("alpha0", "alpha1", "htilde", "utilde") if hll else ()
+    out = {name: np.empty((n + (name in fan), cols), order="F")
+           for name in ("u", "f") + fan}
+    for start in range(0, cols, _DERIVE_COLS):
+        blk = slice(start, start + _DERIVE_COLS)
+        hb, qb = h[:, blk], q[:, blk]
+        np.divide(qb, hb, out=out["u"][:, blk])
+        out["f"][:, blk] = friction_kernel(hb, qb)
+        if hll:
+            hg = _pad(hb)
+            (out["htilde"][:, blk], out["utilde"][:, blk],
+             out["alpha0"][:, blk], out["alpha1"][:, blk]) = \
+                _fan(hg, _pad(qb) / hg, g)
+    return out
+
+
 def _friction(state: SweState, params: SweParams, dt: float) -> np.ndarray:
     if params.n_b == 0.0:
         return np.zeros_like(state.q)
@@ -205,16 +233,15 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
 
 
 def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
-              bed, fan=None) -> SweState:
-    """HLL step of the state over the bed ``bed_profile`` gives; ``fan`` is
-    the state's ``_fan``, formed here when not given."""
+              bed) -> SweState:
+    """HLL step of the state over the bed ``bed_profile`` gives."""
     lam = dt / grid.dx
     g = params.g
     hg, qg = _pad(state.h), _pad(state.q)
     etag = hg + bed[0]
     h, q = state.h, state.q
 
-    h_t, u_t, a0, a1 = _fan(hg, qg / hg, g) if fan is None else fan
+    h_t, u_t, a0, a1 = _fan(hg, qg / hg, g)
     # Momentum weight of the degree-1 term applied to the eta jump.
     wgt = -u_t * u_t + g * h_t
 

@@ -10,25 +10,25 @@ into U matrices and vectors (coeff_mode "tav") or DEIM-updated
 coefficients contracted against U tensors, with U_3 and U_7 matrices on
 the coefficients (coeff_mode "deim").  The DEIM point values are the
 full-order ``hll_fan`` of the sampled flanking cells (``refresh_alphas``
-in context.py), and the bed jumps are the full-order ``bed_profile``.
-Every U operator moves the interface difference of its product onto the
-test functions; each U tensor is one ``project_outer`` call.  The U
-terms are compiled with the shared ones; the fan coefficients are the
+in context.py).  The U terms are the viscosity ``assemble_swe`` asks
+for; it hands them the padded modes and the full-order ``bed_profile``
+and compiles them with the shared terms.  Every U operator moves the
+interface difference of its product onto the test functions; each U
+tensor is one ``project_outer`` call.  The fan coefficients are the
 step's last inputs, after u and f.
 """
 
 import numpy as np
 
-from ..errors import MissingAuxBasis, UnsupportedSystem
-from ..fom.swe import SweParams, bed_profile
+from ..errors import UnsupportedSystem
+from ..fom.swe import SweParams
 from ..grid import Grid1D
 from .context import COEFF_MODES, COEFF_TAV, SweRomContext, refresh_alphas
 # Not called here; kept because the benchmark tracer wraps them by these
 # names.
 from .context import refresh_u  # noqa: F401
 from .operators import contract_quadratic  # noqa: F401
-from .operators import (RomOperators, Term, pad_rows, project_outer,
-                        stencil_weights)
+from .operators import RomOperators, Term, project_outer, stencil_weights
 from .swe_lf import assemble_swe, step_swe
 
 
@@ -51,38 +51,34 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                          window_index: int = 0) -> RomOperators:
     if coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
-    phih = bases["h"].modes
-    phiq = bases["q"].modes
-    dz = bed_profile(params, grid)[1]
-    # Mode jumps at the n_cells+1 interfaces (ghosts replicated).
-    dh = np.diff(pad_rows(phih), axis=0)
-    dq = np.diff(pad_rows(phiq), axis=0)
     # Momentum weight of the degree-1 fan term, from window-mean Roe data.
     u_t = averages["utilde"]
     h_t = averages["htilde"]
     wgt = -u_t * u_t + params.g * h_t
     fan = 0.5 / grid.dx
 
-    if coeff_mode == COEFF_TAV:
-        a0 = averages["alpha0"]
-        a1 = averages["alpha1"]
-        a0c, a1c = a0[:, None], a1[:, None]
-        terms = {
-            "U1": Term(_fan_diff(phih, a0c * dh), "h", ("h",), 0.0, fan),
-            "U2": Term(_fan_diff(phih, a1c * dq), "h", ("q",), 0.0, fan),
-            "U3": Term(_fan_diff(phih, a0 * dz), "h", (), 0.0, fan),
-            "U4": Term(_fan_diff(phiq, a1c * wgt[:, None] * dh), "q", ("h",),
-                       0.0, fan),
-            "U5": Term(_fan_diff(phiq, a0c * dq), "q", ("q",), 0.0, fan),
-            "U6": Term(_fan_diff(phiq, 2.0 * a1c * u_t[:, None] * dq), "q",
-                       ("q",), 0.0, fan),
-            "U7": Term(_fan_diff(phiq, a1 * wgt * dz), "q", (), 0.0, fan)}
-    else:
-        if "alpha0" not in bases or "alpha1" not in bases:
-            raise MissingAuxBasis("coeff_mode 'deim' needs alpha0/alpha1 bases")
+    def viscosity(phih, phiq, phihg, phiqg, zg, dz):
+        # Mode jumps at the n_cells+1 interfaces (ghosts replicated).
+        dh = np.diff(phihg, axis=0)
+        dq = np.diff(phiqg, axis=0)
+        if coeff_mode == COEFF_TAV:
+            a0 = averages["alpha0"]
+            a1 = averages["alpha1"]
+            a0c, a1c = a0[:, None], a1[:, None]
+            return {
+                "U1": Term(_fan_diff(phih, a0c * dh), "h", ("h",), 0.0, fan),
+                "U2": Term(_fan_diff(phih, a1c * dq), "h", ("q",), 0.0, fan),
+                "U3": Term(_fan_diff(phih, a0 * dz), "h", (), 0.0, fan),
+                "U4": Term(_fan_diff(phiq, a1c * wgt[:, None] * dh), "q",
+                           ("h",), 0.0, fan),
+                "U5": Term(_fan_diff(phiq, a0c * dq), "q", ("q",), 0.0, fan),
+                "U6": Term(_fan_diff(phiq, 2.0 * a1c * u_t[:, None] * dq),
+                           "q", ("q",), 0.0, fan),
+                "U7": Term(_fan_diff(phiq, a1 * wgt * dz), "q", (), 0.0,
+                           fan)}
         ca0 = bases["alpha0"].modes
         ca1 = bases["alpha1"].modes
-        terms = {
+        return {
             "U1": Term(_fan_tensor(phih, ca0, dh), "h", ("alpha0", "h"),
                        0.0, fan),
             "U2": Term(_fan_tensor(phih, ca1, dq), "h", ("alpha1", "q"),
@@ -99,7 +95,7 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                        "q", ("alpha1",), 0.0, fan)}
 
     return assemble_swe("swe_hll", bases, params, grid, linearization,
-                        averages, window_index, terms, coeff_mode)
+                        averages, window_index, viscosity, coeff_mode)
 
 
 def rom_swe_hll_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,

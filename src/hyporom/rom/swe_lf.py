@@ -65,10 +65,12 @@ def swe_inputs(linearization: str, coeff_mode: str | None,
 
 def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
                  linearization: str, averages: dict, window_index: int,
-                 terms: dict, coeff_mode: str | None = None) -> RomOperators:
-    """Window operators, compiled: the flux's own viscosity ``terms`` plus
-    A, E, G, the momentum flux and friction H, which every flux shares.
-    ``coeff_mode`` is the HLL fan coefficients' mode (None for PVM-0)."""
+                 viscosity, coeff_mode: str | None = None) -> RomOperators:
+    """Window operators, compiled: the flux's own terms, which
+    ``viscosity(phih, phiq, phihg, phiqg, zg, dz)`` forms from the modes,
+    their padded rows and the ``bed_profile``, plus A, E, G, the momentum
+    flux and friction H, which every flux shares.  ``coeff_mode`` is the
+    HLL fan coefficients' mode (None for PVM-0)."""
     if linearization not in LINEARIZATIONS:
         raise UnsupportedSystem(f"unknown linearization {linearization!r}")
     inputs = swe_inputs(linearization, coeff_mode, params.n_b)
@@ -80,7 +82,8 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
     phiq = bases["q"].modes
     phihg = pad_rows(phih)
     phiqg = pad_rows(phiq)
-    dz = bed_profile(params, grid)[1][:, None]
+    zg, dz = bed_profile(params, grid)
+    terms = viscosity(phih, phiq, phihg, phiqg, zg, dz)
     central = stencil_weights(phiq, _CENTRAL)
     dx, g = grid.dx, params.g
 
@@ -88,8 +91,8 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
                       0.0, -0.5 / dx)
     terms["E"] = Term(project_outer(central, phihg, phihg), "q", ("h", "h"),
                       0.0, -0.25 * g / dx)
-    terms["G"] = Term(phiq.T @ ((phihg[2:] + phih) * dz[1:]
-                                + (phih + phihg[:-2]) * dz[:-1]),
+    terms["G"] = Term(phiq.T @ ((phihg[2:] + phih) * dz[1:, None]
+                                + (phih + phihg[:-2]) * dz[:-1, None]),
                       "q", ("h",), 0.0, -0.25 * g / dx)
 
     if linearization == LIN_TAV:
@@ -143,21 +146,19 @@ def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
                         linearization: str, averages: dict,
                         window_index: int = 0) -> RomOperators:
-    phih = bases["h"].modes
-    phiq = bases["q"].modes
-    phihg = pad_rows(phih)
-    phiqg = pad_rows(phiq)
-    zg = bed_profile(params, grid)[0]
     half_nu = 0.5 * params.nu
-    return assemble_swe(
-        "swe_lf", bases, params, grid, linearization, averages, window_index,
-        terms={
+
+    def viscosity(phih, phiq, phihg, phiqg, zg, dz):
+        return {
             "B": Term(phih.T @ (phihg[2:] - 2.0 * phih + phihg[:-2]), "h",
                       ("h",), half_nu, 0.0),
             "C": Term(phih.T @ (zg[2:] - 2.0 * zg[1:-1] + zg[:-2]), "h", (),
                       half_nu, 0.0),
             "F": Term(phiq.T @ (phiqg[2:] - 2.0 * phiq + phiqg[:-2]), "q",
-                      ("q",), half_nu, 0.0)})
+                      ("q",), half_nu, 0.0)}
+
+    return assemble_swe("swe_lf", bases, params, grid, linearization,
+                        averages, window_index, viscosity)
 
 
 def rom_swe_lf_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,

@@ -7,6 +7,7 @@ from hyporom.fom import (BurgersParams, SweModel, SweParams, SweState,
                          TransportModel, TransportParams, cfl_dt,
                          interface_fan, run_fom, transport_stationary)
 from hyporom.fom import swe as swe_module
+from hyporom.fom.swe import friction_kernel
 from hyporom.grid import Grid1D
 
 from oracles import kahan_sum
@@ -107,20 +108,23 @@ def _dam_case(flux, n=60):
 
 @pytest.mark.parametrize("record, extra", [(True, 1), (False, 0)])
 def test_hll_run_forms_one_fan_per_state(monkeypatch, record, extra):
-    # Recorded: fields forms each state's fan and the next step reuses it
-    # (N + 1 fans for N steps); plain: each step forms its own.
+    # Each step forms the fan of its state (N columns for N steps); a
+    # recorded run then derives the fan of each recorded column once.
+    # Columns are counted, not calls, so the derivation's block width is
+    # free.
     model, state = _dam_case(FluxChoice.HLL)
-    calls = []
+    cols = []
     fan = swe_module._fan
 
-    def counted(*args):
-        calls.append(1)
-        return fan(*args)
+    def counted(hg, ug, g):
+        cols.append(1 if hg.ndim == 1 else hg.shape[1])
+        return fan(hg, ug, g)
 
     monkeypatch.setattr(swe_module, "_fan", counted)
     res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
     assert res.n_steps > 10
-    assert len(calls) == res.n_steps + extra
+    recorded = res.snapshots["h"].n_cols if record else 0
+    assert sum(cols) == res.n_steps + extra * recorded
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
@@ -147,23 +151,33 @@ def test_run_constructs_one_state_per_step(monkeypatch, flux, record):
                                   FluxChoice.RUSANOV, FluxChoice.HLL])
 @pytest.mark.parametrize("record", [True, False])
 def test_run_is_bitwise_the_public_step_loop(flux, record):
-    # The model's shared bed and fans change no bit of a run:
-    # replay it with a fresh model on caller-built copies of each state,
-    # from which it derives everything anew.
+    # The model's shared bed and the derivation of the auxiliary columns
+    # after the run change no bit of a run: replay it with a fresh model
+    # on caller-built copies of each state, from which it derives
+    # everything anew.
     model, state = _dam_case(flux)
     res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
     params, grid = model.params, model.grid
     ref = SweModel(params, grid, flux)
+    names = ["h", "q", "u", "f"]
+    if flux is FluxChoice.HLL:
+        names += ["alpha0", "alpha1", "htilde", "utilde"]
+    assert list(res.snapshots) == (names if record else [])
     cur = state
-    for n, dt in enumerate(res.dts):
-        assert cfl_dt(ref, cur, 0.9) == dt or n == len(res.dts) - 1
-        nxt = ref.step(cur, dt)
+    for n in range(len(res.times)):
         if record:
+            want = {"h": cur.h, "q": cur.q, "u": cur.q / cur.h,
+                    "f": friction_kernel(cur.h, cur.q)}
             if flux is FluxChoice.HLL:
-                for name, arr in zip(("htilde", "utilde", "alpha0", "alpha1"),
-                                     interface_fan(cur, params, grid)):
-                    assert np.array_equal(res.snapshots[name].data[:, n], arr)
-            assert np.array_equal(res.snapshots["h"].data[:, n], cur.h)
+                want.update(zip(("htilde", "utilde", "alpha0", "alpha1"),
+                                interface_fan(cur, params, grid)))
+            for name, arr in want.items():
+                assert np.array_equal(res.snapshots[name].data[:, n], arr)
+        if n == res.n_steps:
+            break
+        dt = res.dts[n]
+        assert cfl_dt(ref, cur, 0.9) == dt or n == res.n_steps - 1
+        nxt = ref.step(cur, dt)
         cur = SweState(h=nxt.h.copy(), q=nxt.q.copy())
     assert np.array_equal(res.final_state.h, cur.h)
     assert np.array_equal(res.final_state.q, cur.q)

@@ -57,7 +57,9 @@ class TestRecorder:
 
     def test_strided_run_records_the_fields_it_evaluated(self):
         from hyporom.fluxes import FluxChoice
-        from hyporom.fom import SweModel, SweParams, SweState, run_fom
+        from hyporom.fom import (SweModel, SweParams, SweState,
+                                 interface_fan, run_fom)
+        from hyporom.fom import swe
         from hyporom.grid import Grid1D
 
         seen = []
@@ -70,13 +72,26 @@ class TestRecorder:
 
         grid = Grid1D(0.0, 1.0, 12)
         h0 = np.where(grid.centers <= 0.5, 2.0, 1.0)
-        model = Seen(SweParams(n_b=0.05), grid, FluxChoice.HLL)
+        params = SweParams(n_b=0.05)
+        model = Seen(params, grid, FluxChoice.HLL)
         res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
                       t_final=14.0, cfl=0.9, snapshot_stride=3)
-        assert len(seen) > BLOCK + 1
-        for var, mat in res.snapshots.items():
-            assert np.array_equal(mat.data,
+        n_cols = len(seen)
+        assert n_cols > BLOCK + 1
+        assert n_cols % swe._DERIVE_COLS != 0
+        # h and q are what fields returned; every other column is derived
+        # from them after the run.
+        for var in ("h", "q"):
+            assert np.array_equal(res.snapshots[var].data,
                                   np.column_stack([s[var] for s in seen]))
+        for n, s in enumerate(seen):
+            state = SweState(h=s["h"], q=s["q"])
+            want = {"u": s["q"] / s["h"],
+                    "f": swe.friction_kernel(s["h"], s["q"])}
+            want.update(zip(("htilde", "utilde", "alpha0", "alpha1"),
+                            interface_fan(state, params, grid)))
+            for var, col in want.items():
+                assert np.array_equal(res.snapshots[var].data[:, n], col)
         times = res.snapshots["h"].times
         np.testing.assert_array_equal(times[:-1], res.times[:-1:3])
         assert times[-1] == res.times[-1]
@@ -119,8 +134,7 @@ class TestRecorder:
         h = res.snapshots["h"].data
         q = res.snapshots["q"].data
         f = res.snapshots["f"].data
-        np.testing.assert_allclose(f, np.abs(q) / h ** (7.0 / 3.0),
-                                   rtol=0, atol=1e-15)
+        assert np.array_equal(f, np.abs(q) / h ** (7.0 / 3.0))
 
     def test_interface_columns_recomputable_from_primaries(self):
         from hyporom.fluxes import FluxChoice
@@ -143,14 +157,10 @@ class TestRecorder:
             state = SweState(h=res.snapshots["h"].data[:, n],
                              q=res.snapshots["q"].data[:, n])
             h_t, u_t, a0, a1 = interface_fan(state, params, grid)
-            np.testing.assert_allclose(res.snapshots["alpha0"].data[:, n],
-                                       a0, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(res.snapshots["alpha1"].data[:, n],
-                                       a1, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(res.snapshots["htilde"].data[:, n],
-                                       h_t, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(res.snapshots["utilde"].data[:, n],
-                                       u_t, rtol=0, atol=1e-15)
+            assert np.array_equal(res.snapshots["alpha0"].data[:, n], a0)
+            assert np.array_equal(res.snapshots["alpha1"].data[:, n], a1)
+            assert np.array_equal(res.snapshots["htilde"].data[:, n], h_t)
+            assert np.array_equal(res.snapshots["utilde"].data[:, n], u_t)
 
 
 class TestPartition:
