@@ -5,8 +5,9 @@ driver needs: max wave speed, one explicit step, and the conserved state
 to record per snapshot column.  Steps are pure functions of (state, dt),
 and a model keeps nothing between them.  The driver is strictly
 sequential in time, clamps the final step so the run lands exactly on
-t_final, and for the SWE derives u, f and the HLL fan from the recorded
-h and q after the run.
+t_final, and returns the matrices the model records (``fields``): w, or
+h and q.  The SWE's auxiliary fields (u, f, the HLL fan) are formed
+from h and q where they are read (``fom/swe.py``, ``derived_fields``).
 """
 
 import time
@@ -69,10 +70,11 @@ class BurgersModel:
 
 
 class SweModel:
-    """SWE model; records h and q.  ``run_fom`` derives u = q/h,
-    f = |q|/h^(7/3) and, with the HLL flux, the per-interface fan data
-    (alpha0, alpha1, Roe averages) from them after the run, by the
-    expressions the step evaluates.  The bed profile (padded bed and its
+    """SWE model; records h and q only.  u = q/h, f = |q|/h^(7/3) and,
+    with the HLL flux, the per-interface fan data (alpha0, alpha1, Roe
+    averages) are pointwise functions of them, which the offline stage
+    derives per window slice by the expressions the step evaluates
+    (``swe.derived_fields``).  The bed profile (padded bed and its
     interface jumps) is formed once, here, from the ``params`` and
     ``grid`` given.
     """
@@ -164,13 +166,7 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
                 recorder.record(model.fields(state), t)
     wall = time.perf_counter() - t0
 
-    snapshots = recorder.finalize() if recorder else {}
-    if snapshots and isinstance(model, SweModel):
-        h = snapshots["h"]
-        for name, data in _swe._derived_fields(
-                h.data, snapshots["q"].data, model.params.g,
-                model.flux is FluxChoice.HLL).items():
-            snapshots[name] = SnapshotMatrix(name, data, h.times, h.dts)
     return FomResult(final_state=state, times=np.array(times),
-                     dts=np.array(dts), snapshots=snapshots,
+                     dts=np.array(dts),
+                     snapshots=recorder.finalize() if recorder else {},
                      wall_seconds=wall)

@@ -15,9 +15,12 @@ its DEIM points and in its assemblers.
 
 ``SweModel`` (fom/driver.py) is the entry to the schemes.  A ``SweState``
 is checked when it is built (finite values, positive depth) and owns
-read-only arrays, so every state a step reads or returns is valid.  The
-auxiliary snapshots of a run (u, f, the HLL fan) are derived from its
-recorded h and q afterwards by the same closures (``_derived_fields``).
+read-only arrays, so every state a step reads or returns is valid.  A
+run records h and q only.  The auxiliary snapshots (u, f, the HLL fan)
+are pointwise functions of them, formed by the same closures from any
+column range of the recorded matrices (``derived_fields``): the offline
+stage derives each window's slices, ``hyporom fom run`` the whole
+recording.
 """
 
 from dataclasses import dataclass
@@ -31,12 +34,17 @@ from ..fluxes import FluxChoice, pvm0_constant
 from ..grid import Grid1D
 
 _FAN_TOL = 1e-12
-# Columns per block of ``_derived_fields``.  On the HLL recording of the
-# 1600-cell dam break (739 columns, 1 BLAS thread, 2-core shared host;
-# three runs, median of 7 each) the derivation took 0.055-0.067 s at 16
-# columns, 0.055-0.060 s at 32, 0.063-0.079 s at 64 and 0.11-0.14 s at
-# 256: a small block's temporaries stay in cache.
+# Columns per block of ``derived_fields``.  Deriving all six fields of the
+# HLL recording of the 1600-cell dam break (739 columns, 1 BLAS thread,
+# 2-core shared host; three runs, median of 7 each) took 0.055-0.067 s at
+# 16 columns, 0.055-0.060 s at 32, 0.063-0.079 s at 64 and 0.11-0.14 s at
+# 256: a small block's temporaries stay in cache.  The offline stage
+# derives per window slice (148-149 columns in the benchmark's 5-window
+# builds), so a block never spans two windows.
 _DERIVE_COLS = 16
+# The interface fields of ``derived_fields``, in the order ``_fan`` gives
+# them; they have n_cells + 1 rows.
+FAN_FIELDS = ("htilde", "utilde", "alpha0", "alpha1")
 
 
 def flat_bottom(x):
@@ -156,32 +164,29 @@ def _fan(hg, ug, g):
                    c[:-1], c[1:], g)
 
 
-def interface_fan(state: SweState, params: SweParams, grid: Grid1D):
-    """(h_tilde, u_tilde, alpha0, alpha1) at all n_cells+1 interfaces of
-    the state, ghosts replicated: the fan data an HLL step uses."""
-    hg = _pad(state.h)
-    return _fan(hg, _pad(state.q) / hg, params.g)
-
-
-def _derived_fields(h, q, g: float, hll: bool) -> dict:
-    """u = q/h, f = ``friction_kernel`` and, with ``hll``, the fan at the
-    n_cells+1 interfaces of every column of the recorded h and q, formed
-    ``_DERIVE_COLS`` columns at a time into F-order arrays.  Each column
-    is bitwise what the closures give for its own state."""
+def derived_fields(h, q, g: float, names) -> dict:
+    """The auxiliary fields ``names`` of the columns of h and q, each a new
+    F-order array: u = q/h and f = ``friction_kernel`` with n_cells rows,
+    the ``FAN_FIELDS`` at the n_cells+1 interfaces (ghosts replicated).
+    They are formed ``_DERIVE_COLS`` columns at a time, one fan per block
+    for all fan fields, so each column is bitwise what the closures give
+    for its own state, whichever columns are derived together."""
     n, cols = h.shape
-    fan = ("alpha0", "alpha1", "htilde", "utilde") if hll else ()
-    out = {name: np.empty((n + (name in fan), cols), order="F")
-           for name in ("u", "f") + fan}
+    out = {name: np.empty((n + (name in FAN_FIELDS), cols), order="F")
+           for name in names}
+    fan = [(k, out[name]) for k, name in enumerate(FAN_FIELDS) if name in out]
     for start in range(0, cols, _DERIVE_COLS):
         blk = slice(start, start + _DERIVE_COLS)
         hb, qb = h[:, blk], q[:, blk]
-        np.divide(qb, hb, out=out["u"][:, blk])
-        out["f"][:, blk] = friction_kernel(hb, qb)
-        if hll:
+        if "u" in out:
+            np.divide(qb, hb, out=out["u"][:, blk])
+        if "f" in out:
+            out["f"][:, blk] = friction_kernel(hb, qb)
+        if fan:
             hg = _pad(hb)
-            (out["htilde"][:, blk], out["utilde"][:, blk],
-             out["alpha0"][:, blk], out["alpha1"][:, blk]) = \
-                _fan(hg, _pad(qb) / hg, g)
+            values = _fan(hg, _pad(qb) / hg, g)
+            for k, a in fan:
+                a[:, blk] = values[k]
     return out
 
 

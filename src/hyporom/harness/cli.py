@@ -17,7 +17,8 @@ import numpy as np
 
 from ..errors import ConfigError, HyporomError
 from ..fom import run_fom
-from ..snapshots import export_csv
+from ..fom.swe import FAN_FIELDS, derived_fields
+from ..snapshots import SnapshotMatrix, export_csv
 from .config import ExperimentConfig, load_config
 from .experiment import (_case, _require_horizon, _state_fields,
                          run_experiment, run_prediction, sweep_modes_windows)
@@ -54,7 +55,9 @@ def fom():
 @fom.command("run")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def fom_run(config_path):
-    """Run the FOM of CONFIG and write one snapshot CSV per variable."""
+    """Run the FOM of CONFIG and write one snapshot CSV per variable: the
+    recorded ones, and for the SWE u, f and (HLL) the fan fields derived
+    from h and q."""
     config = _guard(load_config, config_path)
     _guard(_require_horizon, config, "fom run")
 
@@ -62,9 +65,16 @@ def fom_run(config_path):
         _, model, state0 = _case(config)
         res = run_fom(model, state0, config.t_final, config.cfl,
                       snapshot_stride=config.snapshot_stride)
+        snapshots = dict(res.snapshots)
+        if config.system == "swe":
+            h, q = snapshots["h"], snapshots["q"]
+            names = ("u", "f") + (FAN_FIELDS if config.flux == "hll" else ())
+            for name, data in derived_fields(h.data, q.data, model.params.g,
+                                             names).items():
+                snapshots[name] = SnapshotMatrix(name, data, h.times, h.dts)
         outdir = Path(config.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, matrix in res.snapshots.items():
+        for name, matrix in snapshots.items():
             export_csv(matrix, outdir / f"snapshots_{name}.csv")
         click.echo(f"{config.preset}: {res.n_steps} steps, "
                    f"{res.wall_seconds:.3f}s, outputs in {outdir}")

@@ -23,9 +23,9 @@ caller that owns an immutable slice passes ``thin_svd`` a dict for it
 values of R there (p x p + p floats for a slice of min(rows, cols) = p),
 and later calls reuse them.  The QR and the application of Q run on
 every call, so the result is bitwise that of a fresh decomposition.  The
-caller keeps the dict only as long as the slice cannot change; snapshot
-matrices keep one per window slice of their read-only data (see
-``snapshots``).
+caller keeps the dict only as long as the slice cannot change: a
+recording keeps one per (variable, window) slice of its read-only data,
+the derived variables included (see ``snapshots`` and ``rom.driver``).
 
 The three LAPACK routines (``dgeqrt``, ``dgesdd`` of R with jobz 'S'
 and the workspace it asks for, ``dgemqrt``) are called through
@@ -123,10 +123,11 @@ class SliceSvd:
     ``factor`` then runs the three LAPACK calls without the GIL and
     allocates no array of the slice's size, so a worker thread can run it
     while the thread that built the object works on.  ``result`` gives
-    what ``thin_svd`` returns.  ``kept`` is as in ``thin_svd``."""
+    what ``thin_svd`` returns.  ``kept`` and ``overwrite`` are as in
+    ``thin_svd``."""
 
     def __init__(self, data: np.ndarray, k: int | None = None,
-                 kept: dict | None = None):
+                 kept: dict | None = None, overwrite: bool = False):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.size == 0:
             raise EmptySlice("snapshot slice is empty")
@@ -137,7 +138,10 @@ class SliceSvd:
         self.k = p if k is None else min(max(int(k), 1), p)
         self.kept = kept
         nb = min(_QR_BLOCK, p)
-        self.qr = np.array(data, order="F")
+        if overwrite and data.flags.f_contiguous and data.flags.writeable:
+            self.qr = data
+        else:
+            self.qr = np.array(data, order="F")
         self.t = np.zeros((nb, p), order="F")
         self.work = np.empty(nb * c)        # k <= c: serves dgemqrt too
         self.lead = np.zeros((n, self.k), order="F")
@@ -173,13 +177,17 @@ class SliceSvd:
 
 
 def thin_svd(data: np.ndarray, k: int | None = None,
-             kept: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+             kept: dict | None = None,
+             overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Leading k left singular vectors (signs fixed) and all singular
     values of a slice.  k is clamped to [1, min(rows, cols)], like the
     mode count of ``select_modes``; k = None forms all min(rows, cols)
     vectors.  ``kept``, if given, holds the small SVD of this slice's R
-    across calls: filled by the first call, reused by later ones."""
-    svd = SliceSvd(data, k, kept)
+    across calls: filled by the first call, reused by later ones.  With
+    ``overwrite`` the caller hands the slice over: an F-ordered writable
+    one is factored in place, without a copy, and holds the QR factors
+    afterwards."""
+    svd = SliceSvd(data, k, kept, overwrite)
     svd.factor()
     return svd.result()
 

@@ -1,12 +1,16 @@
 """Offline assembly and online time-stepping of the reduced models.
 
 Offline: the snapshot columns of each training run are partitioned into
-N_v uniform windows; same-window blocks are pooled across runs, one POD
-basis per (variable, window) is built (a window's slices are decomposed
-in two fixed halves, the second on a worker thread), the per-system mode
-count is unified, and the window averages and compiled operators are
-assembled; a SWE window then gets DEIM interpolants for exactly the
-inputs its operators read (``ops.inputs``).
+N_v uniform windows; same-window blocks are pooled across runs.  A run
+records its conserved variables only (w, or h and q); a SWE window's
+auxiliary slices (u, f, the HLL fan) are derived from its h and q slices
+(``fom.swe.derived_fields``), only for the variables the configuration
+reads, and die with the window.  One POD basis per (variable, window) is
+built (a window's slices are decomposed in two fixed halves, the second
+on a worker thread; a derived slice is factored in place), the
+per-system mode count is unified, and the window averages and compiled
+operators are assembled; a SWE window then gets DEIM interpolants for
+exactly the inputs its operators read (``ops.inputs``).
 
 Online: the reduced state replays the first run's recorded dt sequence.
 It stays packed, x = [c_var for each conserved variable], and the replay
@@ -30,6 +34,7 @@ import numpy as np
 from ..deim import deim_offline
 from ..errors import (BreakdownInEigensolve, HyporomError, NonFiniteState,
                       NonPositiveDepth, ShapeMismatch, UnsupportedSystem)
+from ..fom.swe import derived_fields
 from ..grid import Grid1D
 from ..pod import (SliceSvd, fallback_basis, lift, numerical_rank,
                    pod_basis, select_modes, thin_svd, window_transfer)
@@ -108,28 +113,43 @@ def _window_cols(partition: WindowPartition, v: int) -> tuple[int, int]:
 
 
 def _pooled_slice(groups, partitions, var, v) -> np.ndarray:
-    """Window slice pooled across training runs."""
+    """Window slice of a recorded variable, pooled across training runs."""
     blocks = [g[var].window(*_window_cols(p, v))
               for g, p in zip(groups, partitions)]
     return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
-def _kept_svd(groups, partitions, var, v) -> dict | None:
-    """The ``kept`` dict of ``thin_svd`` for a window slice, or None.  A
-    single run's slice views its matrix's read-only data, so the matrix
-    keeps the slice's small SVD across builds.  A pooled slice is a new
-    copy, and writable data (that of a deep-copied matrix) could change
-    under a kept SVD."""
-    matrix = groups[0][var]
-    if len(groups) > 1 or matrix.data.flags.writeable:
-        return None
-    return matrix.window_svds.setdefault(_window_cols(partitions[0], v), {})
-
-
-def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
-    """Per-variable bases for window v with a unified mode count."""
+def _window_slices(groups, partitions, recorded, derived, v, g) -> dict:
+    """Window v's slice of each recorded variable, and of each ``derived``
+    one: a new F-order array formed from the (pooled) h and q slices, so
+    its columns are bitwise those of the whole-recording derivation."""
     slices = {var: _pooled_slice(groups, partitions, var, v)
-              for var in variables}
+              for var in recorded}
+    if derived:
+        slices.update(derived_fields(slices["h"], slices["q"], g, derived))
+    return slices
+
+
+def _kept_svd(groups, partitions, recorded, var, v, g) -> dict | None:
+    """The ``kept`` dict of ``thin_svd`` for a window slice, or None.  A
+    single run whose recorded matrices are read-only keeps the small SVDs
+    of its window slices, derived ones included, on its first recorded
+    matrix (w, or h).  The key names the variable, the window columns and
+    what else a derived slice is a function of: the other recorded
+    matrices (q) and gravity.  A pooled slice is a new copy, and writable
+    data (that of a deep-copied matrix) could change under a kept SVD."""
+    first, *others = (groups[0][name] for name in recorded)
+    if len(groups) > 1 or any(m.data.flags.writeable
+                              for m in (first, *others)):
+        return None
+    key = (var, *_window_cols(partitions[0], v), *others, g)
+    return first.window_svds.setdefault(key, {})
+
+
+def _window_bases(slices, owned, v, eps_pod, mode_cap, kept_svd):
+    """Per-variable bases for window v with a unified mode count.  The
+    slices named in ``owned`` are the build's own buffers: the SVD factors
+    them in place.  ``kept_svd(var)`` gives the ``kept`` dict of a slice."""
     # max|s| without an |s| temporary; a NaN makes both reductions NaN.
     peaks = {var: float(max(s.max(), -s.min())) for var, s in slices.items()}
     if not np.all(np.isfinite(list(peaks.values()))):
@@ -144,16 +164,17 @@ def _window_bases(groups, partitions, variables, v, eps_pod, mode_cap):
     # the second on a worker thread, into arrays allocated here.  The split
     # does not depend on the CPU count, so neither do the bases.
     nonzero = [var for var in slices if peaks[var] > zero_tol]
-    kept = {var: _kept_svd(groups, partitions, var, v) for var in nonzero}
+    kept = {var: kept_svd(var) for var in nonzero}
     mine = nonzero[:len(nonzero) - len(nonzero) // 2]
     # No unified M exceeds the cap, so only that many modes are formed.
-    theirs = [SliceSvd(slices[var], mode_cap, kept[var])
+    theirs = [SliceSvd(slices[var], mode_cap, kept[var], var in owned)
               for var in nonzero[len(mine):]]
     decomposed = {}
 
     def first_half():
         for var in mine:
-            decomposed[var] = thin_svd(slices[var], mode_cap, kept[var])
+            decomposed[var] = thin_svd(slices[var], mode_cap, kept[var],
+                                       overwrite=var in owned)
 
     def second_half():
         for svd in theirs:
@@ -211,7 +232,10 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
     """Offline stage: windows, bases, averages, interpolants, operators.
 
     ``groups`` is a list of snapshot dictionaries, one per training run
-    (a single-element list for the non-parametric pipeline).
+    (a single-element list for the non-parametric pipeline), each holding
+    the run's conserved variables (w, or h and q); other entries are not
+    read.  Each window derives the other variables it needs from its h
+    and q slices.
     """
     if system not in SYSTEMS:
         raise UnsupportedSystem(f"unknown reduced system {system!r}")
@@ -222,32 +246,37 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     if not groups:
         raise ShapeMismatch("need at least one snapshot group")
+    recorded = conserved_variables(system)
     variables = basis_variables(system, linearization, coeff_mode,
                                 params.n_b if swe else 0.0)
     avg_vars = average_variables(system, linearization, coeff_mode)
-    for g in groups:
-        missing = [v for v in set(variables) | set(avg_vars) if v not in g]
+    derived = tuple(var for var in dict.fromkeys(variables + avg_vars)
+                    if var not in recorded)
+    for group in groups:
+        missing = [var for var in recorded if var not in group]
         if missing:
             raise ShapeMismatch(f"snapshot group lacks variables {missing}")
 
-    partitions = [partition_uniform(g[variables[0]].n_cols, n_windows)
-                  for g in groups]
+    g = params.g if swe else None
+    partitions = [partition_uniform(group[recorded[0]].n_cols, n_windows)
+                  for group in groups]
 
     windows = []
     modes_per_window = []
     spectra = {}
     for v in range(n_windows):
-        bases, win_spectra, m = _window_bases(groups, partitions, variables,
-                                              v, eps_pod, mode_cap)
+        slices = _window_slices(groups, partitions, recorded, derived, v, g)
+        # Averaged before the SVDs factor the derived slices in place.
+        averages = {var: time_average(slices[var])
+                    for var in avg_vars} or None
+        bases, win_spectra, m = _window_bases(
+            {var: slices[var] for var in variables}, derived, v, eps_pod,
+            mode_cap,
+            lambda var: _kept_svd(groups, partitions, recorded, var, v, g))
+        del slices                      # the derived slices die here
         for var, sig in win_spectra.items():
             spectra[(var, v)] = sig
         modes_per_window.append(m)
-
-        averages = None
-        if avg_vars:
-            averages = {
-                var: time_average(_pooled_slice(groups, partitions, var, v))
-                for var in avg_vars}
 
         context = None
         if system == "transport":

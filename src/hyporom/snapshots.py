@@ -15,10 +15,15 @@ A matrix owns its data and makes it read-only: the recorder and
 ``concat_parametric`` hand it arrays that nothing else holds, and the
 constructor takes an F-order float array as it is, without a copy.  To
 edit snapshots, build a new matrix (``dataclasses.replace(m, data=...)``).
-Since the data cannot change, a matrix keeps, per window column range,
-the small SVD of that slice's triangle R (``window_svds``, filled by
-``pod.thin_svd``), so builds at several mode caps on one recording
-decompose each window's triangle once.  The kept SVDs are freed with the
+Since the data cannot change, the first recorded matrix of a run (w, or
+h) keeps the small SVD of each window slice's triangle R
+(``window_svds``, filled by ``pod.thin_svd``), for every variable a
+build decomposes: the recorded ones and those it derives from h and q.
+So builds at several mode caps on one recording decompose each window's
+triangle once.  A slice's entry is keyed by its variable, its window
+columns and what else its values depend on (the q matrix and gravity;
+``rom.driver._kept_svd``).  A matrix compares and hashes by identity so
+that it can be part of such a key.  The kept SVDs are freed with the
 matrix; a new matrix starts with none.  A deep copy's data is writable,
 so builds neither use nor extend what the copy carried over.
 """
@@ -31,22 +36,26 @@ from .errors import (EmptySlice, IoError, NonMonotoneTime, ShapeMismatch,
                      TooFewSnapshots)
 
 # Columns per recorder block, chosen on the 1600-cell dam breaks of the
-# benchmark (a block of one field is 3.3 MB).  From 512 columns a block
-# passes the 4 MB from which numpy asks Linux for huge pages, and peak RSS
-# rose by 15-40 MB; at 32-64 columns a variable's freed blocks leave holes
-# too small for its matrix, so recording peaked at two copies again.
+# benchmark (a block of one field is 3.3 MB), when a recording held 4-8
+# fields.  From 512 columns a block passes the 4 MB from which numpy asks
+# Linux for huge pages, and peak RSS rose by 15-40 MB; at 32-64 columns a
+# variable's freed blocks left holes too small for its matrix, so
+# recording peaked at two copies again.  With the 2 fields recorded now
+# (h, q: 18.9 MB on the HLL dam break, 1 BLAS thread) the first still
+# holds and the second no longer shows: a recorded run raised peak RSS
+# over the import baseline by 21.0, 21.7, 23.4 and 28.2 MB at 64, 128,
+# 256 and 512 columns.
 _BLOCK_COLS = 256
 
 
-@dataclass
+@dataclass(eq=False)
 class SnapshotMatrix:
     variable_id: str
     data: np.ndarray          # n_rows x n_cols, F order; column n at times[n]
     times: np.ndarray
     dts: np.ndarray
-    # (start, stop) -> the ``kept`` dict of ``pod.thin_svd`` for that slice
-    window_svds: dict = field(default_factory=dict, init=False,
-                              compare=False, repr=False)
+    # key of a window slice -> the ``kept`` dict of ``pod.thin_svd`` for it
+    window_svds: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.data = np.asfortranarray(self.data, dtype=float)

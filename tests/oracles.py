@@ -8,6 +8,7 @@ oracle goes through the Gram-matrix eigendecomposition, and sums that
 back accuracy claims use compensated (Kahan) accumulation.
 
 The last section keeps reference copies of retired package code: the
+per-state HLL fan of the SWE, the
 projection of a full field onto a POD basis, the window SVD through
 scipy's LAPACK wrappers, the POD basis of one slice through the chain
 the offline build runs, the whole-field DEIM
@@ -25,6 +26,7 @@ from scipy.linalg import lapack
 from hyporom.deim import deim_online_values
 from hyporom.errors import (BreakdownInEigensolve, DegenerateWaveFan,
                             EmptySlice, EvaluationError, ShapeMismatch)
+from hyporom.fom.swe import hll_fan
 from hyporom.pod import (_QR_BLOCK, _fix_signs, numerical_rank, pod_basis,
                          select_modes, thin_svd)
 
@@ -528,6 +530,18 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params, dx, dt):
 
 # ---------------------------------------------------------------------------
 # Reference copies of retired package code
+
+
+def interface_fan(state, g):
+    """(h_tilde, u_tilde, alpha0, alpha1) at all n_cells+1 interfaces of
+    one SWE state, ghosts replicated: the fan an HLL step of the state
+    forms, through the ``hll_fan`` closure of a 1-D state."""
+    hg = np.concatenate(([state.h[0]], state.h, [state.h[-1]]))
+    ug = np.concatenate(([state.q[0]], state.q, [state.q[-1]])) / hg
+    root = np.sqrt(hg)
+    c = np.sqrt(g * hg)
+    return hll_fan(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:],
+                   c[:-1], c[1:], g)
 
 
 def project(basis, fld):

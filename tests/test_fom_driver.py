@@ -4,13 +4,13 @@ import pytest
 from hyporom.errors import ConfigError
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import (BurgersParams, SweModel, SweParams, SweState,
-                         TransportModel, TransportParams, cfl_dt,
-                         interface_fan, run_fom, transport_stationary)
+                         TransportModel, TransportParams, cfl_dt, run_fom,
+                         transport_stationary)
 from hyporom.fom import swe as swe_module
-from hyporom.fom.swe import friction_kernel
+from hyporom.fom.swe import FAN_FIELDS, derived_fields, friction_kernel
 from hyporom.grid import Grid1D
 
-from oracles import kahan_sum
+from oracles import interface_fan, kahan_sum
 
 
 def test_stationary_run_returns_to_start():
@@ -78,7 +78,9 @@ def test_snapshot_stride_keeps_full_dt_sequence():
     np.testing.assert_allclose(np.diff(snap.times), snap.dts, rtol=0, atol=1e-15)
 
 
-def test_swe_hll_records_interface_variables():
+def test_swe_run_records_h_and_q_only():
+    # Whatever the flux, a run returns the two recorded matrices; the
+    # derivation from them gives the interface fields one row more.
     grid = Grid1D(-5.0, 5.0, 40)
 
     def z(x):
@@ -86,12 +88,18 @@ def test_swe_hll_records_interface_variables():
 
     params = SweParams(g=9.81, bathymetry=z)
     state = SweState(h=-z(grid.centers), q=np.zeros(40))
-    model = SweModel(params, grid, FluxChoice.HLL)
-    res = run_fom(model, state, t_final=0.05, cfl=0.9)
-    for name in ("alpha0", "alpha1", "utilde", "htilde"):
-        assert res.snapshots[name].n_rows == 41
-    for name in ("h", "q", "u", "f"):
-        assert res.snapshots[name].n_rows == 40
+    for flux in (FluxChoice.MODIFIED_LAX_FRIEDRICHS, FluxChoice.HLL):
+        res = run_fom(SweModel(params, grid, flux), state, t_final=0.05,
+                      cfl=0.9)
+        assert set(res.snapshots) == {"h", "q"}
+        assert res.snapshots["h"].n_rows == res.snapshots["q"].n_rows == 40
+    derived = derived_fields(res.snapshots["h"].data,
+                             res.snapshots["q"].data, params.g,
+                             ("u", "f") + FAN_FIELDS)
+    for name in FAN_FIELDS:
+        assert derived[name].shape == (41, res.snapshots["h"].n_cols)
+    for name in ("u", "f"):
+        assert derived[name].shape == (40, res.snapshots["h"].n_cols)
 
 
 def _dam_case(flux, n=60):
@@ -106,12 +114,10 @@ def _dam_case(flux, n=60):
     return SweModel(params, grid, flux), SweState(h=h0, q=np.zeros_like(h0))
 
 
-@pytest.mark.parametrize("record, extra", [(True, 1), (False, 0)])
-def test_hll_run_forms_one_fan_per_state(monkeypatch, record, extra):
-    # Each step forms the fan of its state (N columns for N steps); a
-    # recorded run then derives the fan of each recorded column once.
-    # Columns are counted, not calls, so the derivation's block width is
-    # free.
+def test_hll_run_forms_one_fan_per_state(monkeypatch):
+    # Each step forms the fan of its state (N columns for N steps), and a
+    # recorded run forms no other: the fan of a recorded column is derived
+    # where a build reads it.  Columns are counted, not calls.
     model, state = _dam_case(FluxChoice.HLL)
     cols = []
     fan = swe_module._fan
@@ -121,10 +127,11 @@ def test_hll_run_forms_one_fan_per_state(monkeypatch, record, extra):
         return fan(hg, ug, g)
 
     monkeypatch.setattr(swe_module, "_fan", counted)
-    res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
-    assert res.n_steps > 10
-    recorded = res.snapshots["h"].n_cols if record else 0
-    assert sum(cols) == res.n_steps + extra * recorded
+    for record in (True, False):
+        cols.clear()
+        res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
+        assert res.n_steps > 10
+        assert sum(cols) == res.n_steps
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
@@ -151,28 +158,29 @@ def test_run_constructs_one_state_per_step(monkeypatch, flux, record):
                                   FluxChoice.RUSANOV, FluxChoice.HLL])
 @pytest.mark.parametrize("record", [True, False])
 def test_run_is_bitwise_the_public_step_loop(flux, record):
-    # The model's shared bed and the derivation of the auxiliary columns
-    # after the run change no bit of a run: replay it with a fresh model
-    # on caller-built copies of each state, from which it derives
-    # everything anew.
+    # The model's shared bed changes no bit of a run: replay it with a
+    # fresh model on caller-built copies of each state.  The fields
+    # derived from the recording are bitwise those of each state.
     model, state = _dam_case(flux)
     res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
     params, grid = model.params, model.grid
     ref = SweModel(params, grid, flux)
-    names = ["h", "q", "u", "f"]
-    if flux is FluxChoice.HLL:
-        names += ["alpha0", "alpha1", "htilde", "utilde"]
-    assert list(res.snapshots) == (names if record else [])
+    assert list(res.snapshots) == (["h", "q"] if record else [])
+    if record:
+        names = ("u", "f") + (FAN_FIELDS if flux is FluxChoice.HLL else ())
+        derived = derived_fields(res.snapshots["h"].data,
+                                 res.snapshots["q"].data, params.g, names)
     cur = state
     for n in range(len(res.times)):
         if record:
             want = {"h": cur.h, "q": cur.q, "u": cur.q / cur.h,
                     "f": friction_kernel(cur.h, cur.q)}
             if flux is FluxChoice.HLL:
-                want.update(zip(("htilde", "utilde", "alpha0", "alpha1"),
-                                interface_fan(cur, params, grid)))
+                want.update(zip(FAN_FIELDS, interface_fan(cur, params.g)))
             for name, arr in want.items():
-                assert np.array_equal(res.snapshots[name].data[:, n], arr)
+                got = derived[name] if name in derived \
+                    else res.snapshots[name].data
+                assert np.array_equal(got[:, n], arr)
         if n == res.n_steps:
             break
         dt = res.dts[n]

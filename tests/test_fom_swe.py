@@ -8,8 +8,7 @@ import pytest
 from hyporom.errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
                             ShapeMismatch)
 from hyporom.fluxes import FluxChoice
-from hyporom.fom import (SweModel, SweParams, SweState, cfl_dt, interface_fan,
-                         lake_at_rest)
+from hyporom.fom import SweModel, SweParams, SweState, cfl_dt, lake_at_rest
 from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
@@ -28,13 +27,20 @@ def _step(state, params, grid, dt, flux=FluxChoice.MODIFIED_LAX_FRIEDRICHS):
     return SweModel(params, grid, flux).step(state, dt)
 
 
+def interface_fan(state, g):
+    """The package's fan of one state: its derivation of a one-column
+    recording, in the order ``_fan`` gives it."""
+    fan = swe_module.derived_fields(state.h[:, None], state.q[:, None], g,
+                                    swe_module.FAN_FIELDS)
+    return tuple(fan[name][:, 0] for name in swe_module.FAN_FIELDS)
+
+
 def test_interface_fan_roe_examples():
     # Interface j + 1/2 averages cells j and j + 1; the first and last
     # average an edge cell with its ghost copy.
-    grid = Grid1D(0.0, 1.0, 5)
     h = np.array([1.0, 4.0, 1.0, 2.0, 0.5])
     u = np.array([2.0, 0.0, 3.0, 1.0, -1.0])
-    h_t, u_t, _, _ = interface_fan(SweState(h=h, q=h * u), BUMP_PARAMS, grid)
+    h_t, u_t, _, _ = interface_fan(SweState(h=h, q=h * u), BUMP_PARAMS.g)
     assert (h_t[0], u_t[0]) == (1.0, 2.0)
     assert h_t[2] == pytest.approx(2.5)
     assert u_t[2] == pytest.approx(1.0)
@@ -67,7 +73,7 @@ def test_hll_degenerate_fan():
 
 def _frozen_fan(hg, ug, g):
     """The fan as separate Roe-average, Davis-speed and HLL-coefficient
-    functions computed it before ``interface_fan``, inlined: the Davis
+    functions computed it before ``hll_fan``, inlined: the Davis
     speeds form the Roe averages a second time."""
     def roe(h_l, h_r, u_l, u_r):
         sl, sr = np.sqrt(h_l), np.sqrt(h_r)
@@ -100,7 +106,7 @@ def test_interface_fan_bitwise_frozen_path(seed):
     hg = np.concatenate(([state.h[0]], state.h, [state.h[-1]]))
     qg = np.concatenate(([state.q[0]], state.q, [state.q[-1]]))
     want = _frozen_fan(hg, qg / hg, BUMP_PARAMS.g)
-    got = interface_fan(state, BUMP_PARAMS, grid)
+    got = interface_fan(state, BUMP_PARAMS.g)
     for g_arr, w_arr in zip(got, want):
         assert g_arr.shape == (grid.n_cells + 1,)
         assert np.array_equal(g_arr, w_arr)

@@ -9,6 +9,7 @@ import pytest
 import hyporom
 from hyporom.errors import ConfigError, ExperimentError, ShapeMismatch
 from hyporom.fom import run_fom
+from hyporom.fom.swe import derived_fields
 from hyporom.grid import Grid1D
 from hyporom.harness import (ExperimentConfig, TIMING_COLUMNS, experiment,
                              initial_state, l1_error, linf_error, load_config,
@@ -374,6 +375,37 @@ class TestCli:
         assert got.shape == (want.n_cols, want.n_rows + 1)
         assert np.array_equal(got[:, 0], want.times)
         assert np.array_equal(got[:, 1:], want.data.T)
+
+    @pytest.mark.parametrize("flux, names", [
+        ("mlf", ["f", "h", "q", "u"]),
+        ("hll", ["alpha0", "alpha1", "f", "h", "htilde", "q", "u",
+                 "utilde"])])
+    def test_fom_run_writes_derived_snapshots(self, tmp_path, flux, names):
+        # A SWE run records h and q; the command derives the other fields
+        # of the whole recording before it writes them.
+        cfg = tmp_path / "fom.cfg"
+        cfg.write_text(f"preset = swe_dam_break\nn_cells = 30\nflux = {flux}"
+                       f"\nt_final = 0.3\noutdir = {tmp_path / 'o'}\n")
+        proc = self._run("fom", "run", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
+            [f"snapshots_{name}.csv" for name in names]
+        config = load_config(cfg)
+        grid = Grid1D(config.x_min, config.x_max, config.n_cells)
+        model = make_model(config, grid)
+        snaps = run_fom(model, initial_state(config, grid), config.t_final,
+                        config.cfl).snapshots
+        want = derived_fields(snaps["h"].data, snaps["q"].data,
+                              model.params.g,
+                              [n for n in names if n not in snaps])
+        want.update({var: m.data for var, m in snaps.items()})
+        for name in names:
+            with open(tmp_path / "o" / f"snapshots_{name}.csv",
+                      newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            got = np.array(rows, dtype=float)
+            assert np.array_equal(got[:, 0], snaps["h"].times)
+            assert np.array_equal(got[:, 1:], want[name].T)
 
     @pytest.mark.parametrize("command", [("fom", "run"), ("sweep",),
                                          ("predict",)])

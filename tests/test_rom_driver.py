@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import hyporom.fom.swe as swe
 import hyporom.pod as pod
+import hyporom.rom.driver as driver
 from hyporom.errors import (BreakdownInEigensolve, EvaluationError,
                             NonFiniteState, NonPositiveDepth, ShapeMismatch,
                             UnsupportedSystem)
@@ -21,7 +23,7 @@ from hyporom.pod import thin_svd
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F, LIN_TAV,
                          build_rom, rom_swe_hll_step, rom_swe_lf_step,
                          run_rom)
-from hyporom.snapshots import SnapshotMatrix
+from hyporom.snapshots import SnapshotMatrix, partition_uniform
 
 
 def _transport_run(n=100, t_final=2.0, perturbed=False):
@@ -152,8 +154,8 @@ def test_capped_build_forms_only_cap_columns(monkeypatch):
     grid, params, _, res = _transport_run(n=40, t_final=0.3, perturbed=True)
     asked = []
 
-    def spy(data, k=None, kept=None):
-        u, s = thin_svd(data, k, kept)
+    def spy(data, k=None, kept=None, overwrite=False):
+        u, s = thin_svd(data, k, kept, overwrite)
         asked.append((k, u.shape[1], min(data.shape)))
         return u, s
 
@@ -468,36 +470,86 @@ class TestSliceSvdReuse:
             assert all(sm.window_svds == {} for sm in fresh.values())
             _assert_bitwise(reused, self._build(run, fresh, cap))
 
+    # The bases of the build: h and q, and the slices each window derives.
+    VARIABLES = ("h", "q", "u", "f", "alpha0", "alpha1")
+
     def test_one_small_svd_per_slice(self, run, calls):
         snaps = self._fresh(run[2].snapshots)
         self._build(run, snaps, self.CAPS[0])
-        assert calls["thin_svd"] > 0
         assert calls["svd"] == calls["thin_svd"]
         first = calls["thin_svd"]
-        assert sum(len(sm.window_svds) for sm in snaps.values()) == first
+        # One kept entry per (variable, window), all on the h matrix.
+        kept = snaps["h"].window_svds
+        assert snaps["q"].window_svds == {}
+        assert len(kept) == first == 3 * len(self.VARIABLES)
+        assert sorted({key[:3] for key in kept}) == sorted(
+            (var, *driver._window_cols(self._partition(snaps), v))
+            for var in self.VARIABLES for v in range(3))
         for cap in self.CAPS[1:]:
             self._build(run, snaps, cap)
         assert calls["thin_svd"] == len(self.CAPS) * first
         assert calls["svd"] == first
+
+    @staticmethod
+    def _partition(snaps):
+        return partition_uniform(snaps["h"].n_cols, 3)
+
+    def test_derived_slices_are_factored_in_place(self, run, monkeypatch):
+        # Each derived slice is the SVD's own buffer; h and q, views of
+        # the read-only recording, are copied.
+        in_place = []
+        init = pod.SliceSvd.__init__
+
+        def spy(svd, data, *args):
+            init(svd, data, *args)
+            in_place.append(svd.qr is data)
+
+        monkeypatch.setattr(pod.SliceSvd, "__init__", spy)
+        self._build(run, self._fresh(run[2].snapshots), 4)
+        assert sorted(in_place) == [False] * 6 + [True] * 12
 
     def test_snapshot_data_is_read_only(self, run):
         snaps = self._fresh(run[2].snapshots)
         with pytest.raises(ValueError, match="read-only"):
             snaps["h"].data[:, 5] *= 1.0 + 1e-3
 
-    def test_edited_column_recomputes_its_window(self, run, calls):
+    def _edit_and_build(self, run, calls, var):
+        # An edited h or q is a new matrix, and every derived slice reads
+        # both: no kept SVD of the old pair serves the build.
         snaps = self._fresh(run[2].snapshots)
         self._build(run, snaps, 4)
         before = calls["svd"]
-        data = snaps["h"].data.copy(order="F")
+        data = snaps[var].data.copy(order="F")
         data[:, 5] *= 1.0 + 1e-3
-        edited = dict(snaps, h=dataclasses.replace(snaps["h"], data=data))
-        assert edited["h"].window_svds == {}
+        edited = dict(snaps, **{var: dataclasses.replace(snaps[var],
+                                                         data=data)})
+        assert edited[var].window_svds == {}
         built = self._build(run, edited, 8)
-        # Only the new matrix's window slices are decomposed again.
-        assert len(edited["h"].window_svds) == 3
-        assert calls["svd"] == before + 3
+        assert calls["svd"] == before + 3 * len(self.VARIABLES)
         _assert_bitwise(built, self._build(run, self._fresh(edited), 8))
+        return edited
+
+    def test_edited_column_recomputes_its_window(self, run, calls):
+        edited = self._edit_and_build(run, calls, "h")
+        assert len(edited["h"].window_svds) == 3 * len(self.VARIABLES)
+
+    def test_edited_q_recomputes_every_slice(self, run, calls):
+        # The old pair's entries stay on h beside the new pair's.
+        edited = self._edit_and_build(run, calls, "q")
+        assert len(edited["h"].window_svds) == 6 * len(self.VARIABLES)
+
+    def test_other_gravity_recomputes_the_fan(self, run, calls):
+        # The fan slices depend on g: a build with another g reuses the
+        # kept SVDs of no slice (all entries carry g) and equals a fresh
+        # build.
+        grid, params, _ = run
+        snaps = self._fresh(run[2].snapshots)
+        self._build(run, snaps, 4)
+        before = calls["svd"]
+        other = (grid, dataclasses.replace(params, g=9.0), None)
+        built = self._build(other, snaps, 4)
+        assert calls["svd"] == before + 3 * len(self.VARIABLES)
+        _assert_bitwise(built, self._build(other, self._fresh(snaps), 4))
 
     def test_deep_copy_edited_in_place_builds_like_fresh(self, run):
         # A deep copy carries the kept SVDs over, but its data is writable.
@@ -609,3 +661,68 @@ class TestWindowSplit:
         monkeypatch.setattr("hyporom.rom.driver.thin_svd", fail_in_caller)
         with pytest.raises(BreakdownInEigensolve, match="caller half"):
             self._build(run)
+
+
+class TestWindowDerivation:
+    """A recording holds h and q; each window derives the other slices it
+    reads from its own h and q slices."""
+
+    @staticmethod
+    def _runs(flux):
+        grid = Grid1D(0.0, 12.0, 50)
+        params = SweParams(g=9.81, n_b=0.1, nu=0.9)
+        model = SweModel(params, grid, flux)
+        from hyporom.fom import SweState
+        runs = []
+        for left, t_final in ((2.0, 0.5), (1.6, 0.4)):
+            h0 = np.where(grid.centers <= 6.0, left, 1.0)
+            runs.append(run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
+                                t_final=t_final, cfl=0.9).snapshots)
+        return params, runs
+
+    @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
+                                      FluxChoice.HLL], ids=["mlf", "hll"])
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["one_run", "two_runs"])
+    def test_window_slices_are_columns_of_the_whole_derivation(self, flux,
+                                                               pooled):
+        params, runs = self._runs(flux)
+        groups = runs if pooled else runs[:1]
+        names = ("u", "f")
+        if flux is FluxChoice.HLL:
+            names += swe.FAN_FIELDS
+        whole = [swe.derived_fields(g["h"].data, g["q"].data, params.g,
+                                    names) for g in groups]
+        partitions = [partition_uniform(g["h"].n_cols, 4) for g in groups]
+        for v in range(4):
+            slices = driver._window_slices(groups, partitions, ("h", "q"),
+                                           names, v, params.g)
+            assert list(slices) == ["h", "q", *names]
+            # Window v > 0 opens with the last column of window v - 1.
+            cols = [slice(max(p.ranges[v][0] - 1, 0), p.ranges[v][1])
+                    for p in partitions]
+            for name in names:
+                want = np.hstack([w[name][:, c] for w, c in zip(whole, cols)])
+                assert slices[name].shape[0] == 50 + (name in swe.FAN_FIELDS)
+                assert slices[name].flags.f_contiguous
+                assert np.array_equal(slices[name], want)
+
+    @pytest.mark.filterwarnings("ignore:window .* padding:UserWarning")
+    def test_tav_build_never_forms_the_friction_kernel(self, monkeypatch):
+        # PVM-0 tav averages u and h; nothing reads f.
+        params, runs = self._runs(FluxChoice.MODIFIED_LAX_FRIEDRICHS)
+        derived = []
+        derive = swe.derived_fields
+
+        def spy(h, q, g, names):
+            derived.append(tuple(names))
+            return derive(h, q, g, names)
+
+        def no_kernel(*args):
+            raise AssertionError("a tav build formed the friction kernel")
+
+        monkeypatch.setattr(swe, "friction_kernel", no_kernel)
+        monkeypatch.setattr(driver, "derived_fields", spy)
+        build_rom("swe_lf", runs[:1], params, Grid1D(0.0, 12.0, 50),
+                  n_windows=3, eps_pod=1e-10, linearization=LIN_TAV)
+        assert derived == [("u",)] * 3

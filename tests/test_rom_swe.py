@@ -5,7 +5,7 @@ import pytest
 
 from hyporom.deim import deim_offline
 from hyporom.errors import DegenerateWaveFan, MissingAuxBasis
-from hyporom.fom import SweParams, SweState, interface_fan
+from hyporom.fom import SweParams, SweState
 from hyporom.grid import Grid1D
 from hyporom.pod import PodBasis
 from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
@@ -17,7 +17,8 @@ from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
 from hyporom.rom.context import sample_cells
 from hyporom.rom.driver import basis_variables
 
-from oracles import (friction_ops_oracle, kahan_sum, random_orthonormal,
+from oracles import (friction_ops_oracle, interface_fan, kahan_sum,
+                     random_orthonormal,
                      refresh_alphas_reference, refresh_f_reference,
                      refresh_u_reference, swe_hll_deim_ops_oracle,
                      swe_hll_tav_ops_oracle, swe_lf_ops_oracle,
@@ -329,14 +330,14 @@ class TestFullBasisEquivalence:
 
     def _check_hll_step(self, lin, coeff_mode):
         from hyporom.fluxes import FluxChoice
-        from hyporom.fom import SweModel, SweState, interface_fan
+        from hyporom.fom import SweModel, SweState
         from hyporom.rom import assemble_swe_hll_rom, rom_swe_hll_step
 
         grid, params, h, q = self._setup(seed=53)
         n = grid.n_cells
         bases = self._full_bases(n, with_interfaces=(coeff_mode == COEFF_DEIM))
         state = SweState(h=h, q=q)
-        h_t, u_t, a0, a1 = interface_fan(state, params, grid)
+        h_t, u_t, a0, a1 = interface_fan(state, params.g)
         averages = {"u": q / h, "h": h, "alpha0": a0, "alpha1": a1,
                     "utilde": u_t, "htilde": h_t}
         ops = assemble_swe_hll_rom(bases, params, grid, lin, coeff_mode,
@@ -531,8 +532,6 @@ class TestPointPass:
         with pytest.raises(DegenerateWaveFan):
             refresh_alphas_reference(ctx, ctx.rows @ x.reshape(2, -1, 1))
         a0_hat, a1_hat = refresh_alphas(ctx, sample_cells(ctx, x))
-        grid = Grid1D(0.0, 1.0, n)
-        _, _, a0, a1 = interface_fan(SweState(h=h, q=q), SweParams(g=9.81),
-                                     grid)
+        _, _, a0, a1 = interface_fan(SweState(h=h, q=q), 9.81)
         assert np.array_equal(a0_hat, a0[[1]])
         assert np.array_equal(a1_hat, a1[[3]])

@@ -57,10 +57,10 @@ class TestRecorder:
 
     def test_strided_run_records_the_fields_it_evaluated(self):
         from hyporom.fluxes import FluxChoice
-        from hyporom.fom import (SweModel, SweParams, SweState,
-                                 interface_fan, run_fom)
+        from hyporom.fom import SweModel, SweParams, SweState, run_fom
         from hyporom.fom import swe
         from hyporom.grid import Grid1D
+        from oracles import interface_fan
 
         seen = []
 
@@ -79,19 +79,23 @@ class TestRecorder:
         n_cols = len(seen)
         assert n_cols > BLOCK + 1
         assert n_cols % swe._DERIVE_COLS != 0
-        # h and q are what fields returned; every other column is derived
-        # from them after the run.
+        # h and q are what fields returned, and all the run records; each
+        # column derived from them is bitwise that of its own state.
+        assert list(res.snapshots) == ["h", "q"]
         for var in ("h", "q"):
             assert np.array_equal(res.snapshots[var].data,
                                   np.column_stack([s[var] for s in seen]))
+        derived = swe.derived_fields(res.snapshots["h"].data,
+                                     res.snapshots["q"].data, params.g,
+                                     ("u", "f") + swe.FAN_FIELDS)
         for n, s in enumerate(seen):
             state = SweState(h=s["h"], q=s["q"])
             want = {"u": s["q"] / s["h"],
                     "f": swe.friction_kernel(s["h"], s["q"])}
-            want.update(zip(("htilde", "utilde", "alpha0", "alpha1"),
-                            interface_fan(state, params, grid)))
+            want.update(zip(swe.FAN_FIELDS,
+                            interface_fan(state, params.g)))
             for var, col in want.items():
-                assert np.array_equal(res.snapshots[var].data[:, n], col)
+                assert np.array_equal(derived[var][:, n], col)
         times = res.snapshots["h"].times
         np.testing.assert_array_equal(times[:-1], res.times[:-1:3])
         assert times[-1] == res.times[-1]
@@ -115,9 +119,10 @@ class TestRecorder:
         assert rec.finalize() == {}
 
     def test_aux_columns_recomputable_from_primaries(self):
-        # Recorded f must equal |q|/h^(7/3) of the recorded h, q columns.
+        # Derived f must equal |q|/h^(7/3) of the recorded h, q columns.
         from hyporom.fluxes import FluxChoice
         from hyporom.fom import SweModel, SweParams, SweState, run_fom
+        from hyporom.fom.swe import derived_fields
         from hyporom.grid import Grid1D
 
         grid = Grid1D(0.0, 12.0, 30)
@@ -133,14 +138,15 @@ class TestRecorder:
                       t_final=0.2, cfl=0.9)
         h = res.snapshots["h"].data
         q = res.snapshots["q"].data
-        f = res.snapshots["f"].data
+        f = derived_fields(h, q, params.g, ("f",))["f"]
         assert np.array_equal(f, np.abs(q) / h ** (7.0 / 3.0))
 
     def test_interface_columns_recomputable_from_primaries(self):
         from hyporom.fluxes import FluxChoice
-        from hyporom.fom import (SweModel, SweParams, SweState, interface_fan,
-                                 run_fom)
+        from hyporom.fom import SweModel, SweParams, SweState, run_fom
+        from hyporom.fom.swe import FAN_FIELDS, derived_fields
         from hyporom.grid import Grid1D
+        from oracles import interface_fan
 
         grid = Grid1D(0.0, 12.0, 25)
 
@@ -153,14 +159,13 @@ class TestRecorder:
         model = SweModel(params, grid, FluxChoice.HLL)
         res = run_fom(model, SweState(h=h0, q=np.zeros_like(h0)),
                       t_final=0.2, cfl=0.9)
-        for n in range(res.snapshots["h"].n_cols):
-            state = SweState(h=res.snapshots["h"].data[:, n],
-                             q=res.snapshots["q"].data[:, n])
-            h_t, u_t, a0, a1 = interface_fan(state, params, grid)
-            assert np.array_equal(res.snapshots["alpha0"].data[:, n], a0)
-            assert np.array_equal(res.snapshots["alpha1"].data[:, n], a1)
-            assert np.array_equal(res.snapshots["htilde"].data[:, n], h_t)
-            assert np.array_equal(res.snapshots["utilde"].data[:, n], u_t)
+        h = res.snapshots["h"].data
+        q = res.snapshots["q"].data
+        fan = derived_fields(h, q, params.g, FAN_FIELDS)
+        for n in range(h.shape[1]):
+            state = SweState(h=h[:, n], q=q[:, n])
+            for name, col in zip(FAN_FIELDS, interface_fan(state, params.g)):
+                assert np.array_equal(fan[name][:, n], col)
 
 
 class TestPartition:
