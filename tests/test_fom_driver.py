@@ -114,10 +114,12 @@ def _dam_case(flux, n=60):
     return SweModel(params, grid, flux), SweState(h=h0, q=np.zeros_like(h0))
 
 
-def test_hll_run_forms_one_fan_per_state(monkeypatch):
+@pytest.mark.parametrize("record, extra", [(True, 1), (False, 0)])
+def test_hll_run_forms_one_fan_per_state(monkeypatch, record, extra):
     # Each step forms the fan of its state (N columns for N steps), and a
-    # recorded run forms no other: the fan of a recorded column is derived
-    # where a build reads it.  Columns are counted, not calls.
+    # recorded run forms no other; deriving the fan fields of the recorded
+    # columns afterwards forms exactly one more per column.  Columns are
+    # counted, not calls, so the derivation's block width is free.
     model, state = _dam_case(FluxChoice.HLL)
     cols = []
     fan = swe_module._fan
@@ -127,11 +129,14 @@ def test_hll_run_forms_one_fan_per_state(monkeypatch):
         return fan(hg, ug, g)
 
     monkeypatch.setattr(swe_module, "_fan", counted)
-    for record in (True, False):
-        cols.clear()
-        res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
-        assert res.n_steps > 10
-        assert sum(cols) == res.n_steps
+    res = run_fom(model, state, t_final=1.0, cfl=0.9, record=record)
+    assert res.n_steps > 10
+    assert sum(cols) == res.n_steps
+    recorded = res.snapshots["h"].n_cols if record else 0
+    if extra:
+        derived_fields(res.snapshots["h"].data, res.snapshots["q"].data,
+                       model.params.g, FAN_FIELDS)
+    assert sum(cols) == res.n_steps + extra * recorded
 
 
 @pytest.mark.parametrize("flux", [FluxChoice.MODIFIED_LAX_FRIEDRICHS,
