@@ -16,8 +16,10 @@ import click
 import numpy as np
 
 from ..errors import ConfigError, HyporomError
+from ..fluxes import FluxChoice
 from ..fom import run_fom
 from ..fom.swe import FAN_FIELDS, derived_fields
+from ..rom.context import COEFF_MODES
 from ..snapshots import SnapshotMatrix, export_csv
 from .config import ExperimentConfig, load_config
 from .experiment import (_case, _require_horizon, _state_fields,
@@ -71,7 +73,7 @@ def fom_run(config_path):
             names = ("u", "f") + (FAN_FIELDS if config.flux == "hll" else ())
             for name, data in derived_fields(h.data, q.data, model.params.g,
                                              names).items():
-                snapshots[name] = SnapshotMatrix(name, data, h.times, h.dts)
+                snapshots[name] = SnapshotMatrix(data, h.times)
         outdir = Path(config.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, matrix in snapshots.items():
@@ -130,10 +132,10 @@ _WB_PRESETS = {
 @click.argument("system", type=click.Choice(sorted(_WB_PRESETS)))
 @click.option("--cells", default=200, show_default=True)
 @click.option("--flux", default=None,
-              type=click.Choice(["mlf", "rusanov", "lf", "hll"]),
+              type=click.Choice([flux.value for flux in FluxChoice]),
               help="Numerical flux (defaults to mlf).")
 @click.option("--coeff-mode", default="tav",
-              type=click.Choice(["tav", "deim"]), show_default=True,
+              type=click.Choice(COEFF_MODES), show_default=True,
               help="HLL fan-coefficient treatment.")
 @click.option("--outdir", default="out", show_default=True)
 def wb_check(system, cells, flux, coeff_mode, outdir):

@@ -3,10 +3,11 @@
 from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
+from ..fluxes import FluxChoice
 from ..rom.context import COEFF_MODES, LINEARIZATIONS
 from .presets import get_preset
 
-_FLUXES = ("mlf", "rusanov", "lf", "hll")
+_FLUXES = tuple(flux.value for flux in FluxChoice)
 
 
 @dataclass

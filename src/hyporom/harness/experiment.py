@@ -24,18 +24,11 @@ from ..fluxes import FluxChoice
 from ..fom import (BurgersModel, BurgersParams, SweModel, SweParams,
                    TransportModel, TransportParams, run_fom)
 from ..grid import Grid1D
-from ..rom import build_rom, run_rom
+from ..rom import build_rom, conserved_variables, run_rom
 from ..snapshots import concat_parametric
 from .config import ExperimentConfig
 from .metrics import l1_error, linf_error
 from .presets import get_preset
-
-_FLUX_MAP = {
-    "mlf": FluxChoice.MODIFIED_LAX_FRIEDRICHS,
-    "rusanov": FluxChoice.RUSANOV,
-    "lf": FluxChoice.LAX_FRIEDRICHS,
-    "hll": FluxChoice.HLL,
-}
 
 REPORT_COLUMNS = [
     "case", "system", "flux", "linearization", "coeff_mode", "preset",
@@ -73,7 +66,7 @@ class ErrorReport:
 
 
 def make_model(config: ExperimentConfig, grid: Grid1D, n_b: float | None = None):
-    flux = _FLUX_MAP[config.flux]
+    flux = FluxChoice(config.flux)
     if config.system == "transport":
         return TransportModel(
             TransportParams(c=config.c, alpha=config.alpha, nu=config.nu),
@@ -141,7 +134,7 @@ def _require_horizon(config: ExperimentConfig, command: str) -> None:
 
 
 def _trivial_report(config: ExperimentConfig) -> ErrorReport:
-    names = ("w",) if config.system in ("transport", "burgers") else ("h", "q")
+    names = conserved_variables(_rom_system(config))
     return ErrorReport(case=config.preset,
                        l1={v: 0.0 for v in names},
                        linf={v: 0.0 for v in names})

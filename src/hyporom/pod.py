@@ -62,12 +62,9 @@ _QR_BLOCK = 32
 
 @dataclass
 class PodBasis:
-    variable_id: str
     modes: np.ndarray                 # n_rows x m, orthonormal columns
     singular_values: np.ndarray       # all retained sigma (>= m entries)
-    window_index: int = 0
     energy_captured: float = 1.0
-    eps_pod: float = float("nan")
     is_fallback: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -197,22 +194,17 @@ def _check_info(routine: str, info: int) -> None:
         raise BreakdownInEigensolve(f"{routine} returned info={info}")
 
 
-def pod_basis(u: np.ndarray, s: np.ndarray, rank: int, m: int, *,
-              variable_id: str = "", window_index: int = 0,
-              eps_pod: float = float("nan")) -> PodBasis:
+def pod_basis(u: np.ndarray, s: np.ndarray, rank: int, m: int) -> PodBasis:
     """Basis of the first m columns of u, with the spectrum up to
     max(rank, m) and the energy fraction those modes capture.  m may
     exceed rank when a unified mode count pads a rank-deficient slice."""
     total = float(np.sum(s[:max(rank, 1)] ** 2))
     captured = float(np.sum(s[:m] ** 2) / total) if total > 0 else 1.0
-    return PodBasis(variable_id=variable_id, modes=u[:, :m],
-                    singular_values=s[:max(rank, m)].copy(),
-                    window_index=window_index,
-                    energy_captured=min(captured, 1.0), eps_pod=eps_pod)
+    return PodBasis(modes=u[:, :m], singular_values=s[:max(rank, m)].copy(),
+                    energy_captured=min(captured, 1.0))
 
 
-def fallback_basis(n_rows: int, m: int = 1, *, variable_id: str = "",
-                   window_index: int = 0) -> PodBasis:
+def fallback_basis(n_rows: int, m: int = 1) -> PodBasis:
     """Deterministic basis for an identically-zero snapshot slice.
 
     Any orthonormal set represents the zero trajectory exactly (all
@@ -221,9 +213,8 @@ def fallback_basis(n_rows: int, m: int = 1, *, variable_id: str = "",
     """
     modes = np.zeros((n_rows, m))
     modes[np.arange(m), np.arange(m)] = 1.0
-    return PodBasis(variable_id=variable_id, modes=modes,
-                    singular_values=np.zeros(m), window_index=window_index,
-                    energy_captured=1.0, is_fallback=True)
+    return PodBasis(modes=modes, singular_values=np.zeros(m),
+                    is_fallback=True)
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .operators import (RomOperators, Term, advance, compile_terms,
 
 
 def assemble_burgers_rom(basis: PodBasis, params: BurgersParams,
-                         grid: Grid1D, window_index: int = 0) -> RomOperators:
+                         grid: Grid1D) -> RomOperators:
     phi = basis.modes
     dx = grid.dx
     alpha = params.alpha
@@ -41,8 +41,7 @@ def assemble_burgers_rom(basis: PodBasis, params: BurgersParams,
                   0.0, -0.25 / dx),
         "C": Term((big_ep - big_em) * project_outer(phi, phi, phi), "w",
                   ("w", "w"), 0.0, 0.5 / dx)}
-    return compile_terms(terms, ("w",), ("w",), basis.m, system="burgers",
-                         window_index=window_index)
+    return compile_terms(terms, ("w",), ("w",), basis.m)
 
 
 def rom_burgers_step(x: np.ndarray, ops: RomOperators, ctx: None,

@@ -136,14 +136,20 @@ def _kept_svd(groups, partitions, recorded, var, v, g) -> dict | None:
     of its window slices, derived ones included, on its first recorded
     matrix (w, or h).  The key names the variable, the window columns and
     what else a derived slice is a function of: the other recorded
-    matrices (q) and gravity.  A pooled slice is a new copy, and writable
-    data (that of a deep-copied matrix) could change under a kept SVD."""
+    matrices (q) and gravity.  The store serves one such pairing: a build
+    with another drops the entries of the last one, and with them its q
+    matrix.  A pooled slice is a new copy, and writable data (that of a
+    deep-copied matrix) could change under a kept SVD."""
     first, *others = (groups[0][name] for name in recorded)
     if len(groups) > 1 or any(m.data.flags.writeable
                               for m in (first, *others)):
         return None
-    key = (var, *_window_cols(partitions[0], v), *others, g)
-    return first.window_svds.setdefault(key, {})
+    pairing = (*others, g)
+    svds = first.window_svds
+    if svds and next(iter(svds))[3:] != pairing:
+        svds.clear()
+    key = (var, *_window_cols(partitions[0], v), *pairing)
+    return svds.setdefault(key, {})
 
 
 def _window_bases(slices, owned, v, eps_pod, mode_cap, kept_svd):
@@ -214,13 +220,11 @@ def _window_bases(slices, owned, v, eps_pod, mode_cap, kept_svd):
     bases, spectra = {}, {}
     for var, entry in svds.items():
         if entry is None:
-            bases[var] = fallback_basis(slices[var].shape[0], m,
-                                        variable_id=var, window_index=v)
+            bases[var] = fallback_basis(slices[var].shape[0], m)
             spectra[var] = np.zeros(1)
             continue
         u, s, rank, _, _ = entry
-        bases[var] = pod_basis(u, s, rank, m, variable_id=var,
-                               window_index=v, eps_pod=eps_pod)
+        bases[var] = pod_basis(u, s, rank, m)
         spectra[var] = bases[var].singular_values.copy()
     return bases, spectra, m
 
@@ -280,19 +284,16 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
 
         context = None
         if system == "transport":
-            ops = assemble_transport_rom(bases["w"], params, grid,
-                                         window_index=v)
+            ops = assemble_transport_rom(bases["w"], params, grid)
         elif system == "burgers":
-            ops = assemble_burgers_rom(bases["w"], params, grid,
-                                       window_index=v)
+            ops = assemble_burgers_rom(bases["w"], params, grid)
         else:
             if system == "swe_lf":
                 ops = assemble_swe_lf_rom(bases, params, grid, linearization,
-                                          averages, window_index=v)
+                                          averages)
             else:
                 ops = assemble_swe_hll_rom(bases, params, grid, linearization,
-                                           coeff_mode, averages,
-                                           window_index=v)
+                                           coeff_mode, averages)
             interpolants = {var: deim_offline(bases[var].modes)
                             for var in ops.inputs[2:]}
             context = build_swe_context(bases, interpolants, ops.inputs,

@@ -77,8 +77,6 @@ class RomOperators:
     """A window's compiled step (module docstring) and named views of its
     operators."""
 
-    system: str                      # transport | burgers | swe_lf | swe_hll
-    window_index: int
     m: int
     inputs: tuple                    # the M-blocks of xa, in order
     lin: np.ndarray
@@ -91,8 +89,8 @@ class RomOperators:
     tensors3: dict
 
 
-def compile_terms(terms: dict, inputs: tuple, outputs: tuple, m: int,
-                  **fields) -> RomOperators:
+def compile_terms(terms: dict, inputs: tuple, outputs: tuple,
+                  m: int) -> RomOperators:
     """Pack the terms into the step arrays.  ``inputs`` names the M-blocks
     of xa in order, ``outputs`` those of x; terms are popped as they are
     copied, so no operator is held twice."""
@@ -147,8 +145,7 @@ def compile_terms(terms: dict, inputs: tuple, outputs: tuple, m: int,
                         vectors=vectors, tensors3=tensors, lin=lin,
                         gather=np.concatenate(gather),
                         scale0=np.concatenate(scale0),
-                        scale1=np.concatenate(scale1), quad=tuple(quad),
-                        **fields)
+                        scale1=np.concatenate(scale1), quad=tuple(quad))
 
 
 def pad_rows(arr: np.ndarray, left_factor: float = 1.0,

@@ -47,8 +47,7 @@ def _fan_tensor(phi_out, coef_modes, jumps):
 
 def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
                          linearization: str, coeff_mode: str,
-                         averages: dict,
-                         window_index: int = 0) -> RomOperators:
+                         averages: dict) -> RomOperators:
     if coeff_mode not in COEFF_MODES:
         raise UnsupportedSystem(f"unknown coeff_mode {coeff_mode!r}")
     # Momentum weight of the degree-1 fan term, from window-mean Roe data.
@@ -94,8 +93,8 @@ def assemble_swe_hll_rom(bases: dict, params: SweParams, grid: Grid1D,
             "U7": Term(_fan_diff(phiq, ca1 * wgt[:, None] * dz[:, None]),
                        "q", ("alpha1",), 0.0, fan)}
 
-    return assemble_swe("swe_hll", bases, params, grid, linearization,
-                        averages, window_index, viscosity, coeff_mode)
+    return assemble_swe(bases, params, grid, linearization, averages,
+                        viscosity, coeff_mode)
 
 
 def rom_swe_hll_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,

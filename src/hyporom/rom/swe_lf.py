@@ -63,9 +63,9 @@ def swe_inputs(linearization: str, coeff_mode: str | None,
     return inputs
 
 
-def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
-                 linearization: str, averages: dict, window_index: int,
-                 viscosity, coeff_mode: str | None = None) -> RomOperators:
+def assemble_swe(bases: dict, params: SweParams, grid: Grid1D,
+                 linearization: str, averages: dict, viscosity,
+                 coeff_mode: str | None = None) -> RomOperators:
     """Window operators, compiled: the flux's own terms, which
     ``viscosity(phih, phiq, phihg, phiqg, zg, dz)`` forms from the modes,
     their padded rows and the ``bed_profile``, plus A, E, G, the momentum
@@ -118,8 +118,7 @@ def assemble_swe(system: str, bases: dict, params: SweParams, grid: Grid1D,
             terms["H"] = Term(project_outer(phiq, phiq, bases["f"].modes),
                               "q", ("q", "f"), 0.0, -gnb2)
 
-    return compile_terms(terms, inputs, ("h", "q"), bases["h"].m,
-                         system=system, window_index=window_index)
+    return compile_terms(terms, inputs, ("h", "q"), bases["h"].m)
 
 
 def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
@@ -144,8 +143,7 @@ def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
 
 
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
-                        linearization: str, averages: dict,
-                        window_index: int = 0) -> RomOperators:
+                        linearization: str, averages: dict) -> RomOperators:
     half_nu = 0.5 * params.nu
 
     def viscosity(phih, phiq, phihg, phiqg, zg, dz):
@@ -157,8 +155,8 @@ def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,
             "F": Term(phiq.T @ (phiqg[2:] - 2.0 * phiq + phiqg[:-2]), "q",
                       ("q",), half_nu, 0.0)}
 
-    return assemble_swe("swe_lf", bases, params, grid, linearization,
-                        averages, window_index, viscosity)
+    return assemble_swe(bases, params, grid, linearization, averages,
+                        viscosity)
 
 
 def rom_swe_lf_step(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,

@@ -16,7 +16,7 @@ from .operators import RomOperators, Term, advance, compile_terms, pad_rows
 
 
 def assemble_transport_rom(basis: PodBasis, params: TransportParams,
-                           grid: Grid1D, window_index: int = 0) -> RomOperators:
+                           grid: Grid1D) -> RomOperators:
     phi = basis.modes
     dx = grid.dx
     c, alpha = params.c, params.alpha
@@ -31,8 +31,7 @@ def assemble_transport_rom(basis: PodBasis, params: TransportParams,
         "A": Term(phi.T @ adv, "w", ("w",), 0.0, -0.5 * c / dx),
         "B": Term(phi.T @ vis, "w", ("w",), 0.5 * params.nu, 0.0),
         "C": Term((ep - em) * (phi.T @ phi), "w", ("w",), 0.0, c / dx)}
-    return compile_terms(terms, ("w",), ("w",), basis.m, system="transport",
-                         window_index=window_index)
+    return compile_terms(terms, ("w",), ("w",), basis.m)
 
 
 def rom_transport_step(x: np.ndarray, ops: RomOperators, ctx: None,

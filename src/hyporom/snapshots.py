@@ -1,9 +1,9 @@
 """Snapshot matrices: collection, windowing, concatenation and CSV export.
 
 One SnapshotMatrix holds the trajectory of a single variable: column n is
-the field at time ``times[n]`` and ``dts[n]`` is the gap to the next
-column.  Cell variables have n_cells rows; interface variables (the HLL
-fan coefficients and Roe averages) have n_cells + 1 rows.
+the field at time ``times[n]``, and the times increase strictly.  Cell
+variables have n_cells rows; interface variables (the HLL fan
+coefficients and Roe averages) have n_cells + 1 rows.
 
 In memory the data is column-major (Fortran order), however it was made:
 recorded, concatenated or copied.  A column, and so a window's
@@ -22,8 +22,10 @@ build decomposes: the recorded ones and those it derives from h and q.
 So builds at several mode caps on one recording decompose each window's
 triangle once.  A slice's entry is keyed by its variable, its window
 columns and what else its values depend on (the q matrix and gravity;
-``rom.driver._kept_svd``).  A matrix compares and hashes by identity so
-that it can be part of such a key.  The kept SVDs are freed with the
+``rom.driver._kept_svd``).  The store serves one such pairing: a build
+with another q matrix or gravity replaces it, so it holds no matrix
+alive beyond the last build.  A matrix compares and hashes by identity
+so that it can be part of such a key.  The kept SVDs are freed with the
 matrix; a new matrix starts with none.  A deep copy's data is writable,
 so builds neither use nor extend what the copy carried over.
 """
@@ -50,10 +52,8 @@ _BLOCK_COLS = 256
 
 @dataclass(eq=False)
 class SnapshotMatrix:
-    variable_id: str
     data: np.ndarray          # n_rows x n_cols, F order; column n at times[n]
     times: np.ndarray
-    dts: np.ndarray
     # key of a window slice -> the ``kept`` dict of ``pod.thin_svd`` for it
     window_svds: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -61,18 +61,12 @@ class SnapshotMatrix:
         self.data = np.asfortranarray(self.data, dtype=float)
         self.data.flags.writeable = False
         self.times = np.asarray(self.times, dtype=float)
-        self.dts = np.asarray(self.dts, dtype=float)
         if self.data.ndim != 2:
             raise ShapeMismatch("snapshot data must be 2-D")
-        n_cols = self.data.shape[1]
-        if self.times.shape != (n_cols,) or self.dts.shape != (max(n_cols - 1, 0),):
-            raise ShapeMismatch("times/dts lengths inconsistent with data")
-        gaps = np.diff(self.times)
-        if np.any(gaps <= 0.0):
+        if self.times.shape != (self.data.shape[1],):
+            raise ShapeMismatch("times length inconsistent with data")
+        if np.any(np.diff(self.times) <= 0.0):
             raise NonMonotoneTime("snapshot times must be strictly increasing")
-        scale = np.maximum(np.abs(gaps), np.abs(self.dts))
-        if np.any(np.abs(gaps - self.dts) > 1e-12 * np.maximum(scale, 1e-300)):
-            raise ShapeMismatch("dts do not match time gaps")
 
     @property
     def n_rows(self) -> int:
@@ -100,10 +94,6 @@ class SnapshotRecorder:
     def __init__(self):
         self._blocks: dict[str, list[np.ndarray]] = {}
         self._times: list[float] = []
-
-    @property
-    def n_recorded(self) -> int:
-        return len(self._times)
 
     def record(self, fields: dict[str, np.ndarray], t: float) -> None:
         n = len(self._times)
@@ -136,7 +126,6 @@ class SnapshotRecorder:
         blocks are freed as they are copied out, so the extra memory is one
         variable's matrix, not a second copy of every matrix."""
         times = np.array(self._times)
-        dts = np.diff(times)
         n = len(times)
         out = {}
         for name in list(self._blocks):
@@ -145,8 +134,7 @@ class SnapshotRecorder:
             for start in range(0, n, _BLOCK_COLS):
                 stop = min(start + _BLOCK_COLS, n)
                 data[:, start:stop] = blocks.pop(0)[:, :stop - start]
-            out[name] = SnapshotMatrix(variable_id=name, data=data,
-                                       times=times, dts=dts)
+            out[name] = SnapshotMatrix(data, times)
         self._times = []
         return out
 
@@ -179,34 +167,25 @@ def partition_uniform(n_cols: int, n_windows: int) -> WindowPartition:
 def concat_parametric(matrices: list[SnapshotMatrix]) -> SnapshotMatrix:
     """Horizontal concatenation of training snapshot matrices.
 
-    Times of later blocks are shifted so the result stays strictly
-    increasing (the seam gap repeats the previous block's last dt); POD
-    only consumes the data columns.
+    Each later block's times are shifted to start one time unit after the
+    previous block's last, so the result stays strictly increasing;
+    nothing reads them, POD only consumes the data columns.
     """
     if not matrices:
         raise ShapeMismatch("need at least one snapshot matrix")
     first = matrices[0]
-    for m in matrices[1:]:
-        if m.n_rows != first.n_rows:
-            raise ShapeMismatch("row counts differ between training blocks")
-        if m.variable_id != first.variable_id:
-            raise ShapeMismatch("variable ids differ between training blocks")
+    if any(m.n_rows != first.n_rows for m in matrices[1:]):
+        raise ShapeMismatch("row counts differ between training blocks")
     data = np.empty((first.n_rows, sum(m.n_cols for m in matrices)),
                     order="F")
-    times, dts = [], []
+    times = []
     col = 0
-    for k, m in enumerate(matrices):
+    for m in matrices:
         data[:, col:col + m.n_cols] = m.data
         col += m.n_cols
-        if k == 0:
-            times.append(m.times)
-            dts.append(m.dts)
-        else:
-            seam = dts[-1][-1] if len(dts[-1]) else 1.0
-            times.append(m.times - m.times[0] + times[-1][-1] + seam)
-            dts.append(np.concatenate(([seam], m.dts)))
-    return SnapshotMatrix(first.variable_id, data,
-                          np.concatenate(times), np.concatenate(dts))
+        times.append(m.times if not times else
+                     m.times - m.times[0] + times[-1][-1] + 1.0)
+    return SnapshotMatrix(data, np.concatenate(times))
 
 
 def export_csv(matrix: SnapshotMatrix, path) -> None:

@@ -500,7 +500,7 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params, dx, dt):
     else:
         friction = 0.0
 
-    if ops.system == "swe_lf":
+    if "B" in mats:
         visc_h = 0.5 * params.nu * (mats["B"] @ h_hat + vecs["C"])
         visc_q = 0.5 * params.nu * (mats["F"] @ q_hat)
     elif "U1" in mats:
@@ -593,7 +593,7 @@ def window_basis(data, eps_pod, m_max=None):
     u, s = thin_svd(data, m_max)
     rank = numerical_rank(s, *data.shape)
     m = select_modes(s, eps_pod, m_max=m_max)
-    return pod_basis(u, s, rank, m, eps_pod=eps_pod)
+    return pod_basis(u, s, rank, m)
 
 
 def deim_interpolate(interp, field):

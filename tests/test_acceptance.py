@@ -328,7 +328,7 @@ def test_criterion_7_oracle_suite():
         n, m = 16, 4
         grid = Grid1D(0.0, 2.0, n)
         tparams = TransportParams(c=1.2, alpha=0.6, nu=0.85)
-        basis = PodBasis("w", oracles.random_orthonormal(n, m, 100),
+        basis = PodBasis(oracles.random_orthonormal(n, m, 100),
                          np.arange(m, 0, -1, dtype=float))
         ops = assemble_transport_rom(basis, tparams, grid)
         a, b, c = oracles.transport_ops_oracle(basis.modes, tparams.c,
@@ -350,7 +350,7 @@ def test_criterion_7_oracle_suite():
                             bathymetry=lambda x: np.interp(
                                 np.asarray(x), grid.centers, zv))
         sv = np.arange(m, 0, -1, dtype=float)
-        bases = {v: PodBasis(v, oracles.random_orthonormal(n, m, 101 + k), sv)
+        bases = {v: PodBasis(oracles.random_orthonormal(n, m, 101 + k), sv)
                  for k, v in enumerate(("h", "q", "u", "f"))}
         averages = {
             "u": rng.standard_normal(n) * 0.2, "h": 0.6 + rng.random(n),
@@ -373,9 +373,9 @@ def test_criterion_7_oracle_suite():
 
         hll_bases = dict(bases)
         hll_bases["alpha0"] = PodBasis(
-            "alpha0", oracles.random_orthonormal(n + 1, m, 107), sv)
+            oracles.random_orthonormal(n + 1, m, 107), sv)
         hll_bases["alpha1"] = PodBasis(
-            "alpha1", oracles.random_orthonormal(n + 1, m, 108), sv)
+            oracles.random_orthonormal(n + 1, m, 108), sv)
         ops = assemble_swe_hll_rom(hll_bases, sparams, grid,
                                    LIN_DEIM_U_DEIM_F, COEFF_TAV, averages)
         ref = oracles.swe_hll_tav_ops_oracle(
@@ -416,7 +416,7 @@ def test_criterion_7_oracle_suite():
         n = 40
         grid = Grid1D(0.0, 2.0, n)
         params = TransportParams(c=1.0, alpha=1.0, nu=0.9)
-        full = PodBasis("w", np.eye(n), np.ones(n))
+        full = PodBasis(np.eye(n), np.ones(n))
         ops = assemble_transport_rom(full, params, grid)
         w = transport_stationary(params, 1.0, 0.0, grid.centers) \
             + 0.1 * rng.standard_normal(n)
@@ -461,7 +461,7 @@ def test_criterion_7_oracle_suite():
         np.testing.assert_allclose(out.q, q_ref, rtol=0, atol=1e-13)
 
         # Window transfer is the identity for a single window.
-        basis = PodBasis("w", oracles.random_orthonormal(20, 3, 300),
+        basis = PodBasis(oracles.random_orthonormal(20, 3, 300),
                          np.arange(3, 0, -1, dtype=float))
         coeffs = rng.standard_normal(3)
         np.testing.assert_allclose(window_transfer(coeffs, basis, basis),

@@ -120,8 +120,7 @@ class TestThinSvd:
     def test_column_major_window_matches_row_major_copy(self):
         rng = np.random.default_rng(21)
         times = np.arange(120.0)
-        snap = SnapshotMatrix("h", rng.standard_normal((300, 120)), times,
-                              np.diff(times))
+        snap = SnapshotMatrix(rng.standard_normal((300, 120)), times)
         view = snap.window(17, 103)
         assert view.flags.f_contiguous
         for k in (1, 40, None):
@@ -134,8 +133,7 @@ class TestThinSvd:
             self, monkeypatch):
         rng = np.random.default_rng(22)
         times = np.arange(90.0)
-        snap = SnapshotMatrix("h", rng.standard_normal((200, 90)), times,
-                              np.diff(times))
+        snap = SnapshotMatrix(rng.standard_normal((200, 90)), times)
         svd, calls = pod._lapack.gesdd, []
 
         def count_svd(*args):
@@ -322,14 +320,14 @@ class TestComputeBasis:
     def test_zero_slice_raises_and_fallback_covers(self):
         with pytest.raises(AllZeroSpectrum):
             window_basis(np.zeros((5, 4)), 0.1)
-        fb = fallback_basis(5, 2, variable_id="q")
+        fb = fallback_basis(5, 2)
         assert fb.m == 2 and fb.is_fallback
         np.testing.assert_array_equal(fb.modes.T @ fb.modes, np.eye(2))
 
 
 class TestProjectLift:
     def _basis(self, n=12, m=4, seed=1):
-        return PodBasis("w", random_orthonormal(n, m, seed),
+        return PodBasis(random_orthonormal(n, m, seed),
                         np.arange(m, 0, -1, dtype=float))
 
     def test_canonical_coefficient(self):
@@ -370,7 +368,7 @@ class TestProjectLift:
 
 class TestWindowTransfer:
     def test_identity_between_equal_bases(self):
-        basis = PodBasis("w", random_orthonormal(15, 4, 2),
+        basis = PodBasis(random_orthonormal(15, 4, 2),
                          np.arange(4, 0, -1, dtype=float))
         coeffs = np.array([0.3, -1.2, 0.5, 2.0])
         np.testing.assert_allclose(window_transfer(coeffs, basis, basis),
@@ -378,17 +376,17 @@ class TestWindowTransfer:
 
     def test_superspace_preserves_field(self):
         big = random_orthonormal(20, 6, 3)
-        small = PodBasis("w", big[:, :3], np.arange(3, 0, -1, dtype=float))
-        wide = PodBasis("w", big, np.arange(6, 0, -1, dtype=float))
+        small = PodBasis(big[:, :3], np.arange(3, 0, -1, dtype=float))
+        wide = PodBasis(big, np.arange(6, 0, -1, dtype=float))
         coeffs = np.array([1.0, -0.5, 0.25])
         out = window_transfer(coeffs, small, wide)
         np.testing.assert_allclose(wide.modes @ out, small.modes @ coeffs,
                                    atol=1e-12)
 
     def test_matches_dense_triple_product(self):
-        a = PodBasis("w", random_orthonormal(18, 4, 7),
+        a = PodBasis(random_orthonormal(18, 4, 7),
                      np.arange(4, 0, -1, dtype=float))
-        b = PodBasis("w", random_orthonormal(18, 3, 8),
+        b = PodBasis(random_orthonormal(18, 3, 8),
                      np.arange(3, 0, -1, dtype=float))
         coeffs = np.array([0.1, 0.2, -0.3, 0.4])
         dense = b.modes.T @ a.modes @ coeffs

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import gc
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -534,9 +536,22 @@ class TestSliceSvdReuse:
         assert len(edited["h"].window_svds) == 3 * len(self.VARIABLES)
 
     def test_edited_q_recomputes_every_slice(self, run, calls):
-        # The old pair's entries stay on h beside the new pair's.
+        # The new pair's entries replace the old pair's on h.
         edited = self._edit_and_build(run, calls, "q")
-        assert len(edited["h"].window_svds) == 6 * len(self.VARIABLES)
+        assert len(edited["h"].window_svds) == 3 * len(self.VARIABLES)
+
+    def test_replaced_q_matrix_is_freed(self, run):
+        # h's store holds the q matrix of the last build only: a build on
+        # another q lets the old one die.
+        snaps = self._fresh(run[2].snapshots)
+        self._build(run, snaps, 4)
+        old = weakref.ref(snaps["q"])
+        snaps["q"] = self._fresh({"q": snaps["q"]})["q"]
+        gc.collect()
+        assert old() is not None
+        self._build(run, snaps, 4)
+        gc.collect()
+        assert old() is None
 
     def test_other_gravity_recomputes_the_fan(self, run, calls):
         # The fan slices depend on g: a build with another g reuses the
@@ -617,7 +632,7 @@ class TestWindowSplit:
         times = np.linspace(0.0, 1.0, 61)
         h = 1.0 + 0.1 * np.random.default_rng(0).standard_normal((40, 61))
         q = np.outer(np.sin(np.pi * grid.centers), 1.0 + times)
-        snaps = {var: SnapshotMatrix(var, data, times, np.diff(times))
+        snaps = {var: SnapshotMatrix(data, times)
                  for var, data in (("h", h), ("q", q), ("u", q / h))}
         params = SweParams(g=9.81, n_b=0.05, nu=0.9,
                            bathymetry=lambda x: 0.0 * np.asarray(x))

@@ -16,7 +16,7 @@ from oracles import (burgers_ops_oracle, burgers_rom_step_oracle, project,
 
 
 def _orth_basis(n, m, seed):
-    return PodBasis("w", random_orthonormal(n, m, seed),
+    return PodBasis(random_orthonormal(n, m, seed),
                     np.arange(m, 0, -1, dtype=float))
 
 
@@ -25,7 +25,7 @@ class TestTransportAssembly:
         n = 16
         grid = Grid1D(0.0, 1.0, n)
         params = TransportParams(c=1.0, alpha=0.0, nu=0.9)
-        basis = PodBasis("w", np.full((n, 1), 1.0 / np.sqrt(n)), np.ones(1))
+        basis = PodBasis(np.full((n, 1), 1.0 / np.sqrt(n)), np.ones(1))
         ops = assemble_transport_rom(basis, params, grid)
         # With e+ = e- = 1 all stencils telescope to zero through the ghosts.
         assert ops.matrices["A"][0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -69,7 +69,7 @@ class TestTransportStep:
         n = 40
         grid = Grid1D(0.0, 2.0, n)
         params = TransportParams(c=1.0, alpha=1.0, nu=0.9)
-        basis = PodBasis("w", np.eye(n), np.ones(n))
+        basis = PodBasis(np.eye(n), np.ones(n))
         ops = assemble_transport_rom(basis, params, grid)
         rng = np.random.default_rng(8)
         w = transport_stationary(params, 1.0, 0.0, grid.centers) \
@@ -96,7 +96,7 @@ class TestBurgersAssembly:
         n = 8
         grid = Grid1D(0.0, 1.0, n)
         params = BurgersParams(alpha=0.0, nu=0.9)
-        basis = PodBasis("w", np.full((n, 1), 1.0 / np.sqrt(n)), np.ones(1))
+        basis = PodBasis(np.full((n, 1), 1.0 / np.sqrt(n)), np.ones(1))
         ops = assemble_burgers_rom(basis, params, grid)
         assert ops.tensors3["A"][0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -135,7 +135,7 @@ class TestBurgersStep:
         n = 10
         grid = Grid1D(0.0, 2.0, n)
         params = BurgersParams(alpha=1.0, nu=0.9)
-        basis = PodBasis("w", np.eye(n), np.ones(n))
+        basis = PodBasis(np.eye(n), np.ones(n))
         ops = assemble_burgers_rom(basis, params, grid)
         rng = np.random.default_rng(12)
         w = burgers_stationary(params, 0.1, 0.0, grid.centers) \

@@ -28,18 +28,18 @@ from oracles import (friction_ops_oracle, interface_fan, kahan_sum,
 def _bases(n, m, seeds=(0, 1, 2, 3)):
     sv = np.arange(m, 0, -1, dtype=float)
     return {
-        "h": PodBasis("h", random_orthonormal(n, m, seeds[0]), sv),
-        "q": PodBasis("q", random_orthonormal(n, m, seeds[1]), sv),
-        "u": PodBasis("u", random_orthonormal(n, m, seeds[2]), sv),
-        "f": PodBasis("f", random_orthonormal(n, m, seeds[3]), sv),
+        "h": PodBasis(random_orthonormal(n, m, seeds[0]), sv),
+        "q": PodBasis(random_orthonormal(n, m, seeds[1]), sv),
+        "u": PodBasis(random_orthonormal(n, m, seeds[2]), sv),
+        "f": PodBasis(random_orthonormal(n, m, seeds[3]), sv),
     }
 
 
 def _interface_bases(n, m, seeds=(4, 5)):
     sv = np.arange(m, 0, -1, dtype=float)
     return {
-        "alpha0": PodBasis("alpha0", random_orthonormal(n + 1, m, seeds[0]), sv),
-        "alpha1": PodBasis("alpha1", random_orthonormal(n + 1, m, seeds[1]), sv),
+        "alpha0": PodBasis(random_orthonormal(n + 1, m, seeds[0]), sv),
+        "alpha1": PodBasis(random_orthonormal(n + 1, m, seeds[1]), sv),
     }
 
 
@@ -281,15 +281,15 @@ class TestFullBasisEquivalence:
     def _full_bases(self, n, with_interfaces=False):
         eye = np.eye(n)
         sv = np.ones(n)
-        bases = {v: PodBasis(v, eye, sv) for v in ("h", "q", "u", "f")}
+        bases = {v: PodBasis(eye, sv) for v in ("h", "q", "u", "f")}
         if with_interfaces:
             # Interface bases carry one more row but must share the unified
             # column count; dropping the last canonical vector is harmless
             # because boundary-interface jumps vanish under ghost
             # replication, so that coefficient never enters the update.
             eye1 = np.eye(n + 1)[:, :n]
-            bases["alpha0"] = PodBasis("alpha0", eye1, sv)
-            bases["alpha1"] = PodBasis("alpha1", eye1, sv)
+            bases["alpha0"] = PodBasis(eye1, sv)
+            bases["alpha1"] = PodBasis(eye1, sv)
         return bases
 
     def test_lf_step_matches_projected_fom_step(self):
@@ -374,7 +374,7 @@ class TestCompiledStep:
             cols = rng.standard_normal((rows, m))
             if first is not None:
                 cols[:, 0] = first
-            return PodBasis(name, np.linalg.qr(cols)[0], np.ones(m))
+            return PodBasis(np.linalg.qr(cols)[0], np.ones(m))
 
         # h and q lie in their bases, so the lifted depth stays positive.
         bases = {"h": basis("h", n, h), "q": basis("q", n, q),
@@ -453,10 +453,10 @@ class TestSteps:
         sv = np.ones(1)
         h_mode = np.full((n, 1), 1.0 / np.sqrt(n))
         bases = {
-            "h": PodBasis("h", h_mode, sv),
-            "q": PodBasis("q", np.eye(n)[:, :1], sv),
-            "u": PodBasis("u", np.eye(n)[:, :1], sv),
-            "f": PodBasis("f", np.eye(n)[:, :1], sv),
+            "h": PodBasis(h_mode, sv),
+            "q": PodBasis(np.eye(n)[:, :1], sv),
+            "u": PodBasis(np.eye(n)[:, :1], sv),
+            "f": PodBasis(np.eye(n)[:, :1], sv),
         }
         interpolants = {v: deim_offline(bases[v].modes) for v in ("u", "f")}
         for lin in (LIN_TAV, LIN_DEIM_U_TAV_F, LIN_DEIM_U_DEIM_F):
@@ -483,7 +483,7 @@ class TestPointPass:
         # A constant first h mode keeps the sampled depths positive.
         phih = np.linalg.qr(np.column_stack(
             [np.ones(n), rng.standard_normal((n, m - 1))]))[0]
-        bases = {"h": PodBasis("h", phih, sv),
+        bases = {"h": PodBasis(phih, sv),
                  **{k: v for k, v in _bases(n, m, (7, 1, 2, 3)).items()
                     if k != "h"}}
         names = ["u", "f"]
@@ -523,7 +523,7 @@ class TestPointPass:
         h = np.array([1e-25, 1e-25, 1e3, 1e3])
         q = np.zeros(n)
         sv = np.ones(n)
-        bases = {v: PodBasis(v, np.eye(n), sv) for v in ("h", "q")}
+        bases = {v: PodBasis(np.eye(n), sv) for v in ("h", "q")}
         interps = {name: deim_offline(np.eye(n + 1)[:, [j]])
                    for name, j in (("alpha0", 1), ("alpha1", 3))}
         ctx = build_swe_context(bases, interps, ("h", "q", "alpha0", "alpha1"),

@@ -10,21 +10,20 @@ from hyporom.snapshots import (SnapshotMatrix, SnapshotRecorder,
 BLOCK = snapshots._BLOCK_COLS
 
 
-def _matrix(n_rows=6, n_cols=9, seed=0, variable_id="h"):
+def _matrix(n_rows=6, n_cols=9, seed=0):
     rng = np.random.default_rng(seed)
     times = np.cumsum(0.1 + 0.05 * rng.random(n_cols)) - 0.1
-    return SnapshotMatrix(variable_id=variable_id,
-                          data=rng.standard_normal((n_rows, n_cols)),
-                          times=times, dts=np.diff(times))
+    return SnapshotMatrix(data=rng.standard_normal((n_rows, n_cols)),
+                          times=times)
 
 
 class TestRecorder:
     def test_single_column(self):
         rec = SnapshotRecorder()
         rec.record({"w": np.arange(4.0)}, 0.0)
-        assert rec.n_recorded == 1
         mats = rec.finalize()
         assert mats["w"].n_cols == 1
+        np.testing.assert_array_equal(mats["w"].times, [0.0])
 
     def test_non_monotone_time_rejected(self):
         rec = SnapshotRecorder()
@@ -47,7 +46,7 @@ class TestRecorder:
             for col in live.values():
                 col[:] = np.nan
         mats = rec.finalize()
-        assert rec.n_recorded == 0
+        assert rec.finalize() == {}
         for var in ("h", "alpha0"):
             assert np.array_equal(mats[var].data,
                                   np.column_stack([c[var] for c in cols]))
@@ -106,17 +105,22 @@ class TestRecorder:
         with pytest.raises(ShapeMismatch, match="'q' at column 1"):
             rec.record({"h": np.ones(4), "q": np.ones(5)}, 0.1)
         # The rejected column wrote nothing.
-        assert rec.n_recorded == 1
         mats = rec.finalize()
         assert np.array_equal(mats["h"].data, np.zeros((4, 1)))
+        assert np.array_equal(mats["q"].data, np.zeros((4, 1)))
+        np.testing.assert_array_equal(mats["h"].times, [0.0])
 
     @pytest.mark.parametrize("bad", [np.zeros((4, 2)), 3.0])
     def test_field_not_one_dimensional_rejected(self, bad):
         rec = SnapshotRecorder()
         with pytest.raises(ShapeMismatch, match="'h' at column 0"):
             rec.record({"w": np.zeros(4), "h": bad}, 0.0)
-        assert rec.n_recorded == 0
-        assert rec.finalize() == {}
+        # The rejected column left no block and no time behind.
+        rec.record({"w": np.ones(4), "h": np.ones(4)}, 0.0)
+        mats = rec.finalize()
+        for var in ("w", "h"):
+            assert np.array_equal(mats[var].data, np.ones((4, 1)))
+            np.testing.assert_array_equal(mats[var].times, [0.0])
 
     def test_aux_columns_recomputable_from_primaries(self):
         # Derived f must equal |q|/h^(7/3) of the recorded h, q columns.
@@ -223,7 +227,6 @@ class TestConcat:
         out = concat_parametric(blocks)
         assert out.n_cols == 18
         assert np.all(np.diff(out.times) > 0)
-        np.testing.assert_allclose(np.diff(out.times), out.dts, rtol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -231,8 +234,7 @@ class TestConcat:
 
 
 def test_data_is_column_major_and_windows_are_views():
-    m = SnapshotMatrix("h", np.arange(12.0).reshape(3, 4), np.arange(4.0),
-                       np.ones(3))
+    m = SnapshotMatrix(np.arange(12.0).reshape(3, 4), np.arange(4.0))
     assert m.data.flags.f_contiguous
     win = m.window(1, 3)
     assert win.base is m.data
