@@ -1,10 +1,15 @@
-"""Discrete empirical interpolation: greedy point selection + small solves.
+"""Discrete empirical interpolation: greedy point selection and the
+inverse of the interpolation matrix.
 
 Offline, indices are chosen one per mode by maximizing the interpolation
 residual of each new mode on the points picked so far (ties go to the
-smallest index, so index sets are deterministic and nested).  Online, the
-nonlinear field is evaluated only at those points and the coefficients
-solve U_I c = values with the stored inverse of the small M x M matrix.
+smallest index, so index sets are deterministic and nested), and the
+inverse of the small M x M matrix U_I = P^T U is stored.  The nonlinear
+field is evaluated only at those points; its coefficients are
+c = U_I^-1 values (``deim_online_values``).  The reduced SWE models fold
+that inverse into their operators once per window
+(``rom.context.fold_interpolants``), so their online step reads the
+point values themselves and solves nothing.
 """
 
 from dataclasses import dataclass
@@ -42,8 +47,8 @@ def _factor(small: np.ndarray) -> np.ndarray:
     if diag.min() <= _PIVOT_RTOL * max(diag.max(), 1e-300):
         raise SingularInterpolationMatrix(
             "interpolation matrix is numerically singular")
-    # The online stage solves with this matrix every step; applying the
-    # factorization once to the identity turns each solve into a matvec.
+    # Applied once to the identity: the explicit inverse is what the
+    # reduced operators fold in, so no step solves with it.
     return scipy.linalg.lu_solve((lu, piv), np.eye(small.shape[0]),
                                  check_finite=False)
 
@@ -77,12 +82,12 @@ def deim_offline(modes: np.ndarray) -> DeimInterpolant:
 
 
 def deim_online_values(interp: DeimInterpolant, values: np.ndarray) -> np.ndarray:
-    """Coefficients from the field values at the interpolation points."""
+    """Coefficients from the field values at the interpolation points;
+    each column of a 2-D ``values`` is one field's point values."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (interp.basis.shape[1],):
+    if values.ndim not in (1, 2) or len(values) != interp.m:
         raise EvaluationError(
-            f"expected {interp.basis.shape[1]} point values, "
-            f"got {values.shape}")
+            f"expected {interp.m} point values, got {values.shape}")
     if not np.isfinite(values).all():
         raise EvaluationError("non-finite value at an interpolation point")
     return interp.solve_matrix @ values

@@ -40,7 +40,7 @@ second on a worker, so the bases are bitwise the same on one CPU or
 many.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +60,12 @@ _ORTHO_TOL = 1e-12
 _QR_BLOCK = 32
 
 
-@dataclass
+@dataclass(eq=False)
 class PodBasis:
     modes: np.ndarray                 # n_rows x m, orthonormal columns
     singular_values: np.ndarray       # all retained sigma (>= m entries)
     energy_captured: float = 1.0
-    is_fallback: bool = field(default=False, compare=False)
+    is_fallback: bool = False
 
     def __post_init__(self):
         self.modes = np.ascontiguousarray(self.modes, dtype=float)

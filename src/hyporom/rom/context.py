@@ -8,10 +8,15 @@ state for all refreshes, and everything the refreshes read of it -- the
 depth check, u = q/h and, with fan refreshes, sqrt(h) and sqrt(g h) --
 is derived there once for every sampled cell.  Each refresh then passes
 its own slice of these to the full-order closure (``friction_kernel``,
-``hll_fan`` in fom/swe.py), at O(M) cost per point.  Interface
-evaluations (fan coefficients) sample the two cells flanking each
-interface, with edge clamping matching the ghost replication of the
-full-order scheme.
+``hll_fan`` in fom/swe.py), at O(M) cost per point, and returns the
+field's point values.  Interface evaluations (fan coefficients) sample
+the two cells flanking each interface, with edge clamping matching the
+ghost replication of the full-order scheme.
+
+The point values are never solved for coefficients online: when a window
+is built, ``fold_interpolants`` folds each interpolant's inverse
+(P^T U)^-1 into the operators that read the field, and the step reads
+the point values where it read the coefficients.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,7 @@ import numpy as np
 from ..deim import DeimInterpolant, deim_online_values
 from ..errors import EvaluationError
 from ..fom.swe import friction_kernel, hll_fan
+from .operators import RomOperators, fold_inputs
 
 LIN_TAV = "tav"
 LIN_DEIM_U_TAV_F = "deim_u_tav_f"
@@ -128,25 +134,34 @@ def sample_cells(ctx: SweRomContext, x: np.ndarray) -> SampledCells:
 
 
 def refresh_u(ctx: SweRomContext, cells: SampledCells) -> np.ndarray:
-    """DEIM coefficients of u = q/h from the sampled cells."""
-    return deim_online_values(ctx.u_samples.interp, cells.u[ctx.u_samples.at])
+    """u = q/h at the u interpolation points."""
+    return cells.u[ctx.u_samples.at]
 
 
 def refresh_f(ctx: SweRomContext, cells: SampledCells) -> np.ndarray:
-    """DEIM coefficients of f = |q|/h^(7/3) from the sampled cells."""
+    """f = |q|/h^(7/3) at the f interpolation points."""
     at = ctx.f_samples.at
-    return deim_online_values(ctx.f_samples.interp,
-                              friction_kernel(cells.h[at], cells.q[at]))
+    return friction_kernel(cells.h[at], cells.q[at])
 
 
 def refresh_alphas(ctx: SweRomContext, cells: SampledCells):
-    """Fan coefficients at the stacked interpolation interfaces, one pass:
-    the full-order ``hll_fan`` of the sampled flanking cells."""
+    """alpha0 and alpha1 at their interpolation interfaces, one pass: the
+    full-order ``hll_fan`` of the sampled flanking cells."""
     left, right = ctx.fan_left, ctx.fan_right
     _, _, a0, a1 = hll_fan(cells.h[left], cells.h[right], cells.u[left],
                            cells.u[right], cells.root_h[left],
                            cells.root_h[right], cells.c[left],
                            cells.c[right], ctx.g)
     m0 = ctx.a0_samples.interp.m
-    return (deim_online_values(ctx.a0_samples.interp, a0[:m0]),
-            deim_online_values(ctx.a1_samples.interp, a1[m0:]))
+    return a0[:m0], a1[m0:]
+
+
+def fold_interpolants(ops: RomOperators, interpolants: dict) -> None:
+    """Fold the inverse (P^T U)^-1 of each DEIM input's interpolant into
+    the window's operators (``fold_inputs``), so that the step reads the
+    refreshed point values where it read their coefficients.  The inverse
+    is the interpolant's online map of the unit point values,
+    ``deim_online_values(interp, I)``."""
+    fold_inputs(ops, {name: deim_online_values(interpolants[name],
+                                               np.eye(ops.m))
+                      for name in ops.inputs[2:]})

@@ -10,7 +10,8 @@ built (a window's slices are decomposed in two fixed halves, the second
 on a worker thread; a derived slice is factored in place), the
 per-system mode count is unified, and the window averages and compiled
 operators are assembled; a SWE window then gets DEIM interpolants for
-exactly the inputs its operators read (``ops.inputs``).
+exactly the inputs its operators read (``ops.inputs``), whose inverses
+are folded into the operators (``fold_interpolants``).
 
 Online: the reduced state replays the first run's recorded dt sequence.
 It stays packed, x = [c_var for each conserved variable], and the replay
@@ -41,7 +42,7 @@ from ..pod import (SliceSvd, fallback_basis, lift, numerical_rank,
 from ..snapshots import WindowPartition, partition_uniform
 from .burgers import assemble_burgers_rom, rom_burgers_step
 from .context import (COEFF_DEIM, COEFF_MODES, LIN_DEIM_U_TAV_F, LIN_TAV,
-                      LINEARIZATIONS, build_swe_context)
+                      LINEARIZATIONS, build_swe_context, fold_interpolants)
 from .operators import in_two_halves, time_average
 from .swe_hll import assemble_swe_hll_rom, rom_swe_hll_step
 from .swe_lf import assemble_swe_lf_rom, rom_swe_lf_step, swe_inputs
@@ -298,6 +299,7 @@ def build_rom(system: str, groups: list, params, grid: Grid1D, *,
                             for var in ops.inputs[2:]}
             context = build_swe_context(bases, interpolants, ops.inputs,
                                         params.g)
+            fold_interpolants(ops, interpolants)
         windows.append(RomWindow(index=v, bases=bases, ops=ops,
                                  context=context, averages=averages))
 

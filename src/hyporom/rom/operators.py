@@ -16,7 +16,7 @@ many.  Finite-difference stencils act on the test functions
 Every system compiles each window into one step shape
 (``compile_terms``).  The state x stacks the coefficients of the
 conserved variables (w, or h then q).  With xa = [x; refreshed DEIM
-coefficients; 1], the M-blocks of xa in the order ``inputs`` names them
+point values; 1], the M-blocks of xa in the order ``inputs`` names them
 (transport and Burgers read x alone):
 
     z     = (scale0 + dt * scale1) * xa[gather]
@@ -27,14 +27,21 @@ coefficients; 1], the M-blocks of xa in the order ``inputs`` names them
 ``lin`` holds every matrix and vector term side by side, each in the rows
 of the equation it feeds and zero elsewhere.  ``z`` is every scaled
 input: the inputs of the n_lin columns of ``lin``, then the left member
-of each tensor pair.  ``scale0`` carries the dt-free factors (the
-viscosity nu/2) and ``scale1`` the factors per unit dt (for example
--1/(2dx) for an advective stencil).  Each output block's tensors are the
+of each tensor pair, one contiguous slice of z per output block.
+``scale0`` carries the dt-free factors (the viscosity nu/2) and
+``scale1`` the factors per unit dt (for example -1/(2dx) for an
+advective stencil).  Each output block's tensors are the
 column blocks of one operand, contracted in one GEMV.  Because the
 factors multiply the inputs, not the operators, the named entries of
 ``matrices``, ``vectors`` and ``tensors3`` are views into these arrays,
 bitwise the assembled operators.  Which terms a window holds, and which
 inputs its step reads, is decided by its assembler alone.
+
+A DEIM input's block of xa holds the field's values at the interpolation
+points, not its coefficients c = (P^T U)^-1 v: ``fold_inputs`` composes
+every operator that reads the input with that inverse once, in place, so
+the step solves nothing.  After the fold the named views hold the folded
+operators.
 """
 
 import threading
@@ -72,10 +79,11 @@ class Term(NamedTuple):
     per_dt: float       # factor per unit dt
 
 
-@dataclass
+@dataclass(eq=False)
 class RomOperators:
     """A window's compiled step (module docstring) and named views of its
-    operators."""
+    operators: as assembled, or folded once ``fold_inputs`` has run.
+    Instances compare by identity."""
 
     m: int
     inputs: tuple                    # the M-blocks of xa, in order
@@ -83,7 +91,7 @@ class RomOperators:
     gather: np.ndarray
     scale0: np.ndarray
     scale1: np.ndarray
-    quad: tuple                      # (rows, operand, left, right) per block
+    quad: tuple                      # (rows, operand, left slice, right)
     matrices: dict
     vectors: dict
     tensors3: dict
@@ -137,7 +145,7 @@ def compile_terms(terms: dict, inputs: tuple, outputs: tuple,
             right.append(start[t.inputs[1]] + np.arange(m))
             scale0.append(np.zeros(m))
             scale1.append(np.full(m, t.per_dt))
-        left = first + np.arange(len(names) * m).reshape(len(names), m)
+        left = slice(first, first + len(names) * m)
         first += len(names) * m
         quad.append((rows[out], operand, left, np.array(right)))
 
@@ -181,8 +189,39 @@ def advance(x: np.ndarray, xa: np.ndarray, ops: RomOperators, dt: float,
     z = (ops.scale0 + dt * ops.scale1) * xa[ops.gather]
     incr = ops.lin @ z[:ops.lin.shape[1]]
     for rows, operand, left, right in ops.quad:
-        incr[rows] += contract(operand, z[left], xa[right])
+        incr[rows] += contract(operand, z[left].reshape(right.shape),
+                               xa[right])
     return x + incr
+
+
+def fold_inputs(ops: RomOperators, maps: dict) -> None:
+    """Compose each operator that reads an input named in ``maps`` with
+    that input's M x M map S, in place: the step then reads v where it
+    read c = S v.  A matrix A on the input becomes A S; a tensor whose
+    left member is the input has its l-mode multiplied by S, one whose
+    right member is has its k-mode.  Each fold is one BLAS product over
+    the (p, l, k) view of the operand; no operator is held twice."""
+    m = ops.m
+    lin_reads = ops.gather[:ops.lin.shape[1]]
+    for b, name in enumerate(ops.inputs):
+        if name not in maps:
+            continue
+        s = maps[name]
+        first = b * m
+        # A matrix's first column gathers the first entry of its input;
+        # a vector column gathers the constant, past every input block.
+        for col in np.flatnonzero(lin_reads == first):
+            block = ops.lin[:, col:col + m]
+            block[:] = block @ s
+        for _, operand, left, right in ops.quad:
+            tensors = operand.reshape(m, -1, m, m)        # p, j, l, k
+            for j, (lead, trail) in enumerate(
+                    zip(ops.gather[left][::m], right[:, 0])):
+                t = tensors[:, j]
+                if lead == first:
+                    t[:] = s.T @ t
+                if trail == first:
+                    t[:] = t @ s
 
 
 def stencil_weights(phi: np.ndarray, coefs: dict) -> np.ndarray:

@@ -8,7 +8,8 @@ scaled by dt/(2dx).  Interface Roe means (u_tilde, h_tilde) are always
 window averages; the fan coefficients are either window averages baked
 into U matrices and vectors (coeff_mode "tav") or DEIM-updated
 coefficients contracted against U tensors, with U_3 and U_7 matrices on
-the coefficients (coeff_mode "deim").  The DEIM point values are the
+the coefficients (coeff_mode "deim"); once folded, the step reads the
+coefficients' point values instead.  The DEIM point values are the
 full-order ``hll_fan`` of the sampled flanking cells (``refresh_alphas``
 in context.py).  The U terms are the viscosity ``assemble_swe`` asks
 for; it hands them the padded modes and the full-order ``bed_profile``

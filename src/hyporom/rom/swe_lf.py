@@ -22,17 +22,24 @@ difference of the padded products is moved onto the q test functions.
 
 The assembler then compiles the window into the step shape of
 operators.py on x = [h_hat; q_hat].  Its inputs, ``swe_inputs``, are h
-and q, then the DEIM-refreshed coefficients its terms read, in the order
-u, f, alpha0, alpha1.  That tuple, kept as ``ops.inputs``, also names the
+and q, then the DEIM-refreshed fields its terms read, in the order u, f,
+alpha0, alpha1.  That tuple, kept as ``ops.inputs``, also names the
 setup's bases, the context's samples and the step's refreshes.  The
 per-dt factors are -1/(2dx) for A and D, -g/(4dx) for E and G, -g n_b^2
 for H and 1/(2dx) for the HLL fans; the PVM-0 terms carry nu/2 as their
 fixed factor.
+
+The operators are assembled on the fields' DEIM coefficients;
+``build_rom`` then folds each interpolant's inverse into them
+(``context.fold_interpolants``): the l-mode of D and of the HLL U
+tensors, the k-mode of the friction tensor H, and the U3/U7 matrices.
+The step (``step_swe``) therefore reads the refreshed point values and
+solves nothing.
 """
 
 import numpy as np
 
-from ..errors import MissingAuxBasis, UnsupportedSystem
+from ..errors import EvaluationError, MissingAuxBasis, UnsupportedSystem
 from ..fom.swe import SweParams, bed_profile
 from ..grid import Grid1D
 from .context import (COEFF_DEIM, LIN_DEIM_U_DEIM_F, LIN_DEIM_U_TAV_F,
@@ -44,8 +51,6 @@ from .operators import (RomOperators, Term, advance, compile_terms,
 
 # Central difference over padded rows, x[i+2] - x[i], moved onto the modes.
 _CENTRAL = {2: 1, 0: -1}
-# Last entry of xa: the input of every constant-vector column.
-_ONE = np.ones(1)
 
 
 def swe_inputs(linearization: str, coeff_mode: str | None,
@@ -123,23 +128,32 @@ def assemble_swe(bases: dict, params: SweParams, grid: Grid1D,
 
 def step_swe(x: np.ndarray, ops: RomOperators, ctx: SweRomContext,
              dt: float, refresh_fans) -> np.ndarray:
-    """One reduced step of the packed state x = [h_hat; q_hat].  The
-    refreshed coefficients are stacked in the order of ``ops.inputs``,
-    all from one point pass; the fan refresh, which yields alpha0 and
-    alpha1 at once, is passed by the HLL entry point, which owns its
-    name."""
-    xa = [x]
+    """One reduced step of the packed state x = [h_hat; q_hat].  One point
+    pass samples the state; the refreshes write their point values into
+    xa in the order of ``ops.inputs``, where the folded operators read
+    them, and one check covers them all.  The fan refresh, which yields
+    alpha0 and alpha1 at once, is passed by the HLL entry point, which
+    owns its name."""
+    m = ops.m
+    xa = np.empty(len(ops.inputs) * m + 1)
+    xa[:2 * m] = x
+    xa[-1] = 1.0
     if len(ops.inputs) > 2:
         cells = sample_cells(ctx, x)
-    for name in ops.inputs[2:]:
-        if name == "u":
-            xa.append(refresh_u(ctx, cells))
-        elif name == "f":
-            xa.append(refresh_f(ctx, cells))
-        elif name == "alpha0":
-            xa.extend(refresh_fans(ctx, cells))
-    xa.append(_ONE)
-    return advance(x, np.concatenate(xa), ops, dt, contract_quadratic)
+        points = xa[2 * m:-1]
+        for i, name in enumerate(ops.inputs[2:]):
+            at = i * m
+            if name == "u":
+                points[at:at + m] = refresh_u(ctx, cells)
+            elif name == "f":
+                points[at:at + m] = refresh_f(ctx, cells)
+            elif name == "alpha0":
+                points[at:at + m], points[at + m:at + 2 * m] = \
+                    refresh_fans(ctx, cells)
+        if not np.isfinite(points).all():
+            raise EvaluationError("non-finite value at an interpolation "
+                                  "point")
+    return advance(x, xa, ops, dt, contract_quadratic)
 
 
 def assemble_swe_lf_rom(bases: dict, params: SweParams, grid: Grid1D,

@@ -363,6 +363,41 @@ def test_step_errors_carry_time_and_window():
         run_rom(setup, {"h": -h0, "q": np.zeros_like(h0)}, res.dts)
 
 
+def _point_check_setup(system):
+    """A 3-window DEIM build of a dam break, with its initial fields."""
+    if system == "swe_lf":
+        grid, params, h0, res = _dam_run()
+        coeff = None
+    else:
+        grid, params, res = _hll_dam_recording()
+        h0 = res.snapshots["h"].data[:, 0]
+        coeff = COEFF_DEIM
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # padded bases
+        setup = build_rom(system, [res.snapshots], params, grid,
+                          n_windows=3, eps_pod=1e-10, mode_cap=6,
+                          linearization=LIN_DEIM_U_DEIM_F, coeff_mode=coeff)
+    return setup, {"h": h0, "q": np.zeros_like(h0)}, res.dts
+
+
+@pytest.mark.parametrize("system", ["swe_lf", "swe_hll"])
+@pytest.mark.parametrize("row, sign, message", [
+    (1, np.nan, "non-finite value at an interpolation point"),
+    (0, -1.0, "non-positive depth at a DEIM point")])
+def test_point_check_errors_carry_time_and_window(system, row, sign,
+                                                  message):
+    # Window 1 samples a NaN discharge (so u and f are NaN) or a negative
+    # depth at its first point, from a finite state: the step's one check
+    # of the sampled values raises, and run_rom names the step's time and
+    # window.
+    setup, initial, dts = _point_check_setup(system)
+    setup.windows[1].context.rows[row, 0] *= sign
+    with pytest.raises(EvaluationError,
+                       match=rf"^{message} \(step from t=0\.\d+, "
+                             r"window 1\)$"):
+        run_rom(setup, initial, dts)
+
+
 def test_empty_recorded_steps_raise_typed():
     grid, params, w0, res = _transport_run(n=40, t_final=0.3)
     setup = build_rom("transport", [res.snapshots], params, grid,

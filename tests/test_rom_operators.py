@@ -13,6 +13,7 @@ import pytest
 from hyporom.fluxes import FluxChoice
 from hyporom.fom import SweModel, SweParams, SweState, run_fom
 from hyporom.grid import Grid1D
+from hyporom.pod import PodBasis
 from hyporom.rom import COEFF_DEIM, LIN_DEIM_U_DEIM_F, build_rom
 from hyporom.rom import operators
 from hyporom.rom.operators import _BLOCK_BYTES, project_outer, stencil_weights
@@ -182,3 +183,25 @@ def test_stencil_on_test_functions_matches_stencil_on_products():
     ref = np.einsum("ip,ilk->plk", phi, prod[2:] - prod[:-2])
     out = project_outer(stencil_weights(phi, {2: 1, 0: -1}), padded, padded)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+
+
+def _basis():
+    return PodBasis(np.eye(3)[:, :2], np.ones(2))
+
+
+def _compiled():
+    return operators.compile_terms(
+        {"A": operators.Term(np.eye(2), "w", ("w",), 0.0, 1.0)}, ("w",),
+        ("w",), 2)
+
+
+@pytest.mark.parametrize("make", [_basis, _compiled],
+                         ids=["PodBasis", "RomOperators"])
+def test_array_holders_compare_by_identity(make):
+    # Field-wise equality would compare arrays and raise numpy's "truth
+    # value is ambiguous"; identity answers, and the objects hash.
+    a, b = make(), make()
+    assert a == a
+    assert not a == b
+    assert a != b
+    assert len({a, b, a}) == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyporom.deim import deim_offline
 from hyporom.errors import DegenerateWaveFan, MissingAuxBasis
@@ -14,7 +16,7 @@ from hyporom.rom import (COEFF_DEIM, COEFF_TAV, LIN_DEIM_U_DEIM_F,
                          build_swe_context, refresh_alphas, refresh_f,
                          refresh_u, rom_swe_hll_step, rom_swe_lf_step, swe_lf,
                          time_average)
-from hyporom.rom.context import sample_cells
+from hyporom.rom.context import fold_interpolants, sample_cells
 from hyporom.rom.driver import basis_variables
 
 from oracles import (friction_ops_oracle, interface_fan, kahan_sum,
@@ -358,8 +360,9 @@ _FLUXES = [None, COEFF_TAV, COEFF_DEIM]     # PVM-0, HLL tav, HLL deim
 
 
 class TestCompiledStep:
-    """The compiled step against the named-operator oracle on truncated
-    bases (M < n), where DEIM interpolation is not exact."""
+    """The folded compiled step against the named-operator oracle, read on
+    the operators as assembled: on truncated bases (M < n), where DEIM
+    interpolation is not exact, and on full ones."""
 
     def _check(self, lin, coeff_mode, n_b, n=14, m=4, seed=61):
         rng = np.random.default_rng(seed)
@@ -397,9 +400,11 @@ class TestCompiledStep:
         h_hat = bases["h"].modes.T @ h
         q_hat = bases["q"].modes.T @ q
         dt = 0.02
-        got = step(np.concatenate([h_hat, q_hat]), ops, ctx, dt)
+        # The oracle reads the operators as assembled, before the fold.
         want = swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params,
                                    grid.dx, dt)
+        fold_interpolants(ops, interps)
+        got = step(np.concatenate([h_hat, q_hat]), ops, ctx, dt)
         np.testing.assert_allclose(got, np.concatenate(want), rtol=0,
                                    atol=1e-12)
         return ops
@@ -408,6 +413,22 @@ class TestCompiledStep:
     @pytest.mark.parametrize("lin", LINEARIZATIONS)
     def test_matches_named_operator_oracle(self, lin, coeff_mode):
         self._check(lin, coeff_mode, n_b=0.1)
+
+    @pytest.mark.parametrize("n_b", [0.0, 0.1])
+    @pytest.mark.parametrize("coeff_mode", _FLUXES)
+    @pytest.mark.parametrize("lin", LINEARIZATIONS)
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(8, 20), m=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_folded_step_matches_oracle_on_random_windows(self, lin,
+                                                          coeff_mode, n_b, n,
+                                                          m, seed):
+        self._check(lin, coeff_mode, n_b, n=n, m=m, seed=seed)
+
+    @pytest.mark.parametrize("coeff_mode", _FLUXES)
+    def test_folded_step_matches_oracle_on_full_bases(self, coeff_mode):
+        # M = n: every interpolant is a change of basis, none the identity.
+        self._check(LIN_DEIM_U_DEIM_F, coeff_mode, n_b=0.1, n=10, m=10)
 
     @pytest.mark.parametrize("coeff_mode", _FLUXES)
     def test_frictionless_window_skips_the_f_refresh(self, monkeypatch,
@@ -473,8 +494,9 @@ class TestSteps:
 
 class TestPointPass:
     """One point pass per step: the refreshes read what ``sample_cells``
-    derives and match, bitwise, the references that derived their own
-    values from the sampled points."""
+    derives, and their point values, solved with each interpolant's
+    ``solve_matrix``, match bitwise the coefficients of the references
+    that derived their own values from the sampled points."""
 
     @staticmethod
     def _context(m, hll, n=60, seed=0):
@@ -504,14 +526,17 @@ class TestPointPass:
             pts = ctx.rows @ x.reshape(2, -1, 1)
             assert pts[0].min() > 0.0
             cells = sample_cells(ctx, x)
-            pairs = [(refresh_u(ctx, cells), refresh_u_reference(ctx, pts)),
-                     (refresh_f(ctx, cells), refresh_f_reference(ctx, pts))]
+            pairs = [(ctx.u_samples.interp, refresh_u(ctx, cells),
+                      refresh_u_reference(ctx, pts)),
+                     (ctx.f_samples.interp, refresh_f(ctx, cells),
+                      refresh_f_reference(ctx, pts))]
             if hll:
-                pairs += zip(refresh_alphas(ctx, cells),
+                pairs += zip((ctx.a0_samples.interp, ctx.a1_samples.interp),
+                             refresh_alphas(ctx, cells),
                              refresh_alphas_reference(ctx, pts))
-            for got, want in pairs:
+            for interp, got, want in pairs:
                 assert got.shape == (m,)
-                assert np.array_equal(got, want)
+                assert np.array_equal(interp.solve_matrix @ got, want)
 
     def test_fan_degeneracy_is_judged_per_interface(self):
         # Two interpolation interfaces: one between two nearly dry cells,
