@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (ConfigError, HyporomError, UnsupportedSystem,
-                      ZeroWaveSpeed)
+from ..errors import (ConfigError, HyporomError, ShapeMismatch,
+                      UnsupportedSystem, ZeroWaveSpeed)
 from ..fluxes import FluxChoice
 from ..grid import Grid1D
 from ..snapshots import SnapshotMatrix, SnapshotRecorder
@@ -130,12 +130,20 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
 
     ``snapshot_stride`` keeps every k-th column (plus t=0 and the final
     state); the returned dt sequence always contains every step so a ROM
-    can replay the exact time grid.
+    can replay the exact time grid.  The state's fields must each hold
+    one value per grid cell.
     """
     if t_final <= 0.0:
         raise ConfigError("t_final must be positive")
     if snapshot_stride < 1:
         raise ConfigError("snapshot_stride must be >= 1")
+
+    fields = model.fields(state)
+    for name, values in fields.items():
+        if np.shape(values) != (model.grid.n_cells,):
+            raise ShapeMismatch(
+                f"state field {name} has shape {np.shape(values)}; the grid "
+                f"has {model.grid.n_cells} cells")
 
     recorder = SnapshotRecorder() if record else None
     clamp_eps = 1e-12 * max(t_final, 1.0)
@@ -144,7 +152,7 @@ def run_fom(model, state, t_final: float, cfl: float = 0.9, *,
     times = [0.0]
     dts: list[float] = []
     if recorder is not None:
-        recorder.record(model.fields(state), 0.0)
+        recorder.record(fields, 0.0)
 
     t0 = time.perf_counter()
     step_index = 0

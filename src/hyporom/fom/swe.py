@@ -14,13 +14,24 @@ The pointwise closures ``hll_fan``, ``friction_kernel`` and
 its DEIM points and in its assemblers.
 
 ``SweModel`` (fom/driver.py) is the entry to the schemes.  A ``SweState``
-is checked when it is built (finite values, positive depth) and owns
-read-only arrays, so every state a step reads or returns is valid.  A
-run records h and q only.  The auxiliary snapshots (u, f, the HLL fan)
-are pointwise functions of them, formed by the same closures from any
-column range of the recorded matrices (``derived_fields``): the offline
-stage derives each window's slices, ``hyporom fom run`` the whole
-recording.
+is checked when it is built (non-empty 1-D arrays, finite values,
+positive depth) and owns read-only arrays, so every state a step reads
+or returns is valid.  The check is one pass for the common valid state
+(min and max of h, finiteness of q); only a failing state is examined
+again, to raise the typed error, NaN/Inf before a non-positive depth.
+
+Arithmetic contract: the step, its CFL speed and the fan are bitwise
+pinned to a copy, in tests/oracles.py, of the form that allocated one
+array per operation.  Each product at an interface is formed once over
+the n_cells + 1 interfaces and then differenced across each cell, sums
+keep their order of evaluation, and temporaries are reused in place
+(``out=`` arithmetic); none of this changes a bit of the result.
+
+A run records h and q only.  The auxiliary snapshots (u, f, the HLL
+fan) are pointwise functions of them, formed by the same closures from
+any column range of the recorded matrices (``derived_fields``): the
+offline stage derives each window's slices, ``hyporom fom run`` the
+whole recording.
 """
 
 from dataclasses import dataclass
@@ -82,9 +93,14 @@ class SweState:
         q = np.asarray(self.q, dtype=float)
         if h.shape != q.shape:
             raise ShapeMismatch("h and q must have the same shape")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(q))):
-            raise NonFiniteState("SWE state contains NaN/Inf")
-        if np.any(h <= 0.0):
+        if h.ndim != 1 or h.size == 0:
+            raise ShapeMismatch(
+                f"h and q must be non-empty 1-D arrays, got shape {h.shape}")
+        # Two reductions over h (NaN fails both comparisons) and one
+        # finiteness pass over q; the typed checks run only on failure.
+        if not (h.min() > 0.0 and h.max() < np.inf and np.isfinite(q).all()):
+            if not (np.isfinite(h).all() and np.isfinite(q).all()):
+                raise NonFiniteState("SWE state contains NaN/Inf")
             raise NonPositiveDepth("water depth must be positive everywhere")
         h.flags.writeable = False
         q.flags.writeable = False
@@ -102,39 +118,65 @@ def lake_at_rest(params: SweParams, grid: Grid1D, eta: float = 0.0) -> SweState:
 
 
 def _max_speed(state: SweState, g: float) -> float:
-    u = state.q / state.h
-    c = np.sqrt(g * state.h)
-    return float(np.max(np.abs(u) + c))
+    """max |u| + sqrt(g h) over the cells."""
+    speed = np.divide(state.q, state.h)
+    np.abs(speed, out=speed)
+    c = np.multiply(state.h, g)
+    np.sqrt(c, out=c)
+    speed += c
+    return float(speed.max())
 
 
 def _roe(h_l, h_r, u_l, u_r, root_l, root_r):
     """Roe averages of positive depths, given their square roots."""
-    h_tilde = 0.5 * (h_l + h_r)
-    u_tilde = (root_r * u_r + root_l * u_l) / (root_r + root_l)
+    h_tilde = np.add(h_l, h_r)
+    h_tilde *= 0.5
+    u_tilde = np.multiply(root_r, u_r)
+    buf = np.multiply(root_l, u_l)
+    u_tilde += buf
+    np.add(root_r, root_l, out=buf)
+    u_tilde /= buf
     return h_tilde, u_tilde
 
 
 def _fan_coeffs(s_l, s_r):
     """(alpha0, alpha1) of float-array fans (S_L, S_R).  Each interface is
     degenerate when its gap is below _FAN_TOL * max(1, |S_L|, |S_R|) of
-    its own speeds."""
-    gap = s_r - s_l
+    its own speeds.  The coefficients are formed in s_r and |s_r|, and
+    s_l is overwritten: pass arrays made for the call."""
+    gap = np.subtract(s_r, s_l)
     abs_l = np.abs(s_l)
     abs_r = np.abs(s_r)
-    if (gap < _FAN_TOL * np.maximum(1.0, np.maximum(abs_l, abs_r))).any():
+    tol = np.maximum(abs_l, abs_r)
+    np.maximum(1.0, tol, out=tol)
+    tol *= _FAN_TOL
+    if (gap < tol).any():
         raise DegenerateWaveFan("HLL wave speeds are not separated")
-    return (s_r * abs_l - s_l * abs_r) / gap, (abs_r - abs_l) / gap
+    # alpha0 = (S_R |S_L| - S_L |S_R|) / gap, alpha1 = (|S_R| - |S_L|) / gap
+    s_r *= abs_l
+    s_l *= abs_r
+    s_r -= s_l
+    s_r /= gap
+    abs_r -= abs_l
+    abs_r /= gap
+    return s_r, abs_r
 
 
 def hll_fan(h_l, h_r, u_l, u_r, root_l, root_r, c_l, c_r, g):
     """(h_tilde, u_tilde, alpha0, alpha1) of the interfaces between the
     given left and right depths, velocities, sqrt(h) and sqrt(g h).  The
     Davis speed estimates take the one-sided speeds and the Roe speed, so
-    the Roe averages are formed once and serve both."""
+    the Roe averages are formed once and serve both.  The inputs are only
+    read; every array returned is new."""
     h_t, u_t = _roe(h_l, h_r, u_l, u_r, root_l, root_r)
-    c_t = np.sqrt(g * h_t)
-    s_l = np.minimum(u_l - c_l, u_t - c_t)
-    s_r = np.maximum(u_r + c_r, u_t + c_t)
+    c_t = np.multiply(h_t, g)
+    np.sqrt(c_t, out=c_t)
+    s_l = np.subtract(u_l, c_l)
+    buf = np.subtract(u_t, c_t)
+    np.minimum(s_l, buf, out=s_l)
+    s_r = np.add(u_r, c_r)
+    np.add(u_t, c_t, out=buf)
+    np.maximum(s_r, buf, out=s_r)
     a0, a1 = _fan_coeffs(s_l, s_r)
     return h_t, u_t, a0, a1
 
@@ -145,8 +187,13 @@ def friction_kernel(h, q):
 
 
 def _pad(a: np.ndarray) -> np.ndarray:
-    """Cell array extended by one ghost cell per side replicating the edge."""
-    return np.concatenate(([a[0]], a, [a[-1]]))
+    """Cell array (or block of cell columns) extended by one ghost cell per
+    side replicating the edge."""
+    out = np.empty((a.shape[0] + 2,) + a.shape[1:])
+    out[1:-1] = a
+    out[0] = a[0]
+    out[-1] = a[-1]
+    return out
 
 
 def bed_profile(params: SweParams, grid: Grid1D):
@@ -159,7 +206,8 @@ def bed_profile(params: SweParams, grid: Grid1D):
 def _fan(hg, ug, g):
     """``hll_fan`` at every interface of a state's ghost-padded h and u."""
     root = np.sqrt(hg)
-    c = np.sqrt(g * hg)
+    c = np.multiply(hg, g)
+    np.sqrt(c, out=c)
     return hll_fan(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:],
                    c[:-1], c[1:], g)
 
@@ -190,18 +238,61 @@ def derived_fields(h, q, g: float, names) -> dict:
     return out
 
 
-def _friction(state: SweState, params: SweParams, dt: float) -> np.ndarray:
-    if params.n_b == 0.0:
-        return np.zeros_like(state.q)
-    return dt * params.g * params.n_b ** 2 * state.q * np.abs(state.q) \
-        / state.h ** (7.0 / 3.0)
+def _jumps(hg, qg, zg):
+    """Jumps of eta = h + z and of q at the n_cells + 1 interfaces."""
+    etag = np.add(hg, zg)
+    return np.subtract(etag[1:], etag[:-1]), np.subtract(qg[1:], qg[:-1])
+
+
+def _centered(x, fg, scale):
+    """x - scale * (fg[2:] - fg[:-2]) of a cell array x and the
+    ghost-padded flux fg: the centered part of a step."""
+    out = np.subtract(fg[2:], fg[:-2])
+    out *= scale
+    np.subtract(x, out, out=out)
+    return out
+
+
+def _add_diff(acc, prod, scale, buf):
+    """acc += scale * (prod[1:] - prod[:-1]) of an interface product,
+    through the cell-sized buffer buf."""
+    np.subtract(prod[1:], prod[:-1], out=buf)
+    buf *= scale
+    acc += buf
+
+
+def _momentum_flux(hg, qg, g):
+    """q^2/h + g h^2/2 of the padded cells."""
+    mom = np.multiply(qg, qg)
+    mom /= hg
+    pressure = np.multiply(hg, 0.5 * g)
+    pressure *= hg
+    mom += pressure
+    return mom
 
 
 def _bed_slope(hg, dz, lam, g):
-    # Centered path-conservative source: -(g dt / 4 dx) * sum of side terms.
-    h = hg[1:-1]
-    side = (hg[2:] + h) * dz[1:] + (h + hg[:-2]) * dz[:-1]
-    return -0.25 * g * lam * side
+    # Centered path-conservative source: -(g dt / 4 dx) * sum of the side
+    # terms (h_left + h_right) * dz of the cell's two interfaces.
+    side = np.add(hg[1:], hg[:-1])
+    side *= dz
+    src = np.add(side[1:], side[:-1])
+    src *= -0.25 * g * lam
+    return src
+
+
+def _add_sources(q_new, state: SweState, params: SweParams, hg, dz,
+                 lam: float, dt: float) -> None:
+    """Add the bed slope source to q_new, then subtract Manning friction
+    dt g n_b^2 q|q| / h^(7/3) (none when n_b = 0)."""
+    q_new += _bed_slope(hg, dz, lam, params.g)
+    if params.n_b == 0.0:
+        return
+    q = state.q
+    friction = np.multiply(q, dt * params.g * params.n_b ** 2)
+    friction *= np.abs(q)
+    friction /= state.h ** (7.0 / 3.0)
+    q_new -= friction
 
 
 def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
@@ -209,31 +300,30 @@ def _lf_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
     """PVM-0 step of the state over the bed ``bed_profile`` gives."""
     dx = grid.dx
     lam = dt / dx
+    half = 0.5 * lam
     g = params.g
     hg, qg = _pad(state.h), _pad(state.q)
-    etag = hg + bed[0]
-    h, q = state.h, state.q
+    eta_jump, q_jump = _jumps(hg, qg, bed[0])
 
     if flux is FluxChoice.RUSANOV:
         ug = qg / hg
         root = np.sqrt(hg)
-        h_t, u_t = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:])
-        a0 = np.abs(u_t) + np.sqrt(g * h_t)
+        h_t, a0 = _roe(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:])
+        # alpha0 = |u_t| + sqrt(g h_t)
+        np.abs(a0, out=a0)
+        h_t *= g
+        a0 += np.sqrt(h_t, out=h_t)
     else:
-        a0 = np.full(grid.n_cells + 1, pvm0_constant(flux, params.nu, dx, dt))
+        a0 = pvm0_constant(flux, params.nu, dx, dt)
+    eta_jump *= a0
+    q_jump *= a0
 
-    eta_jump = etag[1:] - etag[:-1]
-    q_jump = qg[1:] - qg[:-1]
-
-    h_new = h - 0.5 * lam * (qg[2:] - qg[:-2]) \
-        + 0.5 * lam * (a0[1:] * eta_jump[1:] - a0[:-1] * eta_jump[:-1])
-
-    mom = qg * qg / hg + 0.5 * g * hg * hg
-    q_new = q - 0.5 * lam * (mom[2:] - mom[:-2]) \
-        + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
-        + _bed_slope(hg, bed[1], lam, g) \
-        - _friction(state, params, dt)
-
+    buf = np.empty_like(state.h)
+    h_new = _centered(state.h, qg, half)
+    _add_diff(h_new, eta_jump, half, buf)
+    q_new = _centered(state.q, _momentum_flux(hg, qg, g), half)
+    _add_diff(q_new, q_jump, half, buf)
+    _add_sources(q_new, state, params, hg, bed[1], lam, dt)
     return SweState(h=h_new, q=q_new)
 
 
@@ -241,30 +331,33 @@ def _hll_step(state: SweState, params: SweParams, grid: Grid1D, dt: float,
               bed) -> SweState:
     """HLL step of the state over the bed ``bed_profile`` gives."""
     lam = dt / grid.dx
+    half = 0.5 * lam
     g = params.g
     hg, qg = _pad(state.h), _pad(state.q)
-    etag = hg + bed[0]
-    h, q = state.h, state.q
+    eta_jump, q_jump = _jumps(hg, qg, bed[0])
 
     h_t, u_t, a0, a1 = _fan(hg, qg / hg, g)
-    # Momentum weight of the degree-1 term applied to the eta jump.
-    wgt = -u_t * u_t + g * h_t
+    # Momentum weight -u_t^2 + g h_t of the degree-1 term on the eta jump.
+    wgt = np.negative(u_t)
+    wgt *= u_t
+    h_t *= g
+    wgt += h_t
 
-    eta_jump = etag[1:] - etag[:-1]
-    q_jump = qg[1:] - qg[:-1]
+    buf = np.empty_like(state.h)
+    prod = np.multiply(a0, eta_jump)
+    h_new = _centered(state.h, qg, half)
+    _add_diff(h_new, prod, half, buf)
+    np.multiply(a1, q_jump, out=prod)
+    _add_diff(h_new, prod, half, buf)
 
-    h_new = h - 0.5 * lam * (qg[2:] - qg[:-2]) \
-        + 0.5 * lam * (a0[1:] * eta_jump[1:] - a0[:-1] * eta_jump[:-1]) \
-        + 0.5 * lam * (a1[1:] * q_jump[1:] - a1[:-1] * q_jump[:-1])
-
-    mom = qg * qg / hg + 0.5 * g * hg * hg
-    q_new = q - 0.5 * lam * (mom[2:] - mom[:-2]) \
-        + 0.5 * lam * (a1[1:] * wgt[1:] * eta_jump[1:]
-                       - a1[:-1] * wgt[:-1] * eta_jump[:-1]) \
-        + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
-        + lam * (a1[1:] * u_t[1:] * q_jump[1:]
-                 - a1[:-1] * u_t[:-1] * q_jump[:-1]) \
-        + _bed_slope(hg, bed[1], lam, g) \
-        - _friction(state, params, dt)
-
+    q_new = _centered(state.q, _momentum_flux(hg, qg, g), half)
+    np.multiply(a1, wgt, out=prod)
+    prod *= eta_jump
+    _add_diff(q_new, prod, half, buf)
+    np.multiply(a0, q_jump, out=prod)
+    _add_diff(q_new, prod, half, buf)
+    np.multiply(a1, u_t, out=prod)
+    prod *= q_jump
+    _add_diff(q_new, prod, lam, buf)
+    _add_sources(q_new, state, params, hg, bed[1], lam, dt)
     return SweState(h=h_new, q=q_new)

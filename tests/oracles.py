@@ -8,6 +8,8 @@ oracle goes through the Gram-matrix eigendecomposition, and sums that
 back accuracy claims use compensated (Kahan) accumulation.
 
 The last section keeps reference copies of retired package code: the
+vectorized SWE full-order step with a fresh temporary per operation
+(its fan, CFL speed and time loop included), the
 per-state HLL fan of the SWE, the
 projection of a full field onto a POD basis, the window SVD through
 scipy's LAPACK wrappers, the POD basis of one slice through the chain
@@ -26,6 +28,7 @@ from scipy.linalg import lapack
 from hyporom.deim import deim_online_values
 from hyporom.errors import (BreakdownInEigensolve, DegenerateWaveFan,
                             EmptySlice, EvaluationError, ShapeMismatch)
+from hyporom.fluxes import FluxChoice, pvm0_constant
 from hyporom.fom.swe import hll_fan
 from hyporom.pod import (_QR_BLOCK, _fix_signs, numerical_rank, pod_basis,
                          select_modes, thin_svd)
@@ -532,12 +535,118 @@ def swe_rom_step_oracle(h_hat, q_hat, ops, bases, interps, params, dx, dt):
 # Reference copies of retired package code
 
 
+def frozen_pad(a):
+    """Cell array (or block of columns) with edge-replicating ghosts."""
+    return np.concatenate(([a[0]], a, [a[-1]]))
+
+
+def frozen_max_speed(h, q, g):
+    u = q / h
+    c = np.sqrt(g * h)
+    return float(np.max(np.abs(u) + c))
+
+
+def frozen_hll_fan(h_l, h_r, u_l, u_r, root_l, root_r, c_l, c_r, g):
+    """``hll_fan`` with one fresh array per operation."""
+    h_t = 0.5 * (h_l + h_r)
+    u_t = (root_r * u_r + root_l * u_l) / (root_r + root_l)
+    c_t = np.sqrt(g * h_t)
+    s_l = np.minimum(u_l - c_l, u_t - c_t)
+    s_r = np.maximum(u_r + c_r, u_t + c_t)
+    gap = s_r - s_l
+    abs_l = np.abs(s_l)
+    abs_r = np.abs(s_r)
+    if (gap < 1e-12 * np.maximum(1.0, np.maximum(abs_l, abs_r))).any():
+        raise DegenerateWaveFan("HLL wave speeds are not separated")
+    return h_t, u_t, (s_r * abs_l - s_l * abs_r) / gap, (abs_r - abs_l) / gap
+
+
+def frozen_fan(hg, ug, g):
+    """``frozen_hll_fan`` at every interface of padded h and u."""
+    root = np.sqrt(hg)
+    c = np.sqrt(g * hg)
+    return frozen_hll_fan(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1],
+                          root[1:], c[:-1], c[1:], g)
+
+
+def frozen_swe_step(h, q, params, grid, dt, flux):
+    """(h, q) after one PVM-0 or HLL step, forming each interface product
+    twice: once for each cell beside the interface."""
+    lam = dt / grid.dx
+    g = params.g
+    zg = frozen_pad(np.asarray(params.bathymetry(grid.centers), dtype=float))
+    dz = np.diff(zg)
+    hg, qg = frozen_pad(h), frozen_pad(q)
+    etag = hg + zg
+    eta_jump = etag[1:] - etag[:-1]
+    q_jump = qg[1:] - qg[:-1]
+    mom = qg * qg / hg + 0.5 * g * hg * hg
+    hc = hg[1:-1]
+    bed = -0.25 * g * lam * ((hg[2:] + hc) * dz[1:] + (hc + hg[:-2]) * dz[:-1])
+    if params.n_b == 0.0:
+        fric = np.zeros_like(q)
+    else:
+        fric = dt * g * params.n_b ** 2 * q * np.abs(q) / h ** (7.0 / 3.0)
+
+    if flux is not FluxChoice.HLL:
+        if flux is FluxChoice.RUSANOV:
+            ug = qg / hg
+            root = np.sqrt(hg)
+            h_t = 0.5 * (hg[:-1] + hg[1:])
+            u_t = (root[1:] * ug[1:] + root[:-1] * ug[:-1]) \
+                / (root[1:] + root[:-1])
+            a0 = np.abs(u_t) + np.sqrt(g * h_t)
+        else:
+            a0 = np.full(grid.n_cells + 1,
+                         pvm0_constant(flux, params.nu, grid.dx, dt))
+        h_new = h - 0.5 * lam * (qg[2:] - qg[:-2]) \
+            + 0.5 * lam * (a0[1:] * eta_jump[1:] - a0[:-1] * eta_jump[:-1])
+        q_new = q - 0.5 * lam * (mom[2:] - mom[:-2]) \
+            + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
+            + bed - fric
+        return h_new, q_new
+
+    h_t, u_t, a0, a1 = frozen_fan(hg, qg / hg, g)
+    wgt = -u_t * u_t + g * h_t
+    h_new = h - 0.5 * lam * (qg[2:] - qg[:-2]) \
+        + 0.5 * lam * (a0[1:] * eta_jump[1:] - a0[:-1] * eta_jump[:-1]) \
+        + 0.5 * lam * (a1[1:] * q_jump[1:] - a1[:-1] * q_jump[:-1])
+    q_new = q - 0.5 * lam * (mom[2:] - mom[:-2]) \
+        + 0.5 * lam * (a1[1:] * wgt[1:] * eta_jump[1:]
+                       - a1[:-1] * wgt[:-1] * eta_jump[:-1]) \
+        + 0.5 * lam * (a0[1:] * q_jump[1:] - a0[:-1] * q_jump[:-1]) \
+        + lam * (a1[1:] * u_t[1:] * q_jump[1:]
+                 - a1[:-1] * u_t[:-1] * q_jump[:-1]) \
+        + bed - fric
+    return h_new, q_new
+
+
+def frozen_swe_run(model, state, t_final, cfl):
+    """``run_fom`` of an SWE model as a loop over ``frozen_swe_step``:
+    (final h, final q, dts, h columns, q columns), every state recorded."""
+    grid, params = model.grid, model.params
+    clamp_eps = 1e-12 * max(t_final, 1.0)
+    t = 0.0
+    h, q = state.h, state.q
+    dts, hs, qs = [], [h], [q]
+    while t_final - t > clamp_eps:
+        dt = cfl * grid.dx / frozen_max_speed(h, q, params.g)
+        if t + dt >= t_final - clamp_eps:
+            dt = t_final - t
+        h, q = frozen_swe_step(h, q, params, grid, dt, model.flux)
+        t += dt
+        dts.append(dt)
+        hs.append(h)
+        qs.append(q)
+    return h, q, np.array(dts), np.column_stack(hs), np.column_stack(qs)
+
+
 def interface_fan(state, g):
     """(h_tilde, u_tilde, alpha0, alpha1) at all n_cells+1 interfaces of
     one SWE state, ghosts replicated: the fan an HLL step of the state
     forms, through the ``hll_fan`` closure of a 1-D state."""
-    hg = np.concatenate(([state.h[0]], state.h, [state.h[-1]]))
-    ug = np.concatenate(([state.q[0]], state.q, [state.q[-1]])) / hg
+    hg = frozen_pad(state.h)
+    ug = frozen_pad(state.q) / hg
     root = np.sqrt(hg)
     c = np.sqrt(g * hg)
     return hll_fan(hg[:-1], hg[1:], ug[:-1], ug[1:], root[:-1], root[1:],

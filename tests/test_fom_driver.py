@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from hyporom.errors import ConfigError
+from hyporom.errors import ConfigError, ShapeMismatch
 from hyporom.fluxes import FluxChoice
-from hyporom.fom import (BurgersParams, SweModel, SweParams, SweState,
-                         TransportModel, TransportParams, cfl_dt, run_fom,
-                         transport_stationary)
+from hyporom.fom import (BurgersModel, BurgersParams, SweModel, SweParams,
+                         SweState, TransportModel, TransportParams, cfl_dt,
+                         run_fom, transport_stationary)
 from hyporom.fom import swe as swe_module
 from hyporom.fom.swe import FAN_FIELDS, derived_fields, friction_kernel
 from hyporom.grid import Grid1D
+from hyporom.harness import ExperimentConfig, initial_state, make_model
 
-from oracles import interface_fan, kahan_sum
+from oracles import frozen_swe_run, interface_fan, kahan_sum
 
 
 def test_stationary_run_returns_to_start():
@@ -194,6 +195,28 @@ def test_run_is_bitwise_the_public_step_loop(flux, record):
     assert np.array_equal(res.final_state.q, cur.q)
 
 
+@pytest.mark.parametrize("flux", ["hll", "mlf"])
+def test_dam_break_bitwise_the_frozen_step_loop(flux):
+    # The preset 1600-cell dam break, plain and recorded, against a loop
+    # over the copy in oracles.py of the step that allocated one array per
+    # operation: final state, every dt and every recorded column.
+    config = ExperimentConfig(preset="swe_dam_break", flux=flux,
+                              n_cells=1600)
+    grid = Grid1D(config.x_min, config.x_max, config.n_cells)
+    model = make_model(config, grid)
+    state = initial_state(config, grid)
+    h, q, dts, hs, qs = frozen_swe_run(model, state, config.t_final,
+                                       config.cfl)
+    for record in (False, True):
+        res = run_fom(model, state, config.t_final, config.cfl,
+                      record=record)
+        assert np.array_equal(res.final_state.h, h)
+        assert np.array_equal(res.final_state.q, q)
+        assert np.array_equal(res.dts, dts)
+    assert np.array_equal(res.snapshots["h"].data, hs)
+    assert np.array_equal(res.snapshots["q"].data, qs)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"t_final": 0.0}, "t_final"),
     ({"snapshot_stride": 0}, "snapshot_stride"),
@@ -203,6 +226,23 @@ def test_bad_run_argument_raises_config_error(kwargs, match):
     model, state = _dam_case(FluxChoice.MODIFIED_LAX_FRIEDRICHS)
     with pytest.raises(ConfigError, match=match):
         run_fom(model, state, **{"t_final": 0.05, "cfl": 0.9, **kwargs})
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid: (TransportModel(TransportParams(c=1.0), grid), np.ones(5)),
+    lambda grid: (BurgersModel(BurgersParams(), grid), np.ones(5)),
+    lambda grid: (SweModel(SweParams(), grid),
+                  SweState(h=np.ones(5), q=np.zeros(5))),
+    lambda grid: (SweModel(SweParams(), grid, FluxChoice.HLL),
+                  SweState(h=np.ones(5), q=np.zeros(5))),
+], ids=["transport", "burgers", "swe_mlf", "swe_hll"])
+@pytest.mark.parametrize("record", [True, False])
+def test_state_length_must_match_the_grid(make, record):
+    # A 5-cell state on a 4-cell grid is refused before the first step,
+    # by a typed error naming both lengths.
+    model, state = make(Grid1D(0.0, 1.0, 4))
+    with pytest.raises(ShapeMismatch, match=r"\(5,\).* 4 cells"):
+        run_fom(model, state, t_final=0.05, record=record)
 
 
 @pytest.mark.parametrize("make, match", [

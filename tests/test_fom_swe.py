@@ -4,6 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hyporom.errors import (DegenerateWaveFan, NonFiniteState, NonPositiveDepth,
                             ShapeMismatch)
@@ -12,7 +15,9 @@ from hyporom.fom import SweModel, SweParams, SweState, cfl_dt, lake_at_rest
 from hyporom.fom import swe as swe_module
 from hyporom.grid import Grid1D
 
-from oracles import swe_hll_step_scalar, swe_lf_step_scalar
+from oracles import (frozen_fan, frozen_max_speed, frozen_pad,
+                     frozen_swe_step, swe_hll_step_scalar,
+                     swe_lf_step_scalar)
 
 
 def bump(x):
@@ -71,28 +76,6 @@ def test_hll_degenerate_fan():
         _fan_coeffs([-1.0, 2.0], [1.0, 2.0])
 
 
-def _frozen_fan(hg, ug, g):
-    """The fan as separate Roe-average, Davis-speed and HLL-coefficient
-    functions computed it before ``hll_fan``, inlined: the Davis
-    speeds form the Roe averages a second time."""
-    def roe(h_l, h_r, u_l, u_r):
-        sl, sr = np.sqrt(h_l), np.sqrt(h_r)
-        return 0.5 * (h_l + h_r), (sr * u_r + sl * u_l) / (sr + sl)
-
-    h_l, h_r, u_l, u_r = hg[:-1], hg[1:], ug[:-1], ug[1:]
-    h_t, u_t = roe(h_l, h_r, u_l, u_r)
-    c_l = np.sqrt(g * h_l)
-    c_r = np.sqrt(g * h_r)
-    h_d, u_d = roe(h_l, h_r, u_l, u_r)
-    c_t = np.sqrt(g * h_d)
-    s_l = np.minimum(u_l - c_l, u_d - c_t)
-    s_r = np.maximum(u_r + c_r, u_d + c_t)
-    gap = s_r - s_l
-    a0 = (s_r * np.abs(s_l) - s_l * np.abs(s_r)) / gap
-    a1 = (np.abs(s_r) - np.abs(s_l)) / gap
-    return h_t, u_t, a0, a1
-
-
 def _random_state(seed, n):
     rng = np.random.default_rng(seed)
     return SweState(h=0.3 + 2.0 * rng.random(n),
@@ -103,9 +86,8 @@ def _random_state(seed, n):
 def test_interface_fan_bitwise_frozen_path(seed):
     grid = Grid1D(-3.0, 3.0, 97)
     state = _random_state(seed, grid.n_cells)
-    hg = np.concatenate(([state.h[0]], state.h, [state.h[-1]]))
-    qg = np.concatenate(([state.q[0]], state.q, [state.q[-1]]))
-    want = _frozen_fan(hg, qg / hg, BUMP_PARAMS.g)
+    hg, qg = frozen_pad(state.h), frozen_pad(state.q)
+    want = frozen_fan(hg, qg / hg, BUMP_PARAMS.g)
     got = interface_fan(state, BUMP_PARAMS.g)
     for g_arr, w_arr in zip(got, want):
         assert g_arr.shape == (grid.n_cells + 1,)
@@ -122,7 +104,7 @@ def test_hll_step_bitwise_with_frozen_fan(seed, monkeypatch):
 
     def frozen(*args):
         calls.append(1)
-        return _frozen_fan(*args)
+        return frozen_fan(*args)
 
     monkeypatch.setattr(swe_module, "_fan", frozen)
     want = _step(state, params, grid, 1e-3, FluxChoice.HLL)
@@ -240,7 +222,19 @@ _GRID4 = Grid1D(0.0, 1.0, 4)
 
 
 @pytest.mark.parametrize("h, q, error", _BAD_STATES + [
-    (np.ones(4), np.zeros(3), ShapeMismatch)])
+    (np.ones(4), np.zeros(3), ShapeMismatch),
+    (np.empty(0), np.empty(0), ShapeMismatch),
+    (np.array(1.0), np.array(0.0), ShapeMismatch),
+    (np.ones((2, 2)), np.zeros((2, 2)), ShapeMismatch),
+    # A non-finite value is reported before a non-positive depth.
+    (np.array([np.nan, -1.0, 1.0, 1.0]), np.zeros(4), NonFiniteState),
+    (np.array([0.0, 1.0, 1.0, np.inf]), np.zeros(4), NonFiniteState),
+    (np.array([1.0, 1.0, -np.inf, 1.0]), np.zeros(4), NonFiniteState),
+    (np.array([1.0, -1.0, 1.0, 1.0]), np.array([0.0, np.nan, 0.0, 0.0]),
+     NonFiniteState),
+    (np.array([0.0, 1.0, 1.0, 1.0]), np.array([0.0, 0.0, -np.inf, 0.0]),
+     NonFiniteState),
+])
 def test_construction_checks_the_state(h, q, error):
     with pytest.raises(error):
         SweState(h=h, q=q)
@@ -326,3 +320,66 @@ def test_unpickled_stepped_state_is_checked_again(flux):
     q[7] = np.inf
     with pytest.raises(NonFiniteState):
         cls(h, q)
+
+
+# The step, its CFL speed and the fan are pinned bitwise to the copies in
+# oracles.py of the form that allocated one array per operation.
+
+_FLUXES = list(FluxChoice)
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@st.composite
+def _swe_cases(draw):
+    n = draw(st.integers(1, 64))
+
+    def cells(lo, hi):
+        return draw(hnp.arrays(float, n, elements=st.floats(lo, hi)))
+
+    h, q, z = cells(0.05, 5.0), cells(-5.0, 5.0), cells(-1.0, 1.0)
+    params = SweParams(g=9.81, n_b=draw(st.sampled_from([0.0, 0.05])),
+                       nu=0.9, bathymetry=lambda x, z=z: z)
+    grid = Grid1D(0.0, draw(st.floats(0.5, 20.0)), n)
+    return params, grid, SweState(h=h, q=q), draw(st.floats(0.05, 1.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_swe_cases(), flux=st.sampled_from(_FLUXES))
+def test_step_bitwise_the_frozen_copy(case, flux):
+    # dt is a random fraction of the CFL step, up to 1.5 of it, so some
+    # steps dry a cell: then the step raises instead of returning.
+    params, grid, state, cfl = case
+    speed = swe_module._max_speed(state, params.g)
+    assert speed == frozen_max_speed(state.h, state.q, params.g)
+    dt = cfl * grid.dx / speed
+    h_ref, q_ref = frozen_swe_step(state.h, state.q, params, grid, dt, flux)
+    if h_ref.min() > 0.0 and np.isfinite(q_ref).all():
+        out = _step(state, params, grid, dt, flux)
+        assert np.array_equal(out.h, h_ref) and np.array_equal(out.q, q_ref)
+    else:
+        with pytest.raises(NonPositiveDepth):
+            _step(state, params, grid, dt, flux)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 64), cols=st.integers(1, 20))
+def test_block_fan_bitwise_the_frozen_copy(data, n, cols):
+    # Blocks of columns, padded and passed to ``_fan`` as derived_fields
+    # does; the fan writes none of its (read-only) inputs.
+    def block(lo, hi):
+        return data.draw(hnp.arrays(float, (n, cols),
+                                    elements=st.floats(lo, hi)))
+
+    hb, qb = block(0.05, 5.0), block(-5.0, 5.0)
+    hg = swe_module._pad(hb)
+    ug = swe_module._pad(qb) / hg
+    want = frozen_fan(frozen_pad(hb), frozen_pad(qb) / frozen_pad(hb), 9.81)
+    got = swe_module._fan(*_readonly(hg, ug), 9.81)
+    for g_arr, w_arr in zip(got, want):
+        assert g_arr.shape == (n + 1, cols)
+        assert np.array_equal(g_arr, w_arr)
