@@ -164,10 +164,12 @@ def _fan_coeffs(s_l, s_r):
 
 def hll_fan(h_l, h_r, u_l, u_r, root_l, root_r, c_l, c_r, g):
     """(h_tilde, u_tilde, alpha0, alpha1) of the interfaces between the
-    given left and right depths, velocities, sqrt(h) and sqrt(g h).  The
-    Davis speed estimates take the one-sided speeds and the Roe speed, so
-    the Roe averages are formed once and serve both.  The inputs are only
-    read; every array returned is new."""
+    given left and right depths, velocities, sqrt(h) and sqrt(g h), float
+    arrays of one shape with at least one dimension (the fan is formed in
+    place, in arrays of that shape).  The Davis speed estimates take the
+    one-sided speeds and the Roe speed, so the Roe averages are formed
+    once and serve both.  The inputs are only read; every array returned
+    is new."""
     h_t, u_t = _roe(h_l, h_r, u_l, u_r, root_l, root_r)
     c_t = np.multiply(h_t, g)
     np.sqrt(c_t, out=c_t)
